@@ -16,18 +16,15 @@ from dataclasses import replace
 import numpy as np
 
 from .arrayio import read_array, write_array, write_csv
-from .config import PipelineConfig, load_config, save_config
-from .encoding import Encoder, SamplingMasks
+from .config import PipelineConfig, load_config
+from .encoding import SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .pipeline import (profile_from_config, prior_from_config, run_pipeline,
+from .pipeline import (build_basis, build_masks, reconstruct, run_pipeline,
                        sequence_from_config)
 from .qmap import fit_map
-from .recon import SolverConfig, cg_solve, fista_solve
-from .sampling import assign_echoes, draw_mask
-from .seqopt import (PowerBudget, crlb_t2_sweep, optimize_flips, train_power)
+from .seqopt import PowerBudget, crlb_t2_sweep, optimize_flips
 from .spinsim import TissueParams
-from .subspace import (SubspaceBasis, back_project, build_ensemble,
-                       compute_basis, sample_prior)
+from .subspace import SubspaceBasis, back_project
 
 log = logging.getLogger("spinshuffle")
 
@@ -68,17 +65,6 @@ def _load(args) -> PipelineConfig:
     return cfg
 
 
-def _masks_for(cfg: PipelineConfig) -> SamplingMasks:
-    profile = profile_from_config(cfg)
-    dims = (cfg.nx, cfg.ny)
-    if cfg.ordering == "randomized":
-        return SamplingMasks(np.stack([
-            draw_mask(profile, dims, cfg.mask_seed + i)
-            for i in range(cfg.n_echoes)]))
-    mask = draw_mask(profile, dims, cfg.mask_seed)
-    return assign_echoes(mask, cfg.n_echoes, cfg.ordering, cfg.assign_seed)
-
-
 def _cmd_phantom(cfg: PipelineConfig) -> None:
     ph = default_phantom((cfg.nx, cfg.ny))
     out = cfg.output_dir
@@ -90,10 +76,7 @@ def _cmd_phantom(cfg: PipelineConfig) -> None:
 
 
 def _cmd_basis(cfg: PipelineConfig) -> None:
-    seq = sequence_from_config(cfg)
-    tissues = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
-    ensemble = build_ensemble(tissues, seq)
-    basis = compute_basis(ensemble, cfg.subspace_k)
+    ensemble, basis = build_basis(cfg, sequence_from_config(cfg))
     out = cfg.output_dir
     write_array(os.path.join(out, "ensemble"), ensemble.data)
     write_array(os.path.join(out, "basis"), basis.phi_k)
@@ -103,7 +86,7 @@ def _cmd_basis(cfg: PipelineConfig) -> None:
 
 
 def _cmd_mask(cfg: PipelineConfig) -> None:
-    masks = _masks_for(cfg)
+    masks = build_masks(cfg)
     write_array(os.path.join(cfg.output_dir, "masks"),
                 masks.masks.astype(np.complex64))
     log.info("%d masks with %d total samples written to %s",
@@ -113,7 +96,7 @@ def _cmd_mask(cfg: PipelineConfig) -> None:
 def _cmd_sim(cfg: PipelineConfig) -> None:
     seq = sequence_from_config(cfg)
     ph = default_phantom((cfg.nx, cfg.ny))
-    masks = _masks_for(cfg)
+    masks = build_masks(cfg)
     y = simulate_acquisition(ph, seq, masks, sigma=cfg.noise_sigma,
                              seed=cfg.noise_seed)
     out = cfg.output_dir
@@ -134,15 +117,7 @@ def _cmd_recon(cfg: PipelineConfig) -> None:
     masks = SamplingMasks(read_array(os.path.join(out, "masks")).real > 0.5)
     basis = _read_basis(out)
     y = read_array(os.path.join(out, "kspace")).astype(complex)
-    enc = Encoder(masks, basis=basis)
-    solver_cfg = SolverConfig(max_iters=cfg.max_iters, tolerance=cfg.tolerance,
-                              lam=cfg.lam)
-    if cfg.solver == "cg":
-        result = cg_solve(enc, y, solver_cfg)
-    elif cfg.solver == "fista":
-        result = fista_solve(enc, y, "l1-wavelet", solver_cfg)
-    else:
-        raise ValueError(f"unknown solver {cfg.solver!r}")
+    result = reconstruct(cfg, masks, basis, y)
     write_array(os.path.join(out, "coefficients"), result.images)
     write_array(os.path.join(out, "images"),
                 back_project(basis, result.images))

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)

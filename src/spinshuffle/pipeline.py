@@ -17,14 +17,14 @@ import numpy as np
 
 from .arrayio import write_array, write_csv
 from .config import PipelineConfig, save_config
-from .encoding import Encoder, SamplingMasks, apply_forward
+from .encoding import Encoder, SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
 from .qmap import build_dictionary, fit_map
-from .recon import SolverConfig, cg_solve, fista_solve
+from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, assign_echoes, draw_mask
 from .spinsim import SequenceParams, TissueParams
-from .subspace import (TissuePrior, back_project, build_ensemble,
-                       compute_basis, sample_prior)
+from .subspace import (SubspaceBasis, TissuePrior, back_project,
+                       build_ensemble, compute_basis, sample_prior)
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +66,45 @@ def profile_from_config(cfg: PipelineConfig) -> DensityProfile:
                           sigma=cfg.profile_sigma, accel=cfg.accel)
 
 
+def build_basis(cfg: PipelineConfig, seq: SequenceParams) -> tuple:
+    """Simulate the prior's training ensemble and take its subspace."""
+    tissues = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
+    ensemble = build_ensemble(tissues, seq)
+    return ensemble, compute_basis(ensemble, cfg.subspace_k)
+
+
+def build_masks(cfg: PipelineConfig) -> SamplingMasks:
+    """Per-echo sampling masks for the configured view ordering."""
+    profile = profile_from_config(cfg)
+    dims = (cfg.nx, cfg.ny)
+    if cfg.ordering == "randomized":
+        # shuffled acquisition: an independent variable-density pattern
+        # per echo, seeded from the mask seed plus the echo index
+        stack = np.stack([draw_mask(profile, dims, cfg.mask_seed + i)
+                          for i in range(cfg.n_echoes)])
+        return SamplingMasks(stack)
+    if cfg.ordering == "center-out":
+        # single-pass view ordering: every location acquired once, low
+        # frequencies at the early echoes
+        mask = draw_mask(profile, dims, cfg.mask_seed)
+        return assign_echoes(mask, cfg.n_echoes, "center-out",
+                             cfg.assign_seed)
+    raise ValueError(f"unknown ordering {cfg.ordering!r}")
+
+
+def reconstruct(cfg: PipelineConfig, masks: SamplingMasks,
+                basis: SubspaceBasis, kspace: np.ndarray) -> ReconResult:
+    """Subspace-constrained reconstruction with the configured solver."""
+    enc = Encoder(masks, basis=basis)
+    solver_cfg = SolverConfig(max_iters=cfg.max_iters,
+                              tolerance=cfg.tolerance, lam=cfg.lam)
+    if cfg.solver == "cg":
+        return cg_solve(enc, kspace, solver_cfg)
+    if cfg.solver == "fista":
+        return fista_solve(enc, kspace, "l1-wavelet", solver_cfg)
+    raise ValueError(f"unknown solver {cfg.solver!r}")
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     """Execute phantom -> basis -> masks -> simulate -> solve -> fit."""
     out = cfg.output_dir
@@ -81,47 +120,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     seq = stage("sequence", lambda: sequence_from_config(cfg))
     phantom = stage("phantom", lambda: default_phantom((cfg.nx, cfg.ny)))
 
-    def build_basis():
-        tissues = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
-        ensemble = build_ensemble(tissues, seq)
-        return ensemble, compute_basis(ensemble, cfg.subspace_k)
-
-    ensemble, basis = stage("basis", build_basis)
-
-    def build_masks():
-        profile = profile_from_config(cfg)
-        dims = (cfg.nx, cfg.ny)
-        if cfg.ordering == "randomized":
-            # shuffled acquisition: an independent variable-density pattern
-            # per echo, seeded from the mask seed plus the echo index
-            stack = np.stack([draw_mask(profile, dims, cfg.mask_seed + i)
-                              for i in range(cfg.n_echoes)])
-            return SamplingMasks(stack)
-        if cfg.ordering == "center-out":
-            # single-pass view ordering: every location acquired once, low
-            # frequencies at the early echoes
-            mask = draw_mask(profile, dims, cfg.mask_seed)
-            return assign_echoes(mask, cfg.n_echoes, "center-out",
-                                 cfg.assign_seed)
-        raise ValueError(f"unknown ordering {cfg.ordering!r}")
-
-    masks = stage("masks", build_masks)
+    ensemble, basis = stage("basis", lambda: build_basis(cfg, seq))
+    masks = stage("masks", lambda: build_masks(cfg))
 
     truth = stage("truth", lambda: contrast_images(phantom, seq))
     y = stage("simulate", lambda: simulate_acquisition(
         phantom, seq, masks, sigma=cfg.noise_sigma, seed=cfg.noise_seed))
 
-    def reconstruct():
-        enc = Encoder(masks, basis=basis)
-        solver_cfg = SolverConfig(max_iters=cfg.max_iters,
-                                  tolerance=cfg.tolerance, lam=cfg.lam)
-        if cfg.solver == "cg":
-            return enc, cg_solve(enc, y, solver_cfg)
-        if cfg.solver == "fista":
-            return enc, fista_solve(enc, y, "l1-wavelet", solver_cfg)
-        raise ValueError(f"unknown solver {cfg.solver!r}")
-
-    enc, result = stage("reconstruct", reconstruct)
+    result = stage("reconstruct", lambda: reconstruct(cfg, masks, basis, y))
     images = stage("back-project", lambda: back_project(basis, result.images))
 
     def fit():
@@ -151,6 +157,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
             t2_true = phantom.regions[rid].t2
             vals = maps.t2[sel]
             vals = vals[np.isfinite(vals)]
+            if vals.size == 0:
+                raise ValueError(f"region {rid}: every voxel failed the fit")
             mean = float(np.mean(vals))
             stats.append((rid, t2_true, mean,
                           100.0 * (mean - t2_true) / t2_true,

@@ -2,12 +2,14 @@
 
 All fits share a variable-projection structure: the complex density enters
 the model linearly, so for any candidate T2 the optimal density has a closed
-form and the search reduces to one dimension. Voxel fits use a coarse
-log-spaced scan, golden-section refinement, and a short Gauss-Newton polish;
-whole-map fits score every voxel against a dense precomputed model grid and
-refine with a local parabola, which keeps the per-voxel cost at a few matrix
-products. Dictionary matching is the grid-search counterpart and is
-equivalent to matched filtering.
+form and the search reduces to one dimension. Every fit starts from the same
+grid stage: each voxel is scored against a log-spaced model grid (dense for
+whole maps, where it keeps the per-voxel cost at a few matrix products;
+coarse for single voxels) and refined with a local parabola. Single-voxel
+fits then polish that start with variable-projection Gauss-Newton steps,
+whose Jacobian is the model derivative projected off the model, so they
+converge to the exact minimizer in a few steps. Dictionary matching is the
+grid-search counterpart and is equivalent to matched filtering.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, TissueParams, simulate_fse_ensemble
+from .spinsim import SequenceParams, simulate_fse_ensemble
 from .subspace import SubspaceBasis
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
 DEFAULT_T1_MS = 1000.0
-
-_GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -118,27 +118,15 @@ def _varpro_cost(models, signals):
     return cost, rho
 
 
-def _golden_refine(signal_col, lo, hi, model_fn, n_iters=60):
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(n_iters):
-        h = b - a
-        x1, x2 = b - _GOLDEN * h, a + _GOLDEN * h
-        c1, _ = _varpro_cost(model_fn(np.exp([x1])), signal_col)
-        c2, _ = _varpro_cost(model_fn(np.exp([x2])), signal_col)
-        if c1[0] < c2[0]:
-            b = x2
-        else:
-            a = x1
-    return math.exp(0.5 * (a + b))
-
-
 def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
-    """Gauss-Newton steps on the projected residual.
+    """Variable-projection Gauss-Newton steps on the projected residual.
 
-    Far from the optimum a step must decrease the cost (halving, up to 20
-    times); near it the step is a contraction toward the stationary point
-    and is accepted directly, which localizes the minimizer far better than
-    comparing nearly equal cost values.
+    With the density eliminated, the residual r = s - rho m has the Jacobian
+    -rho (dm - m (m^H dm) / (m^H m)): the model derivative projected off the
+    model. Far from the optimum a step must decrease the cost (halving, up
+    to 20 times); near it the step is a contraction toward the stationary
+    point and is accepted directly, which localizes the minimizer far better
+    than comparing nearly equal cost values.
     """
     sig = signal[:, None]
 
@@ -153,7 +141,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
         m0, mp, mm = _model_batch([t2, t2 + h, t2 - h], seq, t1_ms, eta, basis).T
         dm = (mp - mm) / (2 * h)
         r = signal - rho * m0
-        j = -rho * dm
+        j = -rho * (dm - m0 * (np.vdot(m0, dm) / np.vdot(m0, m0)))
         jj = float(np.vdot(j, j).real)
         if jj == 0:
             break
@@ -185,19 +173,10 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
 
 
 def _fit_single(signal, seq, bounds, t1_ms, eta, basis, coarse=48):
-    lo, hi = bounds
-
-    def model_fn(t2_vec):
-        return _model_batch(t2_vec, seq, t1_ms, eta, basis)
-
-    sig = signal[:, None]
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), coarse))
-    cost, _ = _varpro_cost(model_fn(grid), np.repeat(sig, coarse, axis=1))
-    b = int(np.argmin(cost))
-    lo_b = grid[max(b - 1, 0)]
-    hi_b = grid[min(b + 1, coarse - 1)]
-    t2 = _golden_refine(sig, lo_b, hi_b, model_fn)
-    return _polish(signal, seq, t2, bounds, t1_ms, eta, basis)
+    """One-column grid start at a coarse grid, then the polish."""
+    t2, _, _ = _fit_columns(signal[:, None], seq, bounds, t1_ms, eta, basis,
+                            coarse)
+    return _polish(signal, seq, float(t2[0]), bounds, t1_ms, eta, basis)
 
 
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,

@@ -10,14 +10,14 @@ directly from k-space.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (Encoder, NormalKernel, SamplingMasks, SensitivityMaps,
+from .encoding import (Encoder, SamplingMasks, SensitivityMaps,
                        apply_adjoint, apply_forward, apply_normal_kernel,
                        build_normal_kernel)
-from .spinsim import SequenceParams, TissueParams, signal_jacobian, simulate_fse_ensemble
+from .spinsim import SequenceParams, simulate_fse_ensemble
 from .subspace import SubspaceBasis
 from .transforms import make_transform
 

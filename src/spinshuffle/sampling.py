@@ -16,11 +16,7 @@ import numpy as np
 
 from .encoding import SamplingMasks, fft2c, ifft2c
 from .transforms import IdentityTransform
-from .utils import worker_count
-
-
-class NonIdentifiableError(RuntimeError):
-    """The requested coefficients cannot be resolved under this mask."""
+from .utils import NonIdentifiableError, worker_count
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayio import write_csv
-from .spinsim import (EpgState, SequenceParams, TissueParams,
-                      apply_gradient_shift, apply_relaxation, apply_rf,
-                      required_max_order, signal_jacobian,
+from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
+                      apply_rf, required_max_order, signal_jacobian,
                       simulate_fse_ensemble)
-
-
-class NonIdentifiableError(RuntimeError):
-    """Fisher information is singular for the requested parameters."""
+from .utils import NonIdentifiableError
 
 
 @dataclass(frozen=True)
@@ -252,17 +248,6 @@ class AsymptoticDesign:
     n_controlled: int
 
 
-def _echo_after_pulse(state: EpgState, flip_deg: float, phase_deg: float,
-                      half_ms: float, t1: float, t2: float) -> tuple:
-    trial = state.copy()
-    apply_relaxation(trial, half_ms, t1, t2)
-    apply_gradient_shift(trial)
-    apply_rf(trial, flip_deg, phase_deg)
-    apply_gradient_shift(trial)
-    apply_relaxation(trial, half_ms, t1, t2)
-    return abs(trial.fplus[0]), trial
-
-
 def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
                             s_target: float, alpha_max_deg: float = 180.0,
                             n_constant: int = 4,
@@ -284,12 +269,22 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     half = seq_template.echo_spacing_ms / 2
     phases = seq_template.flip_phases_deg
 
-    state = EpgState.equilibrium(required_max_order(t))
+    # one ensemble on a batch axis of length 1
+    state = EpgState.equilibrium(required_max_order(t), (1,))
     apply_rf(state, tissue.eta * seq_template.excitation_deg,
              seq_template.excitation_phase_deg)
 
-    s1_max, _ = _echo_after_pulse(state, tissue.eta * 180.0, phases[0], half,
-                                  tissue.t1, tissue.t2)
+    def trial(flips_deg, i):
+        """The current state advanced through echo i, one column per flip."""
+        flips_deg = np.atleast_1d(flips_deg)
+        out = EpgState(*(np.repeat(a, flips_deg.size, axis=1)
+                         for a in (state.fplus, state.fminus, state.z)),
+                       state.max_order)
+        advance_echo(out, tissue.eta * flips_deg, phases[i], half,
+                     tissue.t1, tissue.t2)
+        return out
+
+    s1_max = abs(trial(180.0, 0).fplus[0, 0])
     if not 0 < s_target <= s1_max:
         raise ValueError(
             f"target {s_target} outside the achievable range (0, {s1_max:.6g}]")
@@ -313,9 +308,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     flips = np.zeros(t)
     achieved = np.zeros(n_controlled)
     for i in range(n_controlled):
-        amps = np.array([_echo_after_pulse(state, tissue.eta * a, phases[i],
-                                           half, tissue.t1, tissue.t2)[0]
-                         for a in scan])
+        amps = np.abs(trial(scan, i).fplus[0])
         target = targets[i]
         if target > amps.max() * (1 + 1e-12) + 1e-15:
             raise ValueError(
@@ -331,17 +324,14 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
             lo, hi = scan[hit - 1], scan[hit]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                amp, _ = _echo_after_pulse(state, tissue.eta * mid, phases[i],
-                                           half, tissue.t1, tissue.t2)
-                if amp < target:
+                if abs(trial(mid, i).fplus[0, 0]) < target:
                     lo = mid
                 else:
                     hi = mid
             flip = 0.5 * (lo + hi)
         flips[i] = flip
-        achieved[i], state = _echo_after_pulse(state, tissue.eta * flip,
-                                               phases[i], half, tissue.t1,
-                                               tissue.t2)
+        state = trial(flip, i)
+        achieved[i] = abs(state.fplus[0, 0])
 
     if n_controlled < t:
         last = flips[n_controlled - 1] if n_controlled else alpha_max_deg

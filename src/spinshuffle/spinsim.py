@@ -1,10 +1,13 @@
 """Fast-spin-echo signal simulation.
 
-Two simulation engines are provided: a configuration-state (phase-graph)
-recursion that tracks dephasing orders of a spin ensemble, and a brute-force
-isochromat integrator that solves the rotation/relaxation recursion for each
-resonant frequency separately. The two agree to near machine precision and
-cross-validate each other.
+One configuration-state (phase-graph) engine tracks the dephasing orders of
+spin ensembles: the step operators (RF mixing, relaxation, gradient shift)
+act on an `EpgState` whose trailing axes index a batch, so a single tissue,
+a dictionary of tissues, or a scan over trial flips all advance through the
+same `advance_echo` step. A brute-force isochromat integrator solves the
+rotation/relaxation recursion for each resonant frequency separately; it is
+kept apart from the engine as its independent oracle, and the two agree to
+near machine precision.
 
 Units at the public boundary are milliseconds and degrees; radians are used
 internally.
@@ -13,7 +16,7 @@ internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,11 +99,13 @@ def constant_train(n_echoes: int, flip_deg: float = 180.0,
 
 @dataclass
 class EpgState:
-    """Configuration-state matrix of a dephasing spin ensemble.
+    """Configuration-state matrix of a batch of dephasing spin ensembles.
 
     fplus[k], fminus[k], z[k] hold the transverse (+/- helicity) and
-    longitudinal populations at dephasing order k = 0..max_order. The k = 0
-    transverse states are conjugate mirrors of each other.
+    longitudinal populations at dephasing order k = 0..max_order; any
+    trailing axes index independent ensembles (tissues, trial flips), so one
+    state advances a whole batch at once. The k = 0 transverse states are
+    conjugate mirrors of each other.
     """
 
     fplus: np.ndarray
@@ -109,16 +114,12 @@ class EpgState:
     max_order: int
 
     @classmethod
-    def equilibrium(cls, max_order: int) -> "EpgState":
-        n = max_order + 1
-        state = cls(np.zeros(n, complex), np.zeros(n, complex),
-                    np.zeros(n, complex), max_order)
+    def equilibrium(cls, max_order: int, batch_shape=()) -> "EpgState":
+        shape = (max_order + 1, *batch_shape)
+        state = cls(np.zeros(shape, complex), np.zeros(shape, complex),
+                    np.zeros(shape, complex), max_order)
         state.z[0] = 1.0
         return state
-
-    def copy(self) -> "EpgState":
-        return EpgState(self.fplus.copy(), self.fminus.copy(), self.z.copy(),
-                        self.max_order)
 
 
 @dataclass(frozen=True)
@@ -133,40 +134,51 @@ class SignalEvolution:
         return self.echo_spacing_ms * np.arange(1, len(self.samples) + 1)
 
 
-def rf_matrix(alpha_deg: float, phi_deg: float) -> np.ndarray:
+def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:
     """3x3 mixing matrix of an RF pulse acting on (F+, F-, Z) per order.
 
     alpha is the flip angle and phi the pulse phase (rotation axis azimuth),
-    both in degrees. The same matrix applies at every dephasing order.
+    both in degrees. Array arguments give one matrix per batch element, with
+    their broadcast shape as trailing axes: (3, 3, *batch). The same matrix
+    applies at every dephasing order.
     """
-    a = math.radians(alpha_deg)
-    p = math.radians(phi_deg)
-    ca2 = math.cos(a / 2) ** 2
-    sa2 = math.sin(a / 2) ** 2
-    sa = math.sin(a)
-    ca = math.cos(a)
-    eip = complex(math.cos(p), math.sin(p))
-    return np.array([
-        [ca2, eip * eip * sa2, -1j * eip * sa],
-        [np.conj(eip * eip) * sa2, ca2, 1j * np.conj(eip) * sa],
-        [-0.5j * np.conj(eip) * sa, 0.5j * eip * sa, ca],
-    ], dtype=complex)
+    a = np.radians(alpha_deg)
+    eip = np.exp(1j * np.radians(phi_deg))
+    sa = np.sin(a)
+    m = np.empty((3, 3) + np.broadcast(a, eip).shape, complex)
+    m[0, 0] = m[1, 1] = np.cos(a / 2) ** 2
+    m[0, 1] = eip * eip * np.sin(a / 2) ** 2
+    m[1, 0] = np.conj(m[0, 1])
+    m[0, 2] = -1j * eip * sa
+    m[1, 2] = np.conj(m[0, 2])
+    m[2, 0] = -0.5j * np.conj(eip) * sa
+    m[2, 1] = np.conj(m[2, 0])
+    m[2, 2] = np.cos(a)
+    return m
 
 
-def apply_rf(state: EpgState, alpha_deg: float, phi_deg: float) -> None:
-    """Mix the state's (F+, F-, Z) triples in place with an RF pulse."""
+def apply_rf(state: EpgState, alpha_deg, phi_deg) -> None:
+    """Mix the state's (F+, F-, Z) triples in place with an RF pulse.
+
+    Per-element angles broadcast against the state's batch axes.
+    """
     m = rf_matrix(alpha_deg, phi_deg)
     fp = m[0, 0] * state.fplus + m[0, 1] * state.fminus + m[0, 2] * state.z
     fm = m[1, 0] * state.fplus + m[1, 1] * state.fminus + m[1, 2] * state.z
-    zz = m[2, 0] * state.fplus + m[2, 1] * state.fminus + m[2, 2] * state.z
-    state.fplus, state.fminus, state.z = fp, fm, zz
+    # the longitudinal row reads the old z last, so it is mixed in place
+    state.z *= m[2, 2]
+    state.z += m[2, 0] * state.fplus
+    state.z += m[2, 1] * state.fminus
+    state.fplus, state.fminus = fp, fm
 
 
-def apply_relaxation(state: EpgState, duration_ms: float, t1: float,
-                     t2: float) -> None:
-    """Relax all orders for a duration; Z(0) recovers toward equilibrium 1."""
-    e1 = math.exp(-duration_ms / t1)
-    e2 = math.exp(-duration_ms / t2)
+def apply_relaxation(state: EpgState, duration_ms: float, t1, t2) -> None:
+    """Relax all orders for a duration; Z(0) recovers toward equilibrium 1.
+
+    t1 and t2 may be per-element arrays over the state's batch axes.
+    """
+    e1 = np.exp(-duration_ms / t1)
+    e2 = np.exp(-duration_ms / t2)
     state.fplus *= e2
     state.fminus *= e2
     state.z *= e1
@@ -181,47 +193,42 @@ def apply_gradient_shift(state: EpgState) -> None:
     state.fplus[0] = np.conj(state.fminus[0])
 
 
+def advance_echo(state: EpgState, flip_deg, phase_deg: float, half_ms: float,
+                 t1, t2) -> None:
+    """One echo period in place: relax Ts/2, dephase, refocus, dephase,
+    relax Ts/2. The echo is then state.fplus[0]."""
+    apply_relaxation(state, half_ms, t1, t2)
+    apply_gradient_shift(state)
+    apply_rf(state, flip_deg, phase_deg)
+    apply_gradient_shift(state)
+    apply_relaxation(state, half_ms, t1, t2)
+
+
 def required_max_order(n_echoes: int) -> int:
     # Orders beyond T+2 can never return to order 0 within the train, so
     # capping there is exact for the recorded echoes.
     return n_echoes + 2
 
 
-def simulate_fse(tissue: TissueParams, seq: SequenceParams,
-                 max_order: int | None = None) -> SignalEvolution:
-    """Run the phase-graph recursion for one tissue and one echo train.
-
-    Per echo: relax Ts/2, dephase, refocus with angle eta * RF_i, dephase,
-    relax Ts/2, then record rho * F+(0).
-    """
-    t = seq.n_echoes
-    q = required_max_order(t) if max_order is None else max_order
-    if q < t + 1:
-        raise ValueError(
-            f"max_order={q} would truncate a {t}-echo train; need >= {t + 1}")
-    state = EpgState.equilibrium(q)
-    apply_rf(state, tissue.eta * seq.excitation_deg, seq.excitation_phase_deg)
-    half = seq.echo_spacing_ms / 2
-    samples = np.zeros(t, complex)
-    for i in range(t):
-        apply_relaxation(state, half, tissue.t1, tissue.t2)
-        apply_gradient_shift(state)
-        apply_rf(state, tissue.eta * seq.flips_deg[i], seq.flip_phases_deg[i])
-        apply_gradient_shift(state)
-        apply_relaxation(state, half, tissue.t1, tissue.t2)
-        samples[i] = tissue.rho * state.fplus[0]
-    return SignalEvolution(samples=samples, echo_spacing_ms=seq.echo_spacing_ms)
+def simulate_fse(tissue: TissueParams, seq: SequenceParams) -> SignalEvolution:
+    """Echo train of one tissue: the B = 1 case of simulate_fse_ensemble,
+    scaled by the tissue's density."""
+    f = simulate_fse_ensemble(tissue.t1, tissue.t2, seq, eta=tissue.eta)
+    return SignalEvolution(samples=tissue.rho * f[:, 0],
+                           echo_spacing_ms=seq.echo_spacing_ms)
 
 
 def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
                           eta: np.ndarray | float = 1.0,
                           flips_deg: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized phase-graph recursion over a batch of tissues.
+    """Phase-graph recursion over a batch of tissues.
 
     t1, t2 (and optionally eta) are length-B arrays; flips_deg may be a
     (T, B) array to give each batch element its own refocusing train (used by
-    flip-angle optimization). Returns a (T, B) complex array of unit-density
-    evolutions; scale by rho externally.
+    flip-angle optimization and finite differences, so it is not held to
+    [0, 180] deg). Per echo: relax Ts/2, dephase, refocus with angle
+    eta * RF_i, dephase, relax Ts/2, then record F+(0). Returns a (T, B)
+    complex array of unit-density evolutions; scale by rho externally.
     """
     t1 = np.atleast_1d(np.asarray(t1, float))
     t2 = np.atleast_1d(np.asarray(t2, float))
@@ -232,6 +239,8 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
         raise ValueError("relaxation times must be positive")
     b = t1.size
     eta = np.broadcast_to(np.asarray(eta, float), (b,))
+    if not np.all(np.isfinite(eta) & (eta > 0)):
+        raise ValueError("eta must be finite and positive")
     t = seq.n_echoes
     if flips_deg is None:
         flips = np.broadcast_to(np.asarray(seq.flips_deg, float)[:, None], (t, b))
@@ -241,54 +250,17 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
             flips = np.broadcast_to(flips[:, None], (t, b))
         if flips.shape != (t, b):
             raise ValueError(f"flips_deg must have shape ({t}, {b})")
-    q = required_max_order(t)
+        if not np.all(np.isfinite(flips)):
+            raise ValueError("flips_deg must be finite")
 
-    fp = np.zeros((q + 1, b), complex)
-    fm = np.zeros((q + 1, b), complex)
-    zz = np.zeros((q + 1, b), complex)
-    zz[0] = 1.0
-
+    state = EpgState.equilibrium(required_max_order(t), (b,))
+    apply_rf(state, eta * seq.excitation_deg, seq.excitation_phase_deg)
     half = seq.echo_spacing_ms / 2
-    e1 = np.exp(-half / t1)
-    e2 = np.exp(-half / t2)
-
-    def mix(alpha_deg, phi_deg):
-        nonlocal fp, fm, zz
-        a = np.radians(alpha_deg * eta)
-        p = np.radians(phi_deg)
-        ca2 = np.cos(a / 2) ** 2
-        sa2 = np.sin(a / 2) ** 2
-        sa = np.sin(a)
-        ca = np.cos(a)
-        eip = np.exp(1j * p)
-        fp2 = ca2 * fp + eip ** 2 * sa2 * fm + (-1j * eip * sa) * zz
-        fm2 = np.conj(eip ** 2) * sa2 * fp + ca2 * fm + (1j * np.conj(eip) * sa) * zz
-        zz2 = (-0.5j * np.conj(eip) * sa) * fp + (0.5j * eip * sa) * fm + ca * zz
-        fp, fm, zz = fp2, fm2, zz2
-
-    def relax():
-        nonlocal fp, fm, zz
-        fp = fp * e2
-        fm = fm * e2
-        zz = zz * e1
-        zz[0] += 1.0 - e1
-
-    def shift():
-        fp[1:] = fp[:-1]
-        fp[0] = 0.0
-        fm[:-1] = fm[1:]
-        fm[-1] = 0.0
-        fp[0] = np.conj(fm[0])
-
-    mix(seq.excitation_deg, seq.excitation_phase_deg)
     out = np.zeros((t, b), complex)
     for i in range(t):
-        relax()
-        shift()
-        mix(flips[i], seq.flip_phases_deg[i])
-        shift()
-        relax()
-        out[i] = fp[0]
+        advance_echo(state, eta * flips[i], seq.flip_phases_deg[i], half,
+                     t1, t2)
+        out[i] = state.fplus[0]
     return out
 
 
@@ -353,20 +325,6 @@ _FD_REL_STEP = 1e-4          # relative step for T1/T2/eta
 _FD_ANGLE_STEP_DEG = math.degrees(1e-4)  # absolute step for flip angles
 
 
-def _perturbed(tissue: TissueParams, seq: SequenceParams, name: str,
-               delta: float):
-    if name in ("t1", "t2", "eta"):
-        return replace(tissue, **{name: getattr(tissue, name) + delta}), seq
-    if name.startswith("rf_"):
-        idx = int(name[3:]) - 1
-        if not 0 <= idx < seq.n_echoes:
-            raise ValueError(f"no refocusing pulse {name!r}")
-        flips = list(seq.flips_deg)
-        flips[idx] += delta
-        return tissue, replace(seq, flips_deg=tuple(flips))
-    raise ValueError(f"unknown parameter {name!r}")
-
-
 def signal_jacobian(tissue: TissueParams, seq: SequenceParams,
                     wrt=("t2",)) -> np.ndarray:
     """Central-difference sensitivities of the echo train.
@@ -374,21 +332,34 @@ def signal_jacobian(tissue: TissueParams, seq: SequenceParams,
     wrt selects columns among 'rho', 't1', 't2', 'eta', 'rf_1'..'rf_T'.
     The density column is exact (the signal is linear in rho); the others use
     central differences with a relative step for relaxation parameters and a
-    fixed small angular step for flips.
+    fixed small angular step for flips. The base train and every +/-h pair
+    run as one batch.
     """
-    base = simulate_fse(tissue, seq).samples
-    cols = []
-    for name in wrt:
+    wrt = tuple(wrt)
+    n = 1 + 2 * len(wrt)
+    values = {name: np.full(n, float(getattr(tissue, name)))
+              for name in ("t1", "t2", "eta")}
+    flips = np.repeat(np.asarray(seq.flips_deg, float)[:, None], n, axis=1)
+    steps = []
+    for col, name in enumerate(wrt, start=1):
+        plus, minus = 2 * col - 1, 2 * col
         if name == "rho":
-            cols.append(base / tissue.rho)
-            continue
-        if name in ("t1", "t2", "eta"):
-            h = _FD_REL_STEP * abs(getattr(tissue, name))
-        else:
+            h = None
+        elif name in values:
+            h = _FD_REL_STEP * abs(values[name][0])
+            values[name][[plus, minus]] += (h, -h)
+        elif name.startswith("rf_"):
+            idx = int(name[3:]) - 1
+            if not 0 <= idx < seq.n_echoes:
+                raise ValueError(f"no refocusing pulse {name!r}")
             h = _FD_ANGLE_STEP_DEG
-        tp, sp = _perturbed(tissue, seq, name, +h)
-        tm, sm = _perturbed(tissue, seq, name, -h)
-        fp = simulate_fse(tp, sp).samples
-        fm = simulate_fse(tm, sm).samples
-        cols.append((fp - fm) / (2 * h))
+            flips[idx, [plus, minus]] += (h, -h)
+        else:
+            raise ValueError(f"unknown parameter {name!r}")
+        steps.append(h)
+    sig = tissue.rho * simulate_fse_ensemble(
+        values["t1"], values["t2"], seq, eta=values["eta"], flips_deg=flips)
+    cols = [sig[:, 0] / tissue.rho if h is None
+            else (sig[:, 2 * c - 1] - sig[:, 2 * c]) / (2 * h)
+            for c, h in enumerate(steps, start=1)]
     return np.stack(cols, axis=1)

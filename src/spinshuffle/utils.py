@@ -8,6 +8,11 @@ import os
 ENV_THREADS = "SPINSHUFFLE_THREADS"
 
 
+class NonIdentifiableError(RuntimeError):
+    """The data cannot determine the requested unknowns: singular Fisher
+    information, or a sparse support unobservable under a mask."""
+
+
 def worker_count() -> int:
     """Worker parallelism cap from SPINSHUFFLE_THREADS (0 or unset = auto)."""
     raw = os.environ.get(ENV_THREADS, "0")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spinshuffle.arrayio import read_array
+from spinshuffle import pipeline
 from spinshuffle.config import PipelineConfig, load_config
 from spinshuffle.pipeline import PipelineError, run_pipeline
+from spinshuffle.qmap import FitMaps
 
 SMALL = dict(nx=32, ny=32, n_echoes=8, ensemble_size=64, subspace_k=2,
              max_iters=40, accel=3.0)
@@ -63,6 +65,23 @@ class TestRunPipeline:
         cfg = small_config(tmp_path, solver="does-not-exist")
         with pytest.raises(PipelineError, match="reconstruct"):
             run_pipeline(cfg)
+
+    def test_all_failed_region_reports_metrics_stage(self, tmp_path,
+                                                     monkeypatch):
+        def all_failed(stack, *args, **kwargs):
+            shape = stack.shape[1:]
+            return FitMaps(rho=np.zeros(shape, complex),
+                           t2=np.full(shape, np.nan),
+                           residual=np.zeros(shape),
+                           failed=np.ones(shape, bool))
+
+        monkeypatch.setattr(pipeline, "fit_map", all_failed)
+        cfg = PipelineConfig(nx=16, ny=16, n_echoes=4, ensemble_size=32,
+                             subspace_k=2, max_iters=20, accel=2.0,
+                             output_dir=str(tmp_path))
+        with pytest.raises(PipelineError, match="region 1") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "metrics"
 
     def test_mask_echo_layout(self, tmp_path):
         cfg = small_config(tmp_path)

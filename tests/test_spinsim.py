@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tissue, random_train
 from spinshuffle.spinsim import (EpgState, SequenceParams, TissueParams,
@@ -69,11 +71,6 @@ class TestSimulateFse:
             ev = simulate_fse(tis, seq)
             assert np.all(np.abs(ev.samples) <= abs(tis.rho) * (1 + 1e-12))
 
-    def test_rejects_truncating_state_capacity(self, tissue):
-        seq = constant_train(8, 180.0, 10.0)
-        with pytest.raises(ValueError, match="truncate"):
-            simulate_fse(tissue, seq, max_order=4)
-
     def test_ensemble_matches_scalar(self, ramp16):
         rng = np.random.default_rng(3)
         t1 = rng.uniform(500, 2000, 5)
@@ -82,6 +79,19 @@ class TestSimulateFse:
         for i in range(5):
             single = simulate_fse(TissueParams(t1=t1[i], t2=t2[i]), ramp16)
             assert np.array_equal(batch[:, i], single.samples)
+
+    def test_rejects_non_finite_flip_override(self, ramp16):
+        flips = np.full((16, 2), 120.0)
+        flips[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            simulate_fse_ensemble([1000.0, 900.0], [100.0, 80.0], ramp16,
+                                  flips_deg=flips)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_eta(self, ramp16, eta):
+        with pytest.raises(ValueError, match="eta"):
+            simulate_fse_ensemble([1000.0, 900.0], [100.0, 80.0], ramp16,
+                                  eta=[1.0, eta])
 
     def test_echo_times(self, ramp16, tissue):
         ev = simulate_fse(tissue, ramp16)
@@ -121,6 +131,35 @@ class TestBlochOracle:
     def test_rejects_too_few_isochromats(self, ramp16, tissue):
         with pytest.raises(ValueError):
             bloch_isochromat_train(tissue, ramp16, 10)
+
+
+def _values(draw, n, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                  max_size=n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_ensemble_columns_match_isochromat_oracle(data):
+    # the batched engine against the independent oracle, one column at a
+    # time: per-element T1, T2 and eta, and a per-column flip override
+    draw = data.draw
+    t = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 5))
+    t2 = _values(draw, b, 10.0, 400.0)
+    t1 = t2 + _values(draw, b, 0.0, 3000.0)
+    eta = _values(draw, b, 0.5, 1.3)
+    flips = _values(draw, t * b, 0.0, 180.0).reshape(t, b)
+    seq = SequenceParams(flips_deg=(180.0,) * t,
+                         echo_spacing_ms=draw(st.floats(2.0, 20.0)),
+                         flip_phases_deg=tuple(_values(draw, t, -180.0,
+                                                       180.0)))
+    batch = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
+    for j in range(b):
+        tissue = TissueParams(t1=t1[j], t2=t2[j], eta=eta[j])
+        oracle = bloch_isochromat_train(tissue, seq.with_flips(flips[:, j]),
+                                        2 * (t + 1)).samples
+        assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
 
 
 class TestJacobian:
