@@ -103,7 +103,6 @@ class Encoder:
         if basis is not None and basis.n_echoes != masks.n_echoes:
             raise ValueError("basis echo count does not match masks")
         self.basis = basis
-        self.fft_norm = "ortho"
 
     @property
     def dims(self) -> tuple:
@@ -137,20 +136,21 @@ class Encoder:
         return np.tensordot(self.basis.phi_k.conj().T, images, axes=1)
 
 
+def _coil_masks(enc: Encoder) -> np.ndarray:
+    # (T, C, nx, ny) view of the echo masks broadcast over coils; boolean
+    # indexing with it reads echo-major, coil-minor, row-major.
+    masks = enc.masks.masks[:, None]
+    return np.broadcast_to(masks, (enc.n_echoes, enc.n_coils, *enc.dims))
+
+
 def apply_forward(enc: Encoder, x: np.ndarray) -> np.ndarray:
     """Map domain images to the acquired measurement vector."""
     x = np.asarray(x, complex)
     if x.shape != enc.domain_shape:
         raise ValueError(f"expected domain shape {enc.domain_shape}, got {x.shape}")
     images = enc.to_time_images(x)                       # (T, nx, ny)
-    smaps = enc.maps.maps
-    chunks = []
-    for i in range(enc.n_echoes):
-        k = fft2c(smaps * images[i])                     # (C, nx, ny)
-        sel = enc.masks.masks[i]
-        for j in range(enc.n_coils):
-            chunks.append(k[j][sel])
-    return np.concatenate(chunks) if chunks else np.zeros(0, complex)
+    k = fft2c(enc.maps.maps * images[:, None])           # (T, C, nx, ny)
+    return k[_coil_masks(enc)]
 
 
 def apply_adjoint(enc: Encoder, y: np.ndarray) -> np.ndarray:
@@ -158,17 +158,9 @@ def apply_adjoint(enc: Encoder, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, complex)
     if y.size != enc.n_measurements:
         raise ValueError(f"expected {enc.n_measurements} samples, got {y.size}")
-    images = np.zeros((enc.n_echoes, *enc.dims), complex)
-    smaps = enc.maps.maps
-    pos = 0
-    for i in range(enc.n_echoes):
-        sel = enc.masks.masks[i]
-        m = int(sel.sum())
-        k = np.zeros((enc.n_coils, *enc.dims), complex)
-        for j in range(enc.n_coils):
-            k[j][sel] = y[pos:pos + m]
-            pos += m
-        images[i] = np.sum(np.conj(smaps) * ifft2c(k), axis=0)
+    k = np.zeros((enc.n_echoes, enc.n_coils, *enc.dims), complex)
+    k[_coil_masks(enc)] = y.ravel()
+    images = np.sum(np.conj(enc.maps.maps) * ifft2c(k), axis=1)
     return enc.from_time_images(images)
 
 
@@ -180,17 +172,17 @@ class NormalKernel:
 
 
 def build_normal_kernel(enc: Encoder) -> NormalKernel:
-    """Assemble Psi(k) = sum_i mask_i(k) * phi_i phi_i^H.
+    """Assemble Psi(k) = sum_i mask_i(k) * conj(phi_i) phi_i^T.
 
-    phi_i is the i-th row of the temporal basis, so applying the blocks in
-    k-space reproduces the composed normal operator without ever forming the
-    echo-image series.
+    phi_i is the i-th row of the temporal basis, so Psi(k) = Phi^H M(k) Phi
+    and applying the blocks in k-space reproduces the composed normal
+    operator without ever forming the echo-image series.
     """
     if enc.basis is None:
         raise ValueError("encoder has no temporal basis")
     phi = enc.basis.phi_k                                 # (T, K)
     masks = enc.masks.masks.astype(float)                 # (T, nx, ny)
-    outer = phi[:, :, None] * phi[:, None, :].conj()      # (T, K, K)
+    outer = phi.conj()[:, :, None] * phi[:, None, :]      # (T, K, K)
     psi = np.tensordot(masks, outer, axes=(0, 0))         # (nx, ny, K, K)
     return NormalKernel(psi_k=psi)
 

@@ -126,7 +126,9 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
     model. Far from the optimum a step must decrease the cost (halving, up
     to 20 times); near it the step is a contraction toward the stationary
     point and is accepted directly, which localizes the minimizer far better
-    than comparing nearly equal cost values.
+    than comparing nearly equal cost values. The flag is True only when
+    the polish stops through those Newton-regime tests, not at max_steps,
+    after a failed backtrack or on a zero Jacobian.
     """
     sig = signal[:, None]
 
@@ -136,6 +138,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
 
     cost, rho = cost_rho(t2)
     prev_delta = math.inf
+    converged = False
     for _ in range(max_steps):
         h = 1e-4 * t2
         m0, mp, mm = _model_batch([t2, t2 + h, t2 - h], seq, t1_ms, eta, basis).T
@@ -149,11 +152,13 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
         if abs(delta) <= 1e-2 * t2:
             # Newton regime: accept unless the iteration stopped contracting.
             if abs(delta) >= prev_delta:
+                converged = True
                 break
             t2 = float(np.clip(t2 + delta, *bounds))
             cost, rho = cost_rho(t2)
             prev_delta = abs(delta)
             if abs(delta) < 1e-13 * t2:
+                converged = True
                 break
         else:
             step = delta
@@ -169,7 +174,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
             prev_delta = math.inf
             if not accepted:
                 break
-    return t2, cost, rho
+    return t2, cost, rho, converged
 
 
 def _fit_single(signal, seq, bounds, t1_ms, eta, basis, coarse=48):
@@ -188,8 +193,9 @@ def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
         raise ValueError("signal length does not match the echo train")
     if np.all(signal == 0):
         return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
-    t2, cost, rho = _fit_single(signal, seq, bounds, t1_ms, eta, None)
-    return FitResult(rho=rho, t2=t2, residual=cost, converged=True)
+    t2, cost, rho, converged = _fit_single(signal, seq, bounds, t1_ms, eta,
+                                           None)
+    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
 
 
 def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
@@ -202,8 +208,9 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
         raise ValueError("coefficient length does not match the basis")
     if np.all(alpha == 0):
         return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
-    t2, cost, rho = _fit_single(alpha, seq, bounds, t1_ms, eta, basis)
-    return FitResult(rho=rho, t2=t2, residual=cost, converged=True)
+    t2, cost, rho, converged = _fit_single(alpha, seq, bounds, t1_ms, eta,
+                                           basis)
+    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
 
 
 def fit_map(stack: np.ndarray, seq: SequenceParams,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshuffle.encoding import (Encoder, SamplingMasks, SensitivityMaps,
                                   apply_adjoint, apply_forward,
                                   apply_normal_kernel, build_normal_kernel,
                                   fft2c, materialize_forward)
+from spinshuffle.recon import _data_term
 from spinshuffle.spinsim import constant_train
-from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
-                                  sample_prior)
+from spinshuffle.subspace import (SubspaceBasis, TissuePrior, build_ensemble,
+                                  compute_basis, sample_prior)
 
 DIMS = (8, 8)
 T, K = 4, 2
@@ -67,6 +70,15 @@ class TestForward:
         with pytest.raises(ValueError):
             apply_adjoint(enc, np.zeros(3, complex))
 
+    def test_echo_major_coil_minor_layout(self, masks, basis, coil_maps):
+        # reference: one FFT per echo and coil, samples in row-major order
+        enc = Encoder(masks, coil_maps, basis)
+        x, _ = _random_pair(enc, 8)
+        images = enc.to_time_images(x)
+        ref = np.concatenate([fft2c(s * images[i])[masks.masks[i]]
+                              for i in range(T) for s in coil_maps.maps])
+        assert np.array_equal(apply_forward(enc, x), ref)
+
     def test_dense_equivalence(self, masks, basis, coil_maps):
         for b, m in [(None, None), (basis, None), (basis, coil_maps),
                      (None, coil_maps)]:
@@ -111,7 +123,7 @@ class TestNormalKernel:
         m[2, 3, 5] = True
         kernel = build_normal_kernel(Encoder(SamplingMasks(m), basis=basis))
         phi_row = basis.phi_k[2]
-        expected = np.outer(phi_row, phi_row.conj())
+        expected = np.outer(phi_row.conj(), phi_row)
         assert np.max(np.abs(kernel.psi_k[3, 5] - expected)) < 1e-14
         off = kernel.psi_k.copy()
         off[3, 5] = 0
@@ -153,3 +165,45 @@ class TestValidation:
             build_ensemble(tissues, constant_train(6, 180.0, 10.0)), 2)
         with pytest.raises(ValueError):
             Encoder(masks, basis=other)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_operator_identities_and_step_bound(data):
+    nx, ny = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    t = data.draw(st.integers(1, 5))
+    n_coils = data.draw(st.integers(0, 3))
+    k = data.draw(st.none() | st.integers(1, t))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    masks = SamplingMasks(rng.random((t, nx, ny))
+                          < data.draw(st.floats(0.0, 1.0)))
+    maps = (SensitivityMaps(_complex_normal(rng, (n_coils, nx, ny)))
+            if n_coils else None)
+    basis = (SubspaceBasis(np.linalg.qr(_complex_normal(rng, (t, k)))[0],
+                           np.ones(k)) if k else None)
+    enc = Encoder(masks, maps, basis)
+    x = _complex_normal(rng, enc.domain_shape)
+    y = _complex_normal(rng, enc.n_measurements)
+
+    # adjoint identity <Ax, y> = <x, A^H y>
+    scale = np.linalg.norm(x) * np.linalg.norm(y) * (1 + n_coils)
+    assert (abs(np.vdot(y, apply_forward(enc, x))
+                - np.vdot(apply_adjoint(enc, y), x)) <= 1e-11 * scale)
+
+    # the shared data term: kernel (or composed) normal operator, A^H y, 0.5||y||^2
+    normal, aty, half_yy, lip = _data_term(enc, y)
+    ref = apply_adjoint(enc, apply_forward(enc, x))
+    assert np.max(np.abs(normal(x) - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
+    assert np.array_equal(aty, apply_adjoint(enc, y))
+    assert half_yy == pytest.approx(0.5 * np.linalg.norm(y) ** 2, rel=1e-12)
+
+    # the step bound is never below ||A^H A||_2, and exact without coil maps
+    dense = materialize_forward(enc)
+    gram_norm = np.linalg.norm(dense, 2) ** 2 if dense.size else 0.0
+    assert lip >= gram_norm * (1 - 1e-12)
+    if maps is None:
+        assert abs(lip - gram_norm) <= 1e-10

@@ -5,8 +5,10 @@ import pytest
 
 from spinshuffle.qmap import (Dictionary, build_dictionary, dictionary_match,
                               fit_map, fit_voxel_nlls, fit_voxel_subspace)
-from spinshuffle.qmap import _model_batch, _varpro_cost
-from spinshuffle.spinsim import TissueParams, constant_train, simulate_fse
+from spinshuffle.qmap import (DEFAULT_T2_BOUNDS_MS, _model_batch, _polish,
+                              _varpro_cost)
+from spinshuffle.spinsim import (TissueParams, constant_train, simulate_fse,
+                                 simulate_fse_ensemble)
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
                                   sample_prior)
 
@@ -72,6 +74,22 @@ class TestFitVoxelNlls:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_voxel_nlls(np.zeros(5), SEQ)
+
+    def test_polish_cap_reported_unconverged(self):
+        # At sigma = 0.3 this voxel is still moving when the 20-step polish
+        # cap ends the fit; a longer polish from there takes it further.
+        rng = np.random.default_rng(34)
+        t2 = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+        clean = simulate_fse_ensemble(np.array([1000.0]), np.array([t2]),
+                                      SEQ)[:, 0]
+        noisy = clean + 0.3 / np.sqrt(2) * (rng.standard_normal(T)
+                                            + 1j * rng.standard_normal(T))
+        res = fit_voxel_nlls(noisy, SEQ)
+        assert res.converged is False
+        t2_more, _, _, converged = _polish(noisy, SEQ, res.t2,
+                                           DEFAULT_T2_BOUNDS_MS, 1000.0, 1.0,
+                                           None, max_steps=200)
+        assert converged and t2_more != res.t2
 
 
 class TestFitVoxelSubspace:
