@@ -162,7 +162,9 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     upper bound (1.4-1.8x ||A^H A|| on random complex Gaussian 3-coil maps),
     so multi-coil solves take shorter steps. No pipeline or CLI path passes
     coil maps. Momentum restarts whenever the objective would increase, so
-    the recorded trace is nonincreasing.
+    the recorded trace is nonincreasing. Each proximal step applies N once:
+    N z follows from N x of the last two iterates by linearity, and the
+    penalty reads the thresholded coefficients since T is orthonormal.
     """
     if regularizer == "l1-identity":
         transform = make_transform("identity")
@@ -178,33 +180,34 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     def t_apply(x, func):
         return np.stack([func(x[i]) for i in range(x.shape[0])])
 
-    def objective(x):
-        coeffs = t_apply(x, transform.forward)
-        return (0.5 * _vdot(x, normal(x) - 2 * aty).real + half_yy
-                + cfg.lam * np.abs(coeffs).sum())
-
-    def prox_step(z):
-        w = z - step * (normal(z) - aty)
-        coeffs = t_apply(w, transform.forward)
-        return t_apply(_soft(coeffs, cfg.lam * step), transform.adjoint)
+    def prox_step(z, nz):
+        """x = prox(z - step (N z - A^H y)), N x and the objective at x."""
+        w = z - step * (nz - aty)
+        coeffs = _soft(t_apply(w, transform.forward), cfg.lam * step)
+        x_new = t_apply(coeffs, transform.adjoint)
+        nx_new = normal(x_new)
+        f_new = (0.5 * _vdot(x_new, nx_new - 2 * aty).real + half_yy
+                 + cfg.lam * np.abs(coeffs).sum())
+        return x_new, nx_new, f_new
 
     x = np.zeros(enc.domain_shape, complex)
-    z = x.copy()
+    nx = np.zeros_like(x)
+    z, nz = x, nx
     t_mom = 1.0
-    trace = [objective(x)]
+    trace = [half_yy]
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        x_new = prox_step(z)
-        f_new = objective(x_new)
+        x_new, nx_new, f_new = prox_step(z, nz)
         if f_new > trace[-1] + 1e-14 * max(1.0, abs(trace[-1])):
             # restart momentum and take a plain descent step from x
             t_mom = 1.0
-            x_new = prox_step(x)
-            f_new = objective(x_new)
+            x_new, nx_new, f_new = prox_step(x, nx)
         t_next = 0.5 * (1 + np.sqrt(1 + 4 * t_mom ** 2))
-        z = x_new + ((t_mom - 1) / t_next) * (x_new - x)
-        x = x_new
+        beta = (t_mom - 1) / t_next
+        z = x_new + beta * (x_new - x)
+        nz = nx_new + beta * (nx_new - nx)
+        x, nx = x_new, nx_new
         t_mom = t_next
         prev = trace[-1]
         trace.append(f_new)

@@ -4,10 +4,13 @@ One configuration-state (phase-graph) engine tracks the dephasing orders of
 spin ensembles: the step operators (RF mixing, relaxation, gradient shift)
 act on an `EpgState` whose trailing axes index a batch, so a single tissue,
 a dictionary of tissues, or a scan over trial flips all advance through the
-same `advance_echo` step. A brute-force isochromat integrator solves the
-rotation/relaxation recursion for each resonant frequency separately; it is
-kept apart from the engine as its independent oracle, and the two agree to
-near machine precision.
+same `advance_echo` step. `simulate_fse_ensemble` advances cache-sized
+column blocks over each echo's live dephasing orders only; columns never mix
+and the skipped orders cannot reach an echo, so the echoes are bit-identical
+to a full-batch, all-orders run. A brute-force isochromat integrator solves
+the rotation/relaxation recursion for each resonant frequency separately; it
+is kept apart from the engine as its independent oracle, and the two agree
+to near machine precision.
 
 Units at the public boundary are milliseconds and degrees; radians are used
 internally.
@@ -165,11 +168,13 @@ def apply_rf(state: EpgState, alpha_deg, phi_deg) -> None:
     m = rf_matrix(alpha_deg, phi_deg)
     fp = m[0, 0] * state.fplus + m[0, 1] * state.fminus + m[0, 2] * state.z
     fm = m[1, 0] * state.fplus + m[1, 1] * state.fminus + m[1, 2] * state.z
-    # the longitudinal row reads the old z last, so it is mixed in place
+    # the longitudinal row reads the old z last, so it is mixed in place; all
+    # rows are written in place, so the state may be a view of a larger one
     state.z *= m[2, 2]
     state.z += m[2, 0] * state.fplus
     state.z += m[2, 1] * state.fminus
-    state.fplus, state.fminus = fp, fm
+    state.fplus[...] = fp
+    state.fminus[...] = fm
 
 
 def apply_relaxation(state: EpgState, duration_ms: float, t1, t2) -> None:
@@ -204,9 +209,16 @@ def advance_echo(state: EpgState, flip_deg, phase_deg: float, half_ms: float,
     apply_relaxation(state, half_ms, t1, t2)
 
 
+_BLOCK = 1024  # ensemble columns per block: 1.7 MB of state at T = 32
+
+
 def required_max_order(n_echoes: int) -> int:
     # Orders beyond T+2 can never return to order 0 within the train, so
-    # capping there is exact for the recorded echoes.
+    # capping there is exact for the recorded echoes. Echo by echo fewer are
+    # live: each echo dephases twice, so echo i (0-based) starts with orders
+    # above 2i at exact zeros and fills at most 0..2i+2, and an order above
+    # 2(T-i) at its start cannot return to 0 by the last echo. Rows past
+    # min(2i+3, 2(T-i)+1) <= T+2 hold zeros or values that cannot reach one.
     return n_echoes + 2
 
 
@@ -253,14 +265,20 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
         if not np.all(np.isfinite(flips)):
             raise ValueError("flips_deg must be finite")
 
-    state = EpgState.equilibrium(required_max_order(t), (b,))
-    apply_rf(state, eta * seq.excitation_deg, seq.excitation_phase_deg)
     half = seq.echo_spacing_ms / 2
-    out = np.zeros((t, b), complex)
-    for i in range(t):
-        advance_echo(state, eta * flips[i], seq.flip_phases_deg[i], half,
-                     t1, t2)
-        out[i] = state.fplus[0]
+    out = np.empty((t, b), complex)
+    for lo in range(0, b, _BLOCK):
+        cols = slice(lo, lo + _BLOCK)
+        r1, r2, scale = t1[cols], t2[cols], eta[cols]
+        block = EpgState.equilibrium(required_max_order(t), r1.shape)
+        apply_rf(block, scale * seq.excitation_deg, seq.excitation_phase_deg)
+        for i in range(t):
+            n = min(2 * i + 3, 2 * (t - i) + 1)  # see required_max_order
+            live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n],
+                            n - 1)
+            advance_echo(live, scale * flips[i, cols], seq.flip_phases_deg[i],
+                         half, r1, r2)
+            out[i, cols] = live.fplus[0]
     return out
 
 

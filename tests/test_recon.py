@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from spinshuffle import recon
 from spinshuffle.encoding import (Encoder, SamplingMasks, apply_adjoint,
                                   apply_forward, materialize_forward)
 from spinshuffle.recon import (SolverConfig, cg_solve, fista_solve,
@@ -12,6 +13,7 @@ from spinshuffle.sampling import DensityProfile, assign_echoes, draw_mask
 from spinshuffle.spinsim import constant_train
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
                                   sample_prior)
+from spinshuffle.transforms import HaarTransform
 
 DIMS = (16, 16)
 T, K = 8, 2
@@ -122,6 +124,31 @@ class TestFista:
                           SolverConfig(max_iters=200, tolerance=1e-14,
                                        lam=1e-3, ))
         assert _monotone(res.objective_trace, slack=1e-12)
+
+    def test_one_normal_and_analysis_per_proximal_step(self, problem,
+                                                       monkeypatch):
+        # each iteration takes one proximal step, plus one per restart; every
+        # step thresholds once and must apply N and the analysis once each
+        calls = {"normal": 0, "soft": 0, "haar": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(recon, "apply_normal_kernel",
+                            counted("normal", recon.apply_normal_kernel))
+        monkeypatch.setattr(recon, "_soft", counted("soft", recon._soft))
+        monkeypatch.setattr(HaarTransform, "forward",
+                            counted("haar", HaarTransform.forward))
+        enc, y = problem
+        res = fista_solve(enc, y, "l1-wavelet",
+                          SolverConfig(max_iters=200, tolerance=1e-14,
+                                       lam=1e-3))
+        steps = calls["soft"]
+        assert steps > res.iterations        # some restarts were taken
+        assert calls["normal"] == steps
+        assert calls["haar"] == K * steps
 
     def test_sparse_recovery_on_1d_toy(self):
         # 3-sparse complex signal on a 32-point line, half the DFT measured

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tissue, random_train
+from spinshuffle import spinsim
 from spinshuffle.spinsim import (EpgState, SequenceParams, TissueParams,
-                                 apply_gradient_shift, apply_relaxation,
-                                 apply_rf, bloch_isochromat_train,
-                                 constant_train, rf_matrix, signal_jacobian,
-                                 simulate_fse, simulate_fse_ensemble)
+                                 advance_echo, apply_gradient_shift,
+                                 apply_relaxation, apply_rf,
+                                 bloch_isochromat_train, constant_train,
+                                 required_max_order, rf_matrix,
+                                 signal_jacobian, simulate_fse,
+                                 simulate_fse_ensemble)
 
 
 class TestRfMatrix:
@@ -131,6 +136,62 @@ class TestBlochOracle:
     def test_rejects_too_few_isochromats(self, ramp16, tissue):
         with pytest.raises(ValueError):
             bloch_isochromat_train(tissue, ramp16, 10)
+
+
+def _random_batch(rng, t, b):
+    t2 = rng.uniform(5.0, 400.0, b)
+    t1 = t2 + rng.uniform(0.0, 3000.0, b)
+    seq = SequenceParams(flips_deg=tuple(rng.uniform(0.0, 180.0, t)),
+                         echo_spacing_ms=float(rng.uniform(2.0, 20.0)),
+                         flip_phases_deg=tuple(rng.uniform(-180, 180, t)))
+    return t1, t2, seq, rng.uniform(0.5, 1.3, b)
+
+
+def _all_orders_train(t1, t2, seq, eta, flips):
+    # every order of one full-batch state through advance_echo, the way
+    # design_asymptotic_flips carries its state
+    state = EpgState.equilibrium(required_max_order(seq.n_echoes), t1.shape)
+    apply_rf(state, eta * seq.excitation_deg, seq.excitation_phase_deg)
+    out = np.empty((seq.n_echoes, t1.size), complex)
+    for i in range(seq.n_echoes):
+        advance_echo(state, eta * flips[i], seq.flip_phases_deg[i],
+                     seq.echo_spacing_ms / 2, t1, t2)
+        out[i] = state.fplus[0]
+    return out
+
+
+class TestBlockedKernel:
+    def test_blocks_match_one_column_runs(self):
+        block = spinsim._BLOCK
+        rng = np.random.default_rng(11)
+        b = 2 * block + 3
+        t1, t2, seq, eta = _random_batch(rng, 6, b)
+        flips = rng.uniform(0.0, 200.0, (6, b))
+        batch = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
+        for j in range(b):
+            single = simulate_fse_ensemble(t1[j], t2[j], seq, eta=eta[j],
+                                           flips_deg=flips[:, j])
+            assert np.array_equal(batch[:, j], single[:, 0]), j
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 32])
+    def test_live_orders_match_all_orders(self, t):
+        rng = np.random.default_rng(t)
+        t1, t2, seq, eta = _random_batch(rng, t, 9)
+        flips = rng.uniform(0.0, 180.0, (t, 9))
+        fast = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
+        assert np.array_equal(fast, _all_orders_train(t1, t2, seq, eta, flips))
+
+    def test_peak_memory_is_one_block(self):
+        # a full-batch state would be 3 * 35 * 16384 complex = 27.5 MB
+        rng = np.random.default_rng(5)
+        t1, t2, seq, eta = _random_batch(rng, 32, 16384)
+        tracemalloc.start()
+        try:
+            out = simulate_fse_ensemble(t1, t2, seq, eta=eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8e6
 
 
 def _values(draw, n, lo, hi):
