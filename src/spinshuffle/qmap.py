@@ -132,17 +132,18 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
     """
     sig = signal[:, None]
 
-    def cost_rho(t2_val):
-        c, r = _varpro_cost(_model_batch([t2_val], seq, t1_ms, eta, basis), sig)
-        return float(c[0]), complex(r[0])
+    def evaluate(t2_val):
+        # one [T2, T2+h, T2-h] batch: cost, density, model and derivative
+        h = 1e-4 * t2_val
+        m0, mp, mm = _model_batch([t2_val, t2_val + h, t2_val - h], seq,
+                                  t1_ms, eta, basis).T
+        c, r = _varpro_cost(m0[:, None], sig)
+        return float(c[0]), complex(r[0]), m0, (mp - mm) / (2 * h)
 
-    cost, rho = cost_rho(t2)
+    cost, rho, m0, dm = evaluate(t2)
     prev_delta = math.inf
     converged = False
     for _ in range(max_steps):
-        h = 1e-4 * t2
-        m0, mp, mm = _model_batch([t2, t2 + h, t2 - h], seq, t1_ms, eta, basis).T
-        dm = (mp - mm) / (2 * h)
         r = signal - rho * m0
         j = -rho * (dm - m0 * (np.vdot(m0, dm) / np.vdot(m0, m0)))
         jj = float(np.vdot(j, j).real)
@@ -155,7 +156,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
                 converged = True
                 break
             t2 = float(np.clip(t2 + delta, *bounds))
-            cost, rho = cost_rho(t2)
+            cost, rho, m0, dm = evaluate(t2)
             prev_delta = abs(delta)
             if abs(delta) < 1e-13 * t2:
                 converged = True
@@ -165,9 +166,9 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
             accepted = False
             for _ in range(20):
                 t2_try = float(np.clip(t2 + step, *bounds))
-                cost_try, rho_try = cost_rho(t2_try)
-                if cost_try < cost:
-                    t2, cost, rho = t2_try, cost_try, rho_try
+                trial = evaluate(t2_try)
+                if trial[0] < cost:
+                    t2, (cost, rho, m0, dm) = t2_try, trial
                     accepted = True
                     break
                 step *= 0.5
@@ -179,8 +180,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
 
 def _fit_single(signal, seq, bounds, t1_ms, eta, basis, coarse=48):
     """One-column grid start at a coarse grid, then the polish."""
-    t2, _, _ = _fit_columns(signal[:, None], seq, bounds, t1_ms, eta, basis,
-                            coarse)
+    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, eta, basis, coarse)
     return _polish(signal, seq, float(t2[0]), bounds, t1_ms, eta, basis)
 
 
@@ -265,23 +265,22 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
                                      - np.abs(sel) ** 2)
         else:
             use_basis = basis if method == "subspace" else None
-            t2_fit, cost, rho_fit = _fit_columns(cols, seq, bounds, t1_ms,
-                                                 eta, use_basis, grid_size)
-            rho[alive] = rho_fit
+            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis,
+                              grid_size)
+            residual[alive], rho[alive] = _varpro_cost(
+                _model_batch(t2_fit, seq, t1_ms, eta, use_basis), cols)
             t2[alive] = t2_fit
-            residual[alive] = cost
     return FitMaps(rho=rho.reshape(nx, ny), t2=t2.reshape(nx, ny),
                    residual=residual.reshape(nx, ny),
                    failed=(~alive).reshape(nx, ny))
 
 
-def _fit_columns(signals, seq, bounds, t1_ms, eta, basis, grid_size):
-    """Grid-scored variable-projection fit for many signal columns at once.
+def _grid_t2(signals, seq, bounds, t1_ms, eta, basis, grid_size):
+    """Grid-scored variable-projection T2 for many signal columns at once.
 
     The model curve is smooth on a log-T2 grid, so a dense scan plus a
     three-point parabolic refinement of the scored cost locates each voxel's
-    minimizer to a small fraction of the grid step; density and residual come
-    from one exact simulation at the refined values.
+    minimizer to a small fraction of the grid step.
     """
     lo, hi = bounds
     logs = np.linspace(math.log(lo), math.log(hi), grid_size)
@@ -300,7 +299,4 @@ def _fit_columns(signals, seq, bounds, t1_ms, eta, basis, grid_size):
                       0.5 * (c0 - c2) / np.where(denom != 0, denom, 1.0), 0.0)
     offset = np.clip(offset, -1.0, 1.0)
     offset = np.where(best == inner, offset, 0.0)  # no refinement at the edges
-    t2 = np.exp(logs[inner] + offset * step)
-    cost, rho = _varpro_cost(
-        _model_batch(t2, seq, t1_ms, eta, basis), signals)
-    return t2, cost, rho
+    return np.exp(logs[inner] + offset * step)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .arrayio import write_csv
 from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
-                      apply_rf, required_max_order, signal_jacobian,
-                      simulate_fse_ensemble)
+                      apply_rf, required_max_order, rf_matrix,
+                      signal_jacobian, simulate_fse_ensemble)
 from .utils import NonIdentifiableError
 
 
@@ -76,18 +76,19 @@ def crlb(info: FisherInfo, param: str) -> float:
     return float(np.linalg.inv(m)[idx, idx])
 
 
-def _t2_information(flips_deg: np.ndarray, tissue: TissueParams,
+def _t2_information(flips_deg: np.ndarray, t1, t2, eta,
                     seq: SequenceParams) -> np.ndarray:
-    """||df/dT2||^2 for a batch of flip schedules (columns), sigma-free."""
-    t = seq.n_echoes
+    """||df/dT2||^2 for a batch of flip schedules (columns), sigma-free;
+    t1 and t2 are scalars or per-column arrays."""
     b = flips_deg.shape[1]
-    h = 1e-4 * tissue.t2
-    t1 = np.full(2 * b, tissue.t1)
-    t2 = np.concatenate([np.full(b, tissue.t2 + h), np.full(b, tissue.t2 - h)])
-    flips = np.concatenate([flips_deg, flips_deg], axis=1)
-    sig = simulate_fse_ensemble(t1, t2, seq, eta=tissue.eta, flips_deg=flips)
-    dsig = (sig[:, :b] - sig[:, b:]) / (2 * h)
-    return np.sum(np.abs(dsig) ** 2, axis=0)
+    t1 = np.broadcast_to(np.asarray(t1, float), (b,))
+    h = 1e-4 * np.broadcast_to(np.asarray(t2, float), (b,))
+    t2 = np.concatenate([t2 + h, t2 - h])
+    sig = simulate_fse_ensemble(np.tile(t1, 2), t2, seq, eta=eta,
+                                flips_deg=np.tile(flips_deg, 2))
+    # one contiguous row per column, so a column's sum does not depend on b
+    dsig = np.ascontiguousarray(((sig[:, :b] - sig[:, b:]) / (2 * h)).T)
+    return np.sum(np.abs(dsig) ** 2, axis=1)
 
 
 def _project(flips_rad: np.ndarray, limit: float, min_rad: float,
@@ -127,7 +128,8 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     flips = np.full(t, const_rad)
 
     def objective(batch_rad):
-        return _t2_information(np.degrees(batch_rad), tissue, seq_template)
+        return _t2_information(np.degrees(batch_rad), tissue.t1, tissue.t2,
+                               tissue.eta, seq_template)
 
     current = float(objective(flips[:, None])[0])
     trace = [current]
@@ -142,18 +144,21 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0:
             break
+        # the backtracking ladder step, step/2, step/4, ... two rungs per call
         improved = False
-        for _ in range(20):
-            cand = _project(flips + step * grad / gnorm, budget.limit,
-                            min_rad, math.pi)
-            val = float(objective(cand[:, None])[0])
-            if val > current:
-                flips = cand
-                current = val
+        for _ in range(10):
+            steps = (step, step * 0.5)
+            cands = np.stack([_project(flips + s * grad / gnorm, budget.limit,
+                                       min_rad, math.pi) for s in steps], 1)
+            vals = objective(cands)
+            hit = np.flatnonzero(vals > current)
+            if hit.size:
+                k = int(hit[0])
+                flips, current = cands[:, k], float(vals[k])
                 improved = True
-                step *= 1.5
+                step = steps[k] * 1.5
                 break
-            step *= 0.5
+            step *= 0.25
         trace.append(current)
         if not improved:
             break
@@ -165,14 +170,20 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
 
 def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
                   t1_ms: float = 1000.0, sigma: float = 1.0) -> np.ndarray:
-    """CRLB(T2) of one schedule across a T2 grid (single-parameter bound)."""
+    """CRLB(T2) of one schedule across a T2 grid (single-parameter bound),
+    with T1 = max(t1_ms, T2); the whole grid runs as one batch."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     seq = seq_template.with_flips(flips_deg)
-    out = np.zeros(len(t2_grid_ms))
-    for i, t2 in enumerate(t2_grid_ms):
-        tissue = TissueParams(t1=max(t1_ms, t2), t2=t2)
-        info = fisher_info(tissue, seq, sigma, params=("t2",))
-        out[i] = crlb(info, "t2")
-    return out
+    t2 = np.asarray(t2_grid_ms, float)
+    if not np.all(t2 > 0):
+        raise ValueError("T2 values must be positive")
+    flips = np.repeat(np.asarray(seq.flips_deg)[:, None], t2.size, axis=1)
+    info = (2.0 / sigma ** 2) * _t2_information(flips, np.maximum(t1_ms, t2),
+                                                t2, 1.0, seq)
+    if not np.all(np.isfinite(info) & (info > 0)):
+        raise NonIdentifiableError("T2 information is zero or non-finite")
+    return 1.0 / info
 
 
 def minmax_grid_search(tissue_grid, candidate_schedules,
@@ -268,11 +279,12 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     t = seq_template.n_echoes
     half = seq_template.echo_spacing_ms / 2
     phases = seq_template.flip_phases_deg
+    e1, e2 = np.exp(-half / tissue.t1), np.exp(-half / tissue.t2)
 
     # one ensemble on a batch axis of length 1
     state = EpgState.equilibrium(required_max_order(t), (1,))
-    apply_rf(state, tissue.eta * seq_template.excitation_deg,
-             seq_template.excitation_phase_deg)
+    apply_rf(state, rf_matrix(tissue.eta * seq_template.excitation_deg,
+                              seq_template.excitation_phase_deg))
 
     def trial(flips_deg, i):
         """The current state advanced through echo i, one column per flip."""
@@ -280,8 +292,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         out = EpgState(*(np.repeat(a, flips_deg.size, axis=1)
                          for a in (state.fplus, state.fminus, state.z)),
                        state.max_order)
-        advance_echo(out, tissue.eta * flips_deg, phases[i], half,
-                     tissue.t1, tissue.t2)
+        advance_echo(out, rf_matrix(tissue.eta * flips_deg, phases[i]), e1, e2)
         return out
 
     s1_max = abs(trial(180.0, 0).fplus[0, 0])

@@ -130,12 +130,14 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
 
 
 def compute_basis(ensemble: EnsembleMatrix, k: int) -> SubspaceBasis:
-    """Top-k left singular vectors of the ensemble matrix."""
+    """Top-k left singular vectors of the ensemble matrix X, from the small
+    factor R^H of X = R^H Q^H (X^H = QR); no T x L factor is formed."""
     x = ensemble.data
     t, l = x.shape
     if not 1 <= k <= min(t, l):
         raise ValueError(f"k={k} out of range for a {t}x{l} ensemble")
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    r = np.linalg.qr(x.conj().T, mode="r")
+    u, s, _ = np.linalg.svd(r.conj().T, full_matrices=False)
     return SubspaceBasis(phi_k=_fix_column_signs(u[:, :k]), singular_values=s)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinshuffle import qmap
 from spinshuffle.qmap import (Dictionary, build_dictionary, dictionary_match,
                               fit_map, fit_voxel_nlls, fit_voxel_subspace)
 from spinshuffle.qmap import (DEFAULT_T2_BOUNDS_MS, _model_batch, _polish,
@@ -90,6 +91,34 @@ class TestFitVoxelNlls:
                                            DEFAULT_T2_BOUNDS_MS, 1000.0, 1.0,
                                            None, max_steps=200)
         assert converged and t2_more != res.t2
+
+
+def test_voxel_fit_simulates_each_t2_once(monkeypatch, ensemble):
+    # the grid stage plus one [T2, T2+h, T2-h] batch per polish trial: no
+    # T2 is simulated twice within one fit
+    batches = []
+    original = qmap.simulate_fse_ensemble
+
+    def recorded(t1, t2, *args, **kwargs):
+        batches.append(np.array(t2, float))
+        return original(t1, t2, *args, **kwargs)
+
+    monkeypatch.setattr(qmap, "simulate_fse_ensemble", recorded)
+    basis = compute_basis(ensemble, 3)
+    rng = np.random.default_rng(6)
+    for t2 in (30.0, 100.0, 250.0):
+        clean = simulate_fse(TissueParams(t2=t2), SEQ).samples
+        noisy = clean + 0.02 * (rng.standard_normal(T)
+                                + 1j * rng.standard_normal(T))
+        for fit in (lambda: fit_voxel_nlls(noisy, SEQ),
+                    lambda: fit_voxel_subspace(basis.phi_k.conj().T @ noisy,
+                                               basis, SEQ)):
+            batches.clear()
+            assert fit().converged
+            assert batches[0].size == 48
+            assert all(b.size == 3 for b in batches[1:])
+            values = np.concatenate(batches)
+            assert np.unique(values).size == values.size
 
 
 class TestFitVoxelSubspace:

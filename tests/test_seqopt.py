@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinshuffle import seqopt
 from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 crlb_t2_sweep, design_asymptotic_flips,
                                 fisher_info, minmax_grid_search, optimal_te,
@@ -118,6 +119,100 @@ class TestOptimizeFlips:
         with pytest.raises(ValueError):
             optimize_flips(TISSUE, seq, PowerBudget(limit=1e-6),
                            min_flip_deg=30.0)
+
+
+def _sequential_ladder(tissue, seq, budget, max_iters):
+    # optimize_flips with its backtracking ladder walked one rung per
+    # objective call: try step, else halve it, up to 20 rungs
+    t = seq.n_echoes
+    flips = np.full(t, min(math.sqrt(budget.limit / t), math.pi))
+
+    def objective(batch_rad):
+        return seqopt._t2_information(np.degrees(batch_rad), tissue.t1,
+                                      tissue.t2, tissue.eta, seq)
+
+    current = float(objective(flips[:, None])[0])
+    trace, step, h = [current], 1.0, 1e-3
+    for _ in range(max_iters):
+        perturbed = np.repeat(flips[:, None], 2 * t, axis=1)
+        perturbed[np.arange(t), np.arange(t)] += h
+        perturbed[np.arange(t), t + np.arange(t)] -= h
+        vals = objective(perturbed)
+        grad = (vals[:t] - vals[t:]) / (2 * h)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0:
+            break
+        improved = False
+        for _ in range(20):
+            cand = seqopt._project(flips + step * grad / gnorm, budget.limit,
+                                   0.0, math.pi)
+            val = float(objective(cand[:, None])[0])
+            if val > current:
+                flips, current, improved = cand, val, True
+                step *= 1.5
+                break
+            step *= 0.5
+        trace.append(current)
+        if not improved:
+            break
+    return np.degrees(flips), np.asarray(trace)
+
+
+class TestBatchedDesign:
+    seq = constant_train(32, 60.0, 10.0)
+    budget = PowerBudget.from_constant_flip(60.0, 32)
+
+    @pytest.mark.parametrize("tissue", [TISSUE,
+                                        TissueParams(t1=800.0, t2=40.0)])
+    def test_paired_backtracking_equals_sequential_ladder(self, tissue):
+        opt = optimize_flips(tissue, self.seq, self.budget, max_iters=30)
+        flips, trace = _sequential_ladder(tissue, self.seq, self.budget, 30)
+        assert np.array_equal(opt.flips_deg, flips)
+        assert np.array_equal(opt.objective_trace, trace)
+
+    def test_sweep_equals_per_point_bounds(self):
+        flips = np.linspace(60.0, 160.0, 32)
+        grid = np.geomspace(20.0, 1500.0, 40)
+        sweep = crlb_t2_sweep(flips, self.seq, grid, sigma=0.7)
+        seq = self.seq.with_flips(flips)
+        loop = [crlb(fisher_info(TissueParams(t1=max(1000.0, v), t2=v), seq,
+                                 0.7, params=("t2",)), "t2") for v in grid]
+        assert np.allclose(sweep, loop, rtol=1e-12, atol=0)
+
+    def test_sweep_rejects_bad_inputs(self):
+        with pytest.raises(NonIdentifiableError):
+            crlb_t2_sweep(np.zeros(32), self.seq, [50.0, 100.0])
+        with pytest.raises(ValueError):
+            crlb_t2_sweep(np.full(32, 120.0), self.seq, [50.0, 0.0])
+
+    @staticmethod
+    def _count_batches(monkeypatch):
+        sizes = []
+        original = seqopt.simulate_fse_ensemble
+
+        def counted(t1, *args, **kwargs):
+            sizes.append(np.size(t1))
+            return original(t1, *args, **kwargs)
+
+        monkeypatch.setattr(seqopt, "simulate_fse_ensemble", counted)
+        return sizes
+
+    def test_sweep_is_one_batch(self, monkeypatch):
+        sizes = self._count_batches(monkeypatch)
+        crlb_t2_sweep(np.full(32, 120.0), self.seq, np.geomspace(20, 400, 64))
+        assert sizes == [128]
+
+    def test_one_gradient_and_paired_trials_per_iteration(self, monkeypatch):
+        sizes = self._count_batches(monkeypatch)
+        opt = optimize_flips(TISSUE, self.seq, self.budget, max_iters=60)
+        iters = len(opt.objective_trace) - 1
+        # the start value, one 2T-column gradient per iteration, and trial
+        # batches of two candidates (each a +/-h column pair)
+        assert sizes[0] == 2
+        assert sizes.count(4 * 32) == iters
+        trials = sizes[1:]
+        assert set(trials) == {4, 4 * 32}
+        assert len(trials) - iters <= 1.1 * iters
 
 
 class TestMinmaxGridSearch:

@@ -149,13 +149,17 @@ def _random_batch(rng, t, b):
 
 def _all_orders_train(t1, t2, seq, eta, flips):
     # every order of one full-batch state through advance_echo, the way
-    # design_asymptotic_flips carries its state
+    # design_asymptotic_flips carries its state, with echo i refocused by
+    # slice i of one stacked rf_matrix call
+    half = seq.echo_spacing_ms / 2
+    e1, e2 = np.exp(-half / t1), np.exp(-half / t2)
+    m = rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None])
     state = EpgState.equilibrium(required_max_order(seq.n_echoes), t1.shape)
-    apply_rf(state, eta * seq.excitation_deg, seq.excitation_phase_deg)
+    apply_rf(state, rf_matrix(eta * seq.excitation_deg,
+                              seq.excitation_phase_deg))
     out = np.empty((seq.n_echoes, t1.size), complex)
     for i in range(seq.n_echoes):
-        advance_echo(state, eta * flips[i], seq.flip_phases_deg[i],
-                     seq.echo_spacing_ms / 2, t1, t2)
+        advance_echo(state, m[:, :, i], e1, e2)
         out[i] = state.fplus[0]
     return out
 
@@ -180,6 +184,24 @@ class TestBlockedKernel:
         flips = rng.uniform(0.0, 180.0, (t, 9))
         fast = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
         assert np.array_equal(fast, _all_orders_train(t1, t2, seq, eta, flips))
+
+    @pytest.mark.parametrize("b", [1, 2 * spinsim._BLOCK + 1])
+    def test_rf_matrices_built_once_per_block(self, monkeypatch, b):
+        # the excitation plus one stacked call for every refocusing pulse;
+        # a matrix built inside the echo loop would add T calls per block
+        calls = []
+        original = spinsim.rf_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spinsim, "rf_matrix", counted)
+        rng = np.random.default_rng(4)
+        t1, t2, seq, eta = _random_batch(rng, 12, b)
+        simulate_fse_ensemble(t1, t2, seq, eta=eta)
+        n_blocks = -(-b // spinsim._BLOCK)
+        assert len(calls) <= 2 * n_blocks
 
     def test_peak_memory_is_one_block(self):
         # a full-batch state would be 3 * 35 * 16384 complex = 27.5 MB
@@ -282,13 +304,14 @@ class TestJacobian:
 class TestStateInvariants:
     def test_conjugate_symmetry_after_evolution(self):
         state = EpgState.equilibrium(10)
-        apply_rf(state, 90.0, 90.0)
+        apply_rf(state, rf_matrix(90.0, 90.0))
+        e1, e2 = np.exp(-5.0 / 1000.0), np.exp(-5.0 / 100.0)
         for flip in (140.0, 90.0, 60.0):
-            apply_relaxation(state, 5.0, 1000.0, 100.0)
+            apply_relaxation(state, e1, e2)
             apply_gradient_shift(state)
-            apply_rf(state, flip, 0.0)
+            apply_rf(state, rf_matrix(flip, 0.0))
             apply_gradient_shift(state)
-            apply_relaxation(state, 5.0, 1000.0, 100.0)
+            apply_relaxation(state, e1, e2)
             assert abs(state.fminus[0] - np.conj(state.fplus[0])) < 1e-14
 
     def test_validation(self):

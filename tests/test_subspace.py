@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinshuffle.spinsim import TissueParams, constant_train
-from spinshuffle.subspace import (EnsembleMatrix, TissuePrior, back_project,
+from spinshuffle.subspace import (EnsembleMatrix, TissuePrior,
+                                  _fix_column_signs, back_project,
                                   build_ensemble, compute_basis,
                                   project_coefficients, projection_error,
                                   sample_prior)
@@ -108,6 +109,25 @@ class TestComputeBasis:
         b = compute_basis(default_ensemble, 5)
         assert np.array_equal(a.phi_k, b.phi_k)
         assert np.array_equal(a.singular_values, b.singular_values)
+
+    @pytest.mark.parametrize("t, l", [(12, 5), (12, 300)])
+    def test_matches_full_svd(self, t, l):
+        # random complex ensembles with distinct singular values, fewer and
+        # more signals than echoes
+        rng = np.random.default_rng(t + l)
+        n = min(t, l)
+
+        def orthonormal(rows):
+            q, _ = np.linalg.qr(rng.standard_normal((rows, n))
+                                + 1j * rng.standard_normal((rows, n)))
+            return q
+
+        s = 2.0 ** -np.arange(n)
+        data = (orthonormal(t) * s) @ orthonormal(l).conj().T
+        basis = compute_basis(EnsembleMatrix(data=data), n)
+        u, s_ref, _ = np.linalg.svd(data, full_matrices=False)
+        assert np.allclose(basis.singular_values, s_ref, rtol=1e-12, atol=0)
+        assert np.max(np.abs(basis.phi_k - _fix_column_signs(u))) < 1e-12
 
     def test_sign_convention(self, default_ensemble):
         basis = compute_basis(default_ensemble, 5)
