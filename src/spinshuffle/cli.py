@@ -166,8 +166,10 @@ def _cmd_crlb(cfg: PipelineConfig) -> None:
               ("t2_ms", "bound_constant", "bound_optimized"),
               list(zip(grid, sweep_const, sweep_opt)))
     better = np.mean(sweep_opt <= sweep_const)
-    log.info("optimized power %.4f rad^2 (limit %.4f); bound lower at %.0f%% "
-             "of grid points", opt.power, budget.limit, 100 * better)
+    log.info("optimized power %.4f rad^2 (limit %.4f), converged=%s (%s "
+             "after %d iterations); bound lower at %.0f%% of grid points",
+             opt.power, budget.limit, opt.converged, opt.stop_reason,
+             len(opt.objective_trace) - 1, 100 * better)
 
 
 _COMMANDS = {

@@ -93,11 +93,31 @@ def _t2_information(flips_deg: np.ndarray, t1, t2, eta,
 
 def _project(flips_rad: np.ndarray, limit: float, min_rad: float,
              max_rad: float) -> np.ndarray:
-    out = np.clip(flips_rad, min_rad, max_rad)
-    power = float(np.sum(out ** 2))
-    if power > limit:
-        out = out * math.sqrt(limit / power)
-    return out
+    """Euclidean projection onto {min_rad <= x <= max_rad} and {|x|^2 <= limit}.
+
+    The minimizer is x = clip(s y, min_rad, max_rad) for the largest s in
+    [0, 1] (s = 1/(1+mu) for the ball's multiplier mu) whose power is within
+    the limit. With min_rad >= 0 that power is nondecreasing and piecewise
+    quadratic in s, so the root is found exactly between two breakpoints.
+    Needs limit >= n min_rad^2, so that the set is not empty.
+    """
+    y = np.asarray(flips_rad, float)
+    out = np.clip(y, min_rad, max_rad)
+    if out @ out <= limit:
+        return out
+    pos = y[y > 0]
+    # np.sort, not np.unique: that imports numpy.ma, a megabyte of modules
+    knots = np.sort(np.concatenate([[0.0, 1.0], min_rad / pos[pos >= min_rad],
+                                    max_rad / pos[pos >= max_rad]]))
+    power = np.sum(np.clip(knots[:, None] * y, min_rad, max_rad) ** 2, axis=1)
+    k = int(np.searchsorted(power, limit, side="right"))
+    lo, hi = knots[k - 1], knots[k]
+    # within (lo, hi) each entry is either clipped or free (scaled by s)
+    mid = np.clip(0.5 * (lo + hi) * y, min_rad, max_rad)
+    free = (mid > min_rad) & (mid < max_rad)
+    fixed = float(np.sum(mid[~free] ** 2))
+    s = math.sqrt(max(limit - fixed, 0.0) / float(y[free] @ y[free]))
+    return np.clip(min(max(s, lo), hi) * y, min_rad, max_rad)
 
 
 @dataclass(frozen=True)
@@ -105,18 +125,35 @@ class FlipOptimization:
     flips_deg: np.ndarray
     objective_trace: np.ndarray
     power: float
+    converged: bool
+    stop_reason: str   # "tolerance", "no ascent step" or "max_iters"
 
 
 def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
                    budget: PowerBudget, target_param: str = "t2",
-                   max_iters: int = 200, min_flip_deg: float = 0.0,
-                   init_step: float = 1.0) -> FlipOptimization:
-    """Projected gradient ascent on the target's Fisher diagonal.
+                   max_iters: int = 200,
+                   min_flip_deg: float = 0.0) -> FlipOptimization:
+    """Maximize the target's Fisher diagonal ||df/dp||^2 under the power cap.
 
-    Starts from the constant schedule at the budget's equal-power angle and
-    ascends ||df/dp||^2 subject to the power cap and per-pulse box
-    [min_flip, 180]; the projection clips then rescales. Backtracking keeps
-    the objective trace nondecreasing.
+    Projected L-BFGS ascent over the flip angles (radians) on the feasible
+    set {min_flip <= flip <= 180 deg} intersected with {sum flip^2 <= limit},
+    starting from the constant schedule at the budget's equal-power angle.
+    Each trial point costs one batch: the schedule itself plus its 2T
+    central-difference neighbours give the value and the gradient together.
+    The first step goes 1 rad along the normalized gradient. Later steps
+    follow the L-BFGS direction (memory 8) built from the gradient's
+    feasible part: zero at the bounds it pushes against and, while the
+    power cap is met with equality, orthogonal to the schedule. A trial is
+    the projection of the step onto the feasible set and is accepted only
+    if it strictly raises the objective; otherwise the step shrinks by
+    quadratic interpolation (to between a tenth and a half), and when 12
+    trials fail the memory is dropped for one normalized-gradient search.
+
+    Stops with ``converged=True`` ("tolerance") once the relative increase
+    is at most 1e-6 on two consecutive iterations; otherwise with
+    "no ascent step" when no trial improves, or "max_iters". The objective
+    trace holds the start value and the value after each accepted step, so
+    it strictly increases and has one entry more than there were iterations.
     """
     if target_param != "t2":
         raise ValueError("only the transverse-decay target is supported")
@@ -125,47 +162,102 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     min_rad = math.radians(min_flip_deg)
     if const_rad < min_rad:
         raise ValueError("no feasible constant schedule under this budget")
-    flips = np.full(t, const_rad)
-
-    def objective(batch_rad):
-        return _t2_information(np.degrees(batch_rad), tissue.t1, tissue.t2,
-                               tissue.eta, seq_template)
-
-    current = float(objective(flips[:, None])[0])
-    trace = [current]
-    step = init_step
     h = 1e-3
-    for _ in range(max_iters):
-        perturbed = np.repeat(flips[:, None], 2 * t, axis=1)
-        perturbed[np.arange(t), np.arange(t)] += h
-        perturbed[np.arange(t), t + np.arange(t)] -= h
-        vals = objective(perturbed)
-        grad = (vals[:t] - vals[t:]) / (2 * h)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0:
+    offsets = np.concatenate([np.zeros((t, 1)), h * np.eye(t), -h * np.eye(t)],
+                             axis=1)
+
+    def evaluate(x):
+        """Objective and its central-difference gradient at x, one batch."""
+        vals = _t2_information(np.degrees(x[:, None] + offsets), tissue.t1,
+                               tissue.t2, tissue.eta, seq_template)
+        return float(vals[0]), (vals[1:t + 1] - vals[t + 1:]) / (2 * h)
+
+    def direction(grad, pairs):
+        """L-BFGS two-loop product of the inverse-curvature model with grad."""
+        if not pairs:
+            return grad / np.linalg.norm(grad)
+        q, alphas = grad.copy(), []
+        for s, y in reversed(pairs):
+            a = (s @ q) / (s @ y)
+            q -= a * y
+            alphas.append(a)
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            q += (a - (y @ q) / (s @ y)) * s
+        return q
+
+    def tangent(x, g):
+        """Orthogonal projector onto the directions that keep x feasible to
+        first order, and the power cap's multiplier 2 lambda. The projector
+        zeroes the bounds g pushes against and, on the power sphere, takes
+        out the part along x over the other coordinates."""
+        def projector(free):
+            xf = np.where(free, x, 0.0)
+            if x @ x < budget.limit * (1 - 1e-12) or not xf @ xf > 0:
+                return np.diag(free.astype(float)), 0.0
+            return (np.diag(free.astype(float)) - np.outer(xf, xf) / (xf @ xf),
+                    (g @ xf) / (xf @ xf))
+
+        r = projector(np.ones(t, bool))[0] @ g
+        return projector(~(((x >= math.pi) & (r > 0))
+                           | ((x <= min_rad) & (r < 0))))
+
+    flips = np.full(t, const_rad)
+    current, grad = evaluate(flips)
+    trace = [current]
+    pairs = []
+    small = 0
+    stop_reason = "max_iters"
+    for it in range(max_iters):
+        # the opening step follows the full gradient, as a plain projected
+        # gradient step would
+        proj, mult = (np.eye(t), 0.0) if it == 0 else tangent(flips, grad)
+        pgrad = proj @ grad
+        if not np.any(pgrad):
+            stop_reason = "no ascent step"
             break
-        # the backtracking ladder step, step/2, step/4, ... two rungs per call
-        improved = False
-        for _ in range(10):
-            steps = (step, step * 0.5)
-            cands = np.stack([_project(flips + s * grad / gnorm, budget.limit,
-                                       min_rad, math.pi) for s in steps], 1)
-            vals = objective(cands)
-            hit = np.flatnonzero(vals > current)
-            if hit.size:
-                k = int(hit[0])
-                flips, current = cands[:, k], float(vals[k])
-                improved = True
-                step = steps[k] * 1.5
+        step = None
+        # the L-BFGS direction, then once without memory if that fails
+        for memory in ([pairs, []] if pairs else [[]]):
+            d = proj @ direction(pgrad, memory)
+            slope, alpha = float(pgrad @ d), 1.0
+            for k in range(12):
+                cand = _project(flips + alpha * d, budget.limit, min_rad,
+                                math.pi)
+                value, cand_grad = evaluate(cand)
+                if value > current:
+                    step = cand, value, cand_grad
+                    break
+                # maximizer of the quadratic through the value and slope at
+                # 0 and the value at alpha, kept within [alpha/10, alpha/2]
+                curve = slope * alpha - (value - current)
+                alpha *= min(max(0.5 * slope * alpha / curve, 0.1), 0.5)
+            if step is not None:
                 break
-            step *= 0.25
+            pairs = []
+        if step is None:
+            stop_reason = "no ascent step"
+            break
+        cand, value, cand_grad = step
+        # curvature of the Lagrangian f - lambda (|x|^2 - limit), whose
+        # constraint term bends the sphere
+        s = cand - flips
+        y = pgrad - proj @ (cand_grad - mult * s)
+        if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs = (pairs + [(s, y)])[-8:]
+        small = small + 1 if value - current <= 1e-6 * abs(current) else 0
+        flips, current, grad = cand, value, cand_grad
         trace.append(current)
-        if not improved:
+        if small == 2:
+            stop_reason = "tolerance"
             break
     flips_deg = np.degrees(flips)
     return FlipOptimization(flips_deg=flips_deg,
                             objective_trace=np.asarray(trace),
-                            power=train_power(flips_deg))
+                            power=train_power(flips_deg),
+                            converged=stop_reason == "tolerance",
+                            stop_reason=stop_reason)
 
 
 def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
@@ -267,8 +359,10 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     """Solve for flips that steer echo amplitudes onto a target level.
 
     Per-echo targets approach s_target geometrically from the maximum
-    achievable first-echo amplitude; each controlled flip is found by
-    bisection on the next-echo amplitude given the current ensemble state.
+    achievable first-echo amplitude; each controlled flip is the lowest that
+    reaches its target on the next-echo amplitude given the current ensemble
+    state, bracketed on a 0.5 deg grid and narrowed to 0.5/32^4 deg by four
+    33-point subdivisions (one batch each).
     After the approach plus n_constant echoes at the target, the remaining
     flips ramp linearly up to alpha_max.
     """
@@ -314,34 +408,35 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
 
     # The next-echo amplitude is not monotone in the flip (the stored
     # longitudinal reserve contributes through sin(alpha), which vanishes at
-    # 180 deg), so bracket the lowest crossing on a grid before bisecting.
+    # 180 deg), so bracket the lowest crossing on a grid, then narrow the
+    # bracket by 32-fold subdivisions, each one batch, and keep its upper end.
     scan = np.linspace(0.0, 180.0, 361)
     flips = np.zeros(t)
     achieved = np.zeros(n_controlled)
     for i in range(n_controlled):
-        amps = np.abs(trial(scan, i).fplus[0])
+        grid = scan
+        cand = trial(grid, i)
+        amps = np.abs(cand.fplus[0])
         target = targets[i]
         if target > amps.max() * (1 + 1e-12) + 1e-15:
             raise ValueError(
                 f"echo {i + 1}: target {target:.6g} unreachable "
                 f"(maximum {amps.max():.6g})")
         if amps[0] >= target:
-            flip = 0.0
+            k = 0
         elif not np.any(amps >= target):
             # target within rounding of the maximum: take the best flip
-            flip = float(scan[int(np.argmax(amps))])
+            k = int(np.argmax(amps))
         else:
-            hit = int(np.argmax(amps >= target))
-            lo, hi = scan[hit - 1], scan[hit]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if abs(trial(mid, i).fplus[0, 0]) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            flip = 0.5 * (lo + hi)
-        flips[i] = flip
-        state = trial(flip, i)
+            for _ in range(4):
+                k = int(np.argmax(amps >= target))
+                grid = np.linspace(grid[k - 1], grid[k], 33)
+                cand = trial(grid, i)
+                amps = np.abs(cand.fplus[0])
+            k = int(np.argmax(amps >= target))
+        flips[i] = grid[k]
+        state = EpgState(*(a[:, k:k + 1] for a in (cand.fplus, cand.fminus,
+                                                    cand.z)), state.max_order)
         achieved[i] = abs(state.fplus[0, 0])
 
     if n_controlled < t:

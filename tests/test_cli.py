@@ -1,3 +1,4 @@
+import logging
 import subprocess
 import sys
 
@@ -48,7 +49,8 @@ class TestStagedFlow:
             assert np.isfinite(read_array(f"{out}/{name}")).all()
         assert (tmp_path / "run" / "fit_summary.csv").exists()
 
-    def test_crlb_outputs(self, tmp_path):
+    def test_crlb_outputs(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="spinshuffle")
         cfg = PipelineConfig(n_echoes=8)
         path = tmp_path / "cfg.ini"
         save_config(cfg, str(path))
@@ -60,6 +62,7 @@ class TestStagedFlow:
         from spinshuffle.seqopt import read_schedule_csv
         flips = read_schedule_csv(out + "/flips_optimized.csv")
         assert flips.shape == (8,)
+        assert "converged=True (tolerance after" in caplog.text
 
     def test_pipeline_command(self, tmp_path, cfg_path, capsys):
         assert main(["pipeline", "--config", cfg_path,

@@ -1,10 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene: every name a package module imports is used in that
+module, and the flip design runs without loading scipy.optimize or
+numpy.ma.
 
-`__init__.py` is exempt: its imports are the package's public re-exports.
+`__init__.py` is exempt from the first check: its imports are the package's
+public re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "spinshuffle"
 
@@ -38,3 +44,21 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_flip_design_loads_no_heavy_modules():
+    # scipy.optimize costs about 0.5 s and 47 MB of resident memory to
+    # import, numpy.ma (which np.unique imports) about a megabyte
+    script = (
+        "import sys\n"
+        "from spinshuffle.seqopt import PowerBudget, optimize_flips\n"
+        "from spinshuffle.spinsim import TissueParams, constant_train\n"
+        "optimize_flips(TissueParams(t1=1000.0, t2=80.0),\n"
+        "               constant_train(8, 120.0, 10.0),\n"
+        "               PowerBudget.from_constant_flip(120.0, 8), max_iters=3)\n"
+        "print(sorted({'scipy.optimize', 'numpy.ma'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshuffle import seqopt
+from spinshuffle.config import PipelineConfig
+from spinshuffle.pipeline import sequence_from_config
 from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 crlb_t2_sweep, design_asymptotic_flips,
                                 fisher_info, minmax_grid_search, optimal_te,
@@ -121,54 +125,84 @@ class TestOptimizeFlips:
                            min_flip_deg=30.0)
 
 
-def _sequential_ladder(tissue, seq, budget, max_iters):
-    # optimize_flips with its backtracking ladder walked one rung per
-    # objective call: try step, else halve it, up to 20 rungs
-    t = seq.n_echoes
-    flips = np.full(t, min(math.sqrt(budget.limit / t), math.pi))
+class TestProjection:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_feasible_and_optimal(self, data):
+        n = data.draw(st.integers(1, 8))
+        y = np.array(data.draw(st.lists(st.floats(-1.0, 5.0), min_size=n,
+                                        max_size=n)))
+        lo = data.draw(st.floats(0.0, 1.0))
+        hi = lo + data.draw(st.floats(0.05, 3.0))
+        limit = n * lo ** 2 + data.draw(st.floats(1e-3, 40.0))
+        x = seqopt._project(y, limit, lo, hi)
+        assert np.all((x >= lo) & (x <= hi))
+        assert x @ x <= limit * (1 + 1e-12)
+        # feasible z: box points pulled toward the all-lo corner, which lies
+        # inside the ball, until they are inside it too
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        corner = np.full(n, lo)
+        for z in rng.uniform(lo, hi, (20, n)):
+            w = z - corner
+            a, b, c = w @ w, corner @ w, corner @ corner - limit
+            reach = (-b + math.sqrt(b * b - a * c)) / a if a > 0 else 1.0
+            z = corner + min(1.0, reach * (1 - 1e-12)) * w
+            assert (y - x) @ (z - x) <= 1e-9
 
-    def objective(batch_rad):
-        return seqopt._t2_information(np.degrees(batch_rad), tissue.t1,
-                                      tissue.t2, tissue.eta, seq)
+    def test_floor_kept_when_power_binds(self):
+        # clipping first and rescaling after took the first flip to 15 deg
+        floor = math.radians(30.0)
+        x = seqopt._project(np.array([0.1, 3.0, 3.0]), 4.6, floor, math.pi)
+        assert np.all(x >= floor)
+        assert x @ x == pytest.approx(4.6, rel=1e-12)
 
-    current = float(objective(flips[:, None])[0])
-    trace, step, h = [current], 1.0, 1e-3
-    for _ in range(max_iters):
-        perturbed = np.repeat(flips[:, None], 2 * t, axis=1)
-        perturbed[np.arange(t), np.arange(t)] += h
-        perturbed[np.arange(t), t + np.arange(t)] -= h
-        vals = objective(perturbed)
-        grad = (vals[:t] - vals[t:]) / (2 * h)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0:
-            break
-        improved = False
-        for _ in range(20):
-            cand = seqopt._project(flips + step * grad / gnorm, budget.limit,
-                                   0.0, math.pi)
-            val = float(objective(cand[:, None])[0])
-            if val > current:
-                flips, current, improved = cand, val, True
-                step *= 1.5
-                break
-            step *= 0.5
-        trace.append(current)
-        if not improved:
-            break
-    return np.degrees(flips), np.asarray(trace)
+
+class TestFlipConvergence:
+    # the benchmark's design settings: T1 1000 ms, T2 80 ms, 120 deg
+    # equal-power budget, the default 32-echo train
+    tissue = TissueParams(t1=1000.0, t2=80.0)
+    seq = sequence_from_config(PipelineConfig())
+    budget = PowerBudget.from_constant_flip(120.0, 32)
+
+    @pytest.fixture(scope="class")
+    def opt(self):
+        return optimize_flips(self.tissue, self.seq, self.budget)
+
+    def _information(self, flips_rad):
+        return seqopt._t2_information(np.degrees(flips_rad), self.tissue.t1,
+                                      self.tissue.t2, self.tissue.eta,
+                                      self.seq)
+
+    def test_converges_beyond_the_constant_schedule(self, opt):
+        assert opt.converged and opt.stop_reason == "tolerance"
+        assert len(opt.objective_trace) - 1 <= 80
+        const = np.full((32, 1), math.sqrt(self.budget.limit / 32))
+        assert opt.objective_trace[-1] >= 1.1715 * self._information(const)[0]
+        assert np.all(np.diff(opt.objective_trace) > 0)
+
+    def test_iteration_cap_reported(self):
+        opt = optimize_flips(self.tissue, self.seq, self.budget, max_iters=2)
+        assert not opt.converged
+        assert opt.stop_reason == "max_iters"
+        assert len(opt.objective_trace) == 3
+
+    def test_no_projected_gradient_step_improves(self, opt):
+        x = np.radians(opt.flips_deg)
+        h = 1e-3
+        vals = self._information(x[:, None] + h * np.hstack([np.eye(32),
+                                                             -np.eye(32)]))
+        grad = (vals[:32] - vals[32:]) / (2 * h)
+        along = grad - (grad @ x) / (x @ x) * x
+        steps = [seqopt._project(x + 0.5 ** k * d / np.linalg.norm(d),
+                                 self.budget.limit, 0.0, math.pi)
+                 for d in (grad, along) for k in range(21)]
+        best = self._information(np.stack(steps, axis=1)).max()
+        assert best <= self._information(x[:, None])[0] * (1 + 1e-6)
 
 
 class TestBatchedDesign:
     seq = constant_train(32, 60.0, 10.0)
     budget = PowerBudget.from_constant_flip(60.0, 32)
-
-    @pytest.mark.parametrize("tissue", [TISSUE,
-                                        TissueParams(t1=800.0, t2=40.0)])
-    def test_paired_backtracking_equals_sequential_ladder(self, tissue):
-        opt = optimize_flips(tissue, self.seq, self.budget, max_iters=30)
-        flips, trace = _sequential_ladder(tissue, self.seq, self.budget, 30)
-        assert np.array_equal(opt.flips_deg, flips)
-        assert np.array_equal(opt.objective_trace, trace)
 
     def test_sweep_equals_per_point_bounds(self):
         flips = np.linspace(60.0, 160.0, 32)
@@ -202,17 +236,31 @@ class TestBatchedDesign:
         crlb_t2_sweep(np.full(32, 120.0), self.seq, np.geomspace(20, 400, 64))
         assert sizes == [128]
 
-    def test_one_gradient_and_paired_trials_per_iteration(self, monkeypatch):
+    def test_one_fused_batch_per_trial(self, monkeypatch):
         sizes = self._count_batches(monkeypatch)
+        values = []
+        original = seqopt._t2_information
+
+        def recorded(*args):
+            out = original(*args)
+            values.append(float(out[0]))
+            return out
+
+        monkeypatch.setattr(seqopt, "_t2_information", recorded)
         opt = optimize_flips(TISSUE, self.seq, self.budget, max_iters=60)
         iters = len(opt.objective_trace) - 1
-        # the start value, one 2T-column gradient per iteration, and trial
-        # batches of two candidates (each a +/-h column pair)
-        assert sizes[0] == 2
-        assert sizes.count(4 * 32) == iters
-        trials = sizes[1:]
-        assert set(trials) == {4, 4 * 32}
-        assert len(trials) - iters <= 1.1 * iters
+        # every call is one trial schedule plus its 2T +/-h neighbours, each
+        # a +/-dT2 column pair: the start, then one per trial step
+        assert set(sizes) == {2 * (2 * 32 + 1)}
+        # replaying the trial values: a trial is kept iff it beats the best
+        kept, rejected = [values[0]], 0
+        for v in values[1:]:
+            if v > kept[-1]:
+                kept.append(v)
+            else:
+                rejected += 1
+        assert kept == list(opt.objective_trace)
+        assert len(sizes) == 1 + iters + rejected
 
 
 class TestMinmaxGridSearch:
