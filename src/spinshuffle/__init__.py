@@ -32,6 +32,6 @@ from .spinsim import (EpgState, SequenceParams, SignalEvolution, TissueParams,
 from .subspace import (EnsembleMatrix, SubspaceBasis, TissuePrior,
                        back_project, build_ensemble, compute_basis,
                        project_coefficients, projection_error, sample_prior)
-from .transforms import HaarTransform, IdentityTransform, make_transform
+from .transforms import HaarTransform, IdentityTransform
 
 __version__ = "0.1.0"

@@ -77,6 +77,25 @@ def build_dictionary(tissues, seq: SequenceParams,
     return Dictionary(atoms=atoms, params=tuple(tissues), compressed=compressed)
 
 
+def _match(cols, dictionary: Dictionary):
+    """Matched filter of (T|K, n) signal columns: rho, T2 and residual each.
+
+    Columns match the compressed atoms when their length is K, otherwise
+    the atoms; ties go to the lowest index.
+    """
+    atoms = (dictionary.compressed if dictionary.compressed is not None
+             and cols.shape[0] == dictionary.compressed.shape[0]
+             else dictionary.atoms)
+    if cols.shape[0] != atoms.shape[0]:
+        raise ValueError("signal length matches neither atoms nor compressed atoms")
+    scores = atoms.conj().T @ cols
+    best = np.argmax(np.abs(scores), axis=0)
+    rho = scores[best, np.arange(cols.shape[1])]
+    t2 = np.array([dictionary.params[b].t2 for b in best])
+    resid = 0.5 * (np.sum(np.abs(cols) ** 2, axis=0) - np.abs(rho) ** 2)
+    return rho, t2, resid
+
+
 def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
     """Matched-filter grid search: argmax of |<atom, signal>|.
 
@@ -84,19 +103,9 @@ def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
     vectors against the compressed atoms; ties go to the lowest index.
     """
     signal = np.asarray(signal, complex).ravel()
-    if (dictionary.compressed is not None
-            and signal.size == dictionary.compressed.shape[0]):
-        atoms = dictionary.compressed
-    else:
-        atoms = dictionary.atoms
-    if signal.size != atoms.shape[0]:
-        raise ValueError("signal length matches neither atoms nor compressed atoms")
-    scores = atoms.conj().T @ signal
-    best = int(np.argmax(np.abs(scores)))
-    tissue = dictionary.params[best]
-    resid = 0.5 * (np.linalg.norm(signal) ** 2 - np.abs(scores[best]) ** 2)
-    return FitResult(rho=complex(scores[best]), t2=tissue.t2,
-                     residual=float(resid), converged=True)
+    rho, t2, resid = _match(signal[:, None], dictionary)
+    return FitResult(rho=complex(rho[0]), t2=float(t2[0]),
+                     residual=float(resid[0]), converged=True)
 
 
 def _model_batch(t2_values, seq, t1_ms, eta, basis=None):
@@ -178,10 +187,14 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
     return t2, cost, rho, converged
 
 
-def _fit_single(signal, seq, bounds, t1_ms, eta, basis, coarse=48):
-    """One-column grid start at a coarse grid, then the polish."""
-    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, eta, basis, coarse)
-    return _polish(signal, seq, float(t2[0]), bounds, t1_ms, eta, basis)
+def _fit_voxel(signal, seq, bounds, t1_ms, eta, basis) -> FitResult:
+    """Coarse 48-point grid start, then the polish; zero signal fails."""
+    if np.all(signal == 0):
+        return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
+    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, eta, basis, 48)
+    t2, cost, rho, converged = _polish(signal, seq, float(t2[0]), bounds,
+                                       t1_ms, eta, basis)
+    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
 
 
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
@@ -191,11 +204,7 @@ def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
     signal = np.asarray(signal, complex).ravel()
     if signal.size != seq.n_echoes:
         raise ValueError("signal length does not match the echo train")
-    if np.all(signal == 0):
-        return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
-    t2, cost, rho, converged = _fit_single(signal, seq, bounds, t1_ms, eta,
-                                           None)
-    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
+    return _fit_voxel(signal, seq, bounds, t1_ms, eta, None)
 
 
 def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
@@ -206,11 +215,7 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
     alpha = np.asarray(alpha, complex).ravel()
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
-    if np.all(alpha == 0):
-        return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
-    t2, cost, rho, converged = _fit_single(alpha, seq, bounds, t1_ms, eta,
-                                           basis)
-    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
+    return _fit_voxel(alpha, seq, bounds, t1_ms, eta, basis)
 
 
 def fit_map(stack: np.ndarray, seq: SequenceParams,
@@ -250,19 +255,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     if np.any(alive):
         cols = signals[:, alive]
         if method == "dictionary":
-            atoms = (dictionary.compressed
-                     if dictionary.compressed is not None
-                     and lead == dictionary.compressed.shape[0]
-                     else dictionary.atoms)
-            if atoms.shape[0] != lead:
-                raise ValueError("dictionary does not match the stack")
-            scores = atoms.conj().T @ cols
-            best = np.argmax(np.abs(scores), axis=0)
-            sel = scores[best, np.arange(cols.shape[1])]
-            rho[alive] = sel
-            t2[alive] = np.array([dictionary.params[b].t2 for b in best])
-            residual[alive] = 0.5 * (np.sum(np.abs(cols) ** 2, axis=0)
-                                     - np.abs(sel) ** 2)
+            rho[alive], t2[alive], residual[alive] = _match(cols, dictionary)
         else:
             use_basis = basis if method == "subspace" else None
             t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis,

@@ -6,7 +6,8 @@ the full echo series all share one data term: the normal operator A^H A
 (through the per-frequency subspace kernel when the encoder has a temporal
 basis), A^H y and a proven bound on ||A^H A||, so no iteration forms the
 measurements. A model-based Gauss-Newton solver estimates density and T2
-maps directly from k-space.
+maps directly from k-space; its linearized steps run through the same
+conjugate gradient. Each solver warns once if it stops unconverged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .encoding import (Encoder, SamplingMasks, SensitivityMaps,
                        build_normal_kernel)
 from .spinsim import SequenceParams, simulate_fse_ensemble
 from .subspace import SubspaceBasis
-from .transforms import make_transform
+from .transforms import HaarTransform, IdentityTransform
 
 log = logging.getLogger(__name__)
 
@@ -117,12 +118,17 @@ def _cg(normal_op, rhs, half_yy, cfg: SolverConfig) -> ReconResult:
         converged = res <= cfg.tolerance * b_norm
         p = r + (rs_new / rs) * p
         rs = rs_new
-    if not converged:
-        log.warning("conjugate gradient stopped unconverged after %d of "
-                    "max_iters=%d iterations with objective %.6e",
-                    it, cfg.max_iters, trace[-1])
     return ReconResult(images=x, objective_trace=np.asarray(trace),
                        iterations=it, converged=bool(converged))
+
+
+def _warn_unconverged(name: str, res: ReconResult,
+                      cfg: SolverConfig) -> ReconResult:
+    if not res.converged:
+        log.warning("%s stopped unconverged after %d of max_iters=%d "
+                    "iterations with objective %.6e", name, res.iterations,
+                    cfg.max_iters, res.objective_trace[-1])
+    return res
 
 
 def cg_solve(enc: Encoder, y: np.ndarray,
@@ -138,7 +144,8 @@ def cg_solve(enc: Encoder, y: np.ndarray,
     def normal(x):
         out = data_normal(x)
         return out + cfg.lam * x if cfg.lam else out
-    return _cg(normal, aty, half_yy, cfg)
+    return _warn_unconverged("conjugate gradient",
+                             _cg(normal, aty, half_yy, cfg), cfg)
 
 
 def _soft(values, thresh):
@@ -150,13 +157,12 @@ def _soft(values, thresh):
 
 
 def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
-                cfg: SolverConfig = SolverConfig(),
-                wavelet_levels: int = 3) -> ReconResult:
+                cfg: SolverConfig = SolverConfig()) -> ReconResult:
     """Proximal gradient with momentum for l1-regularized least squares.
 
-    The penalty is lam * ||T x||_1 with T the identity or an orthonormal
-    wavelet applied per leading-axis image. Gradient and objective run
-    through the shared data term (N x - A^H y and
+    The penalty is lam * ||T x||_1 with T the identity or a 3-level
+    orthonormal Haar wavelet, applied to the whole image stack at once.
+    Gradient and objective run through the shared data term (N x - A^H y and
     0.5 Re x^H (N x - 2 A^H y) + 0.5||y||^2), with step 1/L for its proven
     bound L. Without coil maps L is exactly ||A^H A||; with them it is an
     upper bound (1.4-1.8x ||A^H A|| on random complex Gaussian 3-coil maps),
@@ -167,9 +173,9 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     penalty reads the thresholded coefficients since T is orthonormal.
     """
     if regularizer == "l1-identity":
-        transform = make_transform("identity")
+        transform = IdentityTransform()
     elif regularizer == "l1-wavelet":
-        transform = make_transform("haar", levels=wavelet_levels)
+        transform = HaarTransform(levels=3)
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
     normal, aty, half_yy, lip = _data_term(enc, y)
@@ -177,14 +183,11 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
         raise ValueError("encoder acquires no signal: the step bound is 0")
     step = 1.0 / lip
 
-    def t_apply(x, func):
-        return np.stack([func(x[i]) for i in range(x.shape[0])])
-
     def prox_step(z, nz):
         """x = prox(z - step (N z - A^H y)), N x and the objective at x."""
         w = z - step * (nz - aty)
-        coeffs = _soft(t_apply(w, transform.forward), cfg.lam * step)
-        x_new = t_apply(coeffs, transform.adjoint)
+        coeffs = _soft(transform.forward(w), cfg.lam * step)
+        x_new = transform.adjoint(coeffs)
         nx_new = normal(x_new)
         f_new = (0.5 * _vdot(x_new, nx_new - 2 * aty).real + half_yy
                  + cfg.lam * np.abs(coeffs).sum())
@@ -215,11 +218,9 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
         if abs(prev - f_new) <= cfg.tolerance * denom:
             converged = True
             break
-    if not converged:
-        log.warning("fista stopped at max_iters=%d with objective %.6e",
-                    cfg.max_iters, trace[-1])
-    return ReconResult(images=x, objective_trace=np.asarray(trace),
-                       iterations=it, converged=converged)
+    return _warn_unconverged("fista", ReconResult(
+        images=x, objective_trace=np.asarray(trace), iterations=it,
+        converged=converged), cfg)
 
 
 def mocco_solve(enc: Encoder, basis: SubspaceBasis, y: np.ndarray,
@@ -243,7 +244,7 @@ def mocco_solve(enc: Encoder, basis: SubspaceBasis, y: np.ndarray,
     def normal(x):
         out = data_normal(x)
         return out + cfg.mu * project_out(x) if cfg.mu else out
-    return _cg(normal, aty, half_yy, cfg)
+    return _warn_unconverged("mocco", _cg(normal, aty, half_yy, cfg), cfg)
 
 
 @dataclass
@@ -295,6 +296,10 @@ def model_based_solve(masks: SamplingMasks, maps: SensitivityMaps | None,
     def residual(rho_m, f):
         return apply_forward(enc, rho_m[None] * f) - y
 
+    # J^H J maps the real u block to real values and its right-hand side is
+    # real, so CG on the stacked (2, nx, ny) complex unknown keeps u real;
+    # the truncated inner solve stops at ||r|| <= 1e-9 ||b|| or inner_iters
+    inner = SolverConfig(max_iters=inner_iters, tolerance=1e-9)
     res_norms = []
     converged = False
     f, df = _simulate_fields(t2, t1_ms, seq, eta)
@@ -307,36 +312,16 @@ def model_based_solve(masks: SamplingMasks, maps: SensitivityMaps | None,
         # J [d_rho, u] = E(d_rho * f + u * g), g the relative-T2 sensitivity
         g = (rho * t2)[None] * df
 
-        def j_apply(d_rho, u):
-            return apply_forward(enc, d_rho[None] * f + u[None] * g)
-
-        def jt_apply(w):
+        def jh_apply(w):
             z = apply_adjoint(enc, w)                    # (T, nx, ny)
-            return (np.sum(np.conj(f) * z, axis=0),
-                    np.sum(np.conj(g) * z, axis=0).real)
+            return np.stack([np.sum(np.conj(f) * z, axis=0),
+                             np.sum(np.conj(g) * z, axis=0).real])
 
-        b_rho, b_u = jt_apply(-r)
-        d_rho = np.zeros_like(rho)
-        d_u = np.zeros_like(t2)
-        rr = (b_rho, b_u)
-        p = (rr[0].copy(), rr[1].copy())
-        rs = (np.vdot(rr[0], rr[0]).real + np.vdot(rr[1], rr[1]).real)
-        rs0 = rs
-        for _ in range(inner_iters):
-            ap = jt_apply(j_apply(*p))
-            denom = (np.vdot(p[0], ap[0]).real + np.vdot(p[1], ap[1]).real)
-            if denom <= 0:
-                break
-            a = rs / denom
-            d_rho += a * p[0]
-            d_u += a * p[1]
-            rr = (rr[0] - a * ap[0], rr[1] - a * ap[1])
-            rs_new = (np.vdot(rr[0], rr[0]).real + np.vdot(rr[1], rr[1]).real)
-            if rs_new <= 1e-18 * rs0:
-                rs = rs_new
-                break
-            p = (rr[0] + (rs_new / rs) * p[0], rr[1] + (rs_new / rs) * p[1])
-            rs = rs_new
+        def normal(d):
+            return jh_apply(apply_forward(enc, d[0] * f + d[1] * g))
+
+        d = _cg(normal, jh_apply(-r), 0.0, inner).images
+        d_rho, d_u = d[0], d[1].real
 
         step = 1.0
         accepted = False

@@ -4,19 +4,20 @@ Masks are Bernoulli draws from a variable-density profile whose global scale
 is calibrated by bisection so the expected sample count hits the target
 acceleration. Candidate masks are scored by the peak interference of the
 transform point spread function, and a sparsity-informed lower bound on
-estimator covariance is available as a design score.
+estimator covariance is available as a design score. Both scores push the
+unit coefficient images of all probed indices through the transform and the
+masked Fourier encoding as one stack.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import SamplingMasks, fft2c, ifft2c
 from .transforms import IdentityTransform
-from .utils import NonIdentifiableError, worker_count
+from .utils import NonIdentifiableError
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,15 @@ class SparsityModel:
         object.__setattr__(self, "support", support)
 
 
+def _unit_responses(mask, transform, indices) -> np.ndarray:
+    """Rows T F^H M F T^H e_j, flattened, for every coefficient index j."""
+    p = len(indices)
+    units = np.zeros((p, mask.size), complex)
+    units[np.arange(p), indices] = 1.0
+    img = transform.adjoint(units.reshape(p, *mask.shape))
+    return transform.forward(ifft2c(mask * fft2c(img))).reshape(p, -1)
+
+
 def tpsf_peak(mask: np.ndarray, model: SparsityModel, probe_count: int = 64,
               seed: int = 0) -> float:
     """Worst off-diagonal leakage of the transform point spread function.
@@ -131,20 +141,14 @@ def tpsf_peak(mask: np.ndarray, model: SparsityModel, probe_count: int = 64,
     n = mask.size
     rng = np.random.default_rng(seed)
     probes = rng.choice(n, size=min(probe_count, n), replace=False)
-    peak = 0.0
-    e = np.zeros(n, complex)
-    for j in probes:
-        e[:] = 0
-        e[j] = 1.0
-        img = model.transform.adjoint(e.reshape(mask.shape))
-        col = model.transform.forward(ifft2c(mask * fft2c(img))).ravel()
-        ref = col[j]
-        if ref == 0:
-            raise ValueError("probe coefficient is unobservable under this mask")
-        col = np.abs(col / ref)
-        col[j] = 0.0
-        peak = max(peak, float(col.max()))
-    return peak
+    rows = np.arange(probes.size)
+    cols = _unit_responses(mask, model.transform, probes)
+    ref = cols[rows, probes]
+    if np.any(ref == 0):
+        raise ValueError("probe coefficient is unobservable under this mask")
+    cols = np.abs(cols / ref[:, None])
+    cols[rows, probes] = 0.0
+    return float(cols.max())
 
 
 @dataclass(frozen=True)
@@ -162,24 +166,16 @@ def monte_carlo_mask(profile: DensityProfile, dims, model: SparsityModel,
 
     Trial t uses seed + t for its mask draw while all trials share the same
     probe set, so results are reproducible and prefix-stable in n_trials.
-    Ties go to the lowest trial index.
+    Ties go to the lowest trial index. Trials run one after another; each
+    scores all its probes as one stack.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-
-    def run(t):
-        m = draw_mask(profile, dims, seed + t)
-        return m, tpsf_peak(m, model, probe_count=probe_count, seed=seed)
-
-    workers = min(worker_count(), n_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(n_trials)))
-    else:
-        results = [run(t) for t in range(n_trials)]
-    peaks = tuple(p for _, p in results)
+    masks = [draw_mask(profile, dims, seed + t) for t in range(n_trials)]
+    peaks = tuple(tpsf_peak(m, model, probe_count=probe_count, seed=seed)
+                  for m in masks)
     best = int(np.argmin(peaks))
-    return MaskSearchResult(mask=results[best][0], peak=peaks[best],
+    return MaskSearchResult(mask=masks[best], peak=peaks[best],
                             trial_index=best, trial_peaks=peaks)
 
 
@@ -226,19 +222,15 @@ def sparsity_crb(mask: np.ndarray, model: SparsityModel) -> float:
     s = support.size
     if s == 0:
         raise ValueError("empty support")
+    outside = support[(support < 0) | (support >= mask.size)]
+    if outside.size:
+        raise ValueError(f"support index {int(outside[0])} outside "
+                         f"[0, {mask.size})")
     m = int(mask.sum())
     if s > m:
         raise ValueError(f"support size {s} exceeds {m} acquired samples")
-    n = mask.size
-    cols = np.zeros((n, s), complex)
-    e = np.zeros(n, complex)
-    for c, j in enumerate(support):
-        e[:] = 0
-        e[j] = 1.0
-        img = model.transform.adjoint(e.reshape(mask.shape))
-        cols[:, c] = model.transform.forward(
-            ifft2c(mask * fft2c(img))).ravel()
-    g = cols[support, :]
+    cols = _unit_responses(mask, model.transform, support)
+    g = cols[:, support].T
     g = 0.5 * (g + g.conj().T)
     eigvals = np.linalg.eigvalsh(g)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1e-300):

@@ -384,8 +384,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         """The current state advanced through echo i, one column per flip."""
         flips_deg = np.atleast_1d(flips_deg)
         out = EpgState(*(np.repeat(a, flips_deg.size, axis=1)
-                         for a in (state.fplus, state.fminus, state.z)),
-                       state.max_order)
+                         for a in (state.fplus, state.fminus, state.z)))
         advance_echo(out, rf_matrix(tissue.eta * flips_deg, phases[i]), e1, e2)
         return out
 
@@ -436,7 +435,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
             k = int(np.argmax(amps >= target))
         flips[i] = grid[k]
         state = EpgState(*(a[:, k:k + 1] for a in (cand.fplus, cand.fminus,
-                                                    cand.z)), state.max_order)
+                                                    cand.z)))
         achieved[i] = abs(state.fplus[0, 0])
 
     if n_controlled < t:

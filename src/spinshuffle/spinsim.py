@@ -106,22 +106,21 @@ class EpgState:
     """Configuration-state matrix of a batch of dephasing spin ensembles.
 
     fplus[k], fminus[k], z[k] hold the transverse (+/- helicity) and
-    longitudinal populations at dephasing order k = 0..max_order; any
-    trailing axes index independent ensembles (tissues, trial flips), so one
-    state advances a whole batch at once. The k = 0 transverse states are
-    conjugate mirrors of each other.
+    longitudinal populations at dephasing order k; the leading axis length
+    sets the highest order kept. Any trailing axes index independent
+    ensembles (tissues, trial flips), so one state advances a whole batch at
+    once. The k = 0 transverse states are conjugate mirrors of each other.
     """
 
     fplus: np.ndarray
     fminus: np.ndarray
     z: np.ndarray
-    max_order: int
 
     @classmethod
     def equilibrium(cls, max_order: int, batch_shape=()) -> "EpgState":
         shape = (max_order + 1, *batch_shape)
         state = cls(np.zeros(shape, complex), np.zeros(shape, complex),
-                    np.zeros(shape, complex), max_order)
+                    np.zeros(shape, complex))
         state.z[0] = 1.0
         return state
 
@@ -274,8 +273,7 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
                                   seq.excitation_phase_deg))
         for i in range(t):
             n = min(2 * i + 3, 2 * (t - i) + 1)  # see required_max_order
-            live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n],
-                            n - 1)
+            live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n])
             advance_echo(live, m[:, :, i], e1, e2)
             out[i, cols] = live.fplus[0]
     return out

@@ -1,4 +1,8 @@
-"""Orthonormal sparsifying transforms for regularization and TPSF scoring."""
+"""Orthonormal sparsifying transforms for regularization and TPSF scoring.
+
+Both transforms act on the last two axes, so a (..., nx, ny) stack of
+images is transformed in one call.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +20,9 @@ class IdentityTransform:
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.copy()
 
-    inverse = adjoint
-
 
 class HaarTransform:
-    """Multi-level orthonormal 2-D Haar wavelet.
+    """Multi-level orthonormal 2-D Haar wavelet over the last two axes.
 
     Each level splits the current low-pass block into (a+b)/sqrt(2) and
     (a-b)/sqrt(2) pairs along both axes. The transform is unitary, so its
@@ -36,9 +38,9 @@ class HaarTransform:
 
     def _check(self, shape):
         div = 2 ** self.levels
-        if shape[0] % div or shape[1] % div:
+        if shape[-2] % div or shape[-1] % div:
             raise ValueError(
-                f"dims {shape} not divisible by 2^levels = {div}")
+                f"dims {shape[-2:]} not divisible by 2^levels = {div}")
 
     @staticmethod
     def _split(a, axis):
@@ -50,27 +52,19 @@ class HaarTransform:
 
     @staticmethod
     def _merge(a, axis):
-        n = a.shape[axis] // 2
-        lo = np.take(a, np.arange(n), axis=axis)
-        hi = np.take(a, np.arange(n, 2 * n), axis=axis)
+        # axis is negative, so stacking at it interleaves even and odd
+        lo, hi = np.split(a, 2, axis=axis)
         even = (lo + hi) / np.sqrt(2)
         odd = (lo - hi) / np.sqrt(2)
-        out = np.empty_like(a)
-        sl_even = [slice(None)] * a.ndim
-        sl_odd = [slice(None)] * a.ndim
-        sl_even[axis] = slice(0, 2 * n, 2)
-        sl_odd[axis] = slice(1, 2 * n, 2)
-        out[tuple(sl_even)] = even
-        out[tuple(sl_odd)] = odd
-        return out
+        return np.stack([even, odd], axis=axis).reshape(a.shape)
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         self._check(image.shape)
         out = image.astype(complex, copy=True)
-        nx, ny = image.shape
+        nx, ny = image.shape[-2:]
         for _ in range(self.levels):
-            block = self._split(self._split(out[:nx, :ny], 0), 1)
-            out[:nx, :ny] = block
+            block = self._split(self._split(out[..., :nx, :ny], -2), -1)
+            out[..., :nx, :ny] = block
             nx //= 2
             ny //= 2
         return out
@@ -78,22 +72,9 @@ class HaarTransform:
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
         self._check(coeffs.shape)
         out = coeffs.astype(complex, copy=True)
-        sizes = []
-        nx, ny = coeffs.shape
-        for _ in range(self.levels):
-            sizes.append((nx, ny))
-            nx //= 2
-            ny //= 2
-        for nx, ny in reversed(sizes):
-            out[:nx, :ny] = self._merge(self._merge(out[:nx, :ny], 1), 0)
+        nx, ny = coeffs.shape[-2:]
+        for level in reversed(range(self.levels)):
+            bx, by = nx >> level, ny >> level
+            out[..., :bx, :by] = self._merge(
+                self._merge(out[..., :bx, :by], -1), -2)
         return out
-
-    inverse = adjoint
-
-
-def make_transform(name: str, levels: int = 3):
-    if name == "identity":
-        return IdentityTransform()
-    if name == "haar":
-        return HaarTransform(levels=levels)
-    raise ValueError(f"unknown transform {name!r}")

@@ -93,7 +93,8 @@ class TestCsv:
     def test_format_conventions(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ("a", "b"), [(1, 2.5), (3, 0.1)])
-        raw = open(path, "rb").read().decode()
+        with open(path, "rb") as fh:
+            raw = fh.read().decode()
         assert raw == "a,b\n1,2.5\n3,0.1\n"
 
 

@@ -56,7 +56,8 @@ class TestStagedFlow:
         save_config(cfg, str(path))
         out = str(tmp_path / "crlb")
         assert main(["crlb", "--config", str(path), "--out", out]) == 0
-        sweep = open(out + "/crlb_sweep.csv").read().splitlines()
+        with open(out + "/crlb_sweep.csv") as fh:
+            sweep = fh.read().splitlines()
         assert sweep[0] == "t2_ms,bound_constant,bound_optimized"
         assert len(sweep) == 28  # header + 27 grid points
         from spinshuffle.seqopt import read_schedule_csv

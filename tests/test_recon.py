@@ -148,7 +148,7 @@ class TestFista:
         steps = calls["soft"]
         assert steps > res.iterations        # some restarts were taken
         assert calls["normal"] == steps
-        assert calls["haar"] == K * steps
+        assert calls["haar"] == steps     # one analysis of the whole stack
 
     def test_sparse_recovery_on_1d_toy(self):
         # 3-sparse complex signal on a 32-point line, half the DFT measured
@@ -300,6 +300,26 @@ class TestModelBased:
                                 SolverConfig(max_iters=30, tolerance=1e-12))
         nrmse = np.linalg.norm(res.t2_map - t2) / np.linalg.norm(t2)
         assert nrmse < 0.05
+
+    def test_one_warning_from_the_outer_loop(self, caplog):
+        # the truncated inner CG solves stop at inner_iters by design and
+        # must not warn; only the unconverged outer loop does
+        rho, t2, x = self._phantom_images(self.seq)
+        prof = DensityProfile(accel=2.0)
+        masks = SamplingMasks(np.stack(
+            [draw_mask(prof, DIMS, 100 + i) for i in range(T)]))
+        y = apply_forward(Encoder(masks), x)
+        with caplog.at_level(logging.WARNING, logger="spinshuffle.recon"):
+            res = model_based_solve(masks, None, self.seq, y,
+                                    np.full(DIMS, 1.0 + 0j), 1.3 * t2,
+                                    SolverConfig(max_iters=30,
+                                                 tolerance=1e-12))
+        warnings = [rec for rec in caplog.records
+                    if rec.name == "spinshuffle.recon"
+                    and rec.levelno == logging.WARNING]
+        assert not res.converged
+        assert len(warnings) == 1
+        assert warnings[0].getMessage().startswith("model-based solve")
 
     def test_residual_monotone(self):
         rho, t2, x = self._phantom_images(self.seq)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spinshuffle.encoding import fft2c
+from spinshuffle.encoding import fft2c, ifft2c
 from spinshuffle.sampling import (DensityProfile, NonIdentifiableError,
                                   SparsityModel, assign_echoes, draw_mask,
                                   monte_carlo_mask, sparsity_crb, tpsf_peak)
-from spinshuffle.transforms import HaarTransform
+from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 
 class TestDrawMask:
@@ -46,6 +46,20 @@ class TestDrawMask:
             draw_mask(DensityProfile(accel=2.0), (2, 8), 0)
 
 
+def _unit_columns(mask, transform, indices):
+    # reference: one unit coefficient image at a time
+    cols = []
+    for j in indices:
+        e = np.zeros(mask.size, complex)
+        e[j] = 1.0
+        img = transform.adjoint(e.reshape(mask.shape))
+        cols.append(transform.forward(ifft2c(mask * fft2c(img))).ravel())
+    return cols
+
+
+BATCH_MODELS = [IdentityTransform(), HaarTransform(levels=2)]
+
+
 class TestTpsf:
     def test_full_mask_no_interference(self):
         mask = np.ones((32, 32), bool)
@@ -70,6 +84,21 @@ class TestTpsf:
         model = SparsityModel(transform=HaarTransform(levels=2))
         peak = tpsf_peak(mask, model, probe_count=8, seed=2)
         assert 0 < peak < 1.0
+
+    @pytest.mark.parametrize("transform", BATCH_MODELS,
+                             ids=["identity", "haar2"])
+    def test_batched_equals_per_probe_loop(self, transform):
+        for dims, seed in [((16, 16), 1), ((32, 32), 2), ((32, 16), 3)]:
+            mask = draw_mask(DensityProfile(accel=3.0), dims, seed)
+            probes = np.random.default_rng(seed).choice(
+                mask.size, size=24, replace=False)
+            peak = 0.0
+            for j, col in zip(probes, _unit_columns(mask, transform, probes)):
+                col = np.abs(col / col[j])
+                col[j] = 0.0
+                peak = max(peak, float(col.max()))
+            assert tpsf_peak(mask, SparsityModel(transform=transform),
+                             probe_count=24, seed=seed) == peak
 
 
 class TestMonteCarloMask:
@@ -185,6 +214,26 @@ class TestSparsityCrb:
         mask[8, 8] = True
         with pytest.raises(ValueError):
             sparsity_crb(mask, SparsityModel(support=(0, 1)))
+
+    @pytest.mark.parametrize("transform", BATCH_MODELS,
+                             ids=["identity", "haar2"])
+    def test_batched_equals_per_probe_loop(self, transform):
+        mask = draw_mask(DensityProfile(accel=2.0), (16, 16), 8)
+        support = (0, 5, 37, 90, 255)
+        g = np.stack(_unit_columns(mask, transform, support), axis=1)
+        g = g[list(support), :]
+        g = 0.5 * (g + g.conj().T)
+        expected = float(np.trace(np.linalg.inv(g)).real)
+        model = SparsityModel(transform=transform, support=support)
+        assert sparsity_crb(mask, model) == expected
+
+    @pytest.mark.parametrize("support", [(-1,), (255, -1), (256,)],
+                             ids=["-1", "255,-1", "256"])
+    def test_out_of_range_support_rejected(self, support):
+        mask = np.ones((16, 16), bool)
+        bad = next(j for j in support if not 0 <= j < 256)
+        with pytest.raises(ValueError, match=f"support index {bad} "):
+            sparsity_crb(mask, SparsityModel(support=support))
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(ValueError):

@@ -388,7 +388,8 @@ class TestScheduleCsv:
         write_schedule_csv(path, flips)
         back = read_schedule_csv(path)
         assert np.array_equal(back, flips)
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         assert text.startswith("echo,flip_deg\n")
         assert "\r" not in text
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from spinshuffle.transforms import (HaarTransform, IdentityTransform,
-                                    make_transform)
+from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 
 def test_identity_round_trip():
@@ -38,8 +37,24 @@ def test_haar_rejects_bad_dims():
         HaarTransform(levels=0)
 
 
-def test_make_transform():
-    assert make_transform("identity").name == "identity"
-    assert make_transform("haar", levels=2).levels == 2
-    with pytest.raises(ValueError):
-        make_transform("dct")
+@pytest.mark.parametrize("transform", [IdentityTransform(),
+                                       HaarTransform(levels=1),
+                                       HaarTransform(levels=3)],
+                         ids=["identity", "haar1", "haar3"])
+def test_stack_equals_per_image_calls(transform):
+    rng = np.random.default_rng(7)
+    stack = (rng.standard_normal((3, 16, 32))
+             + 1j * rng.standard_normal((3, 16, 32)))
+    for func in (transform.forward, transform.adjoint):
+        per_image = np.stack([func(image) for image in stack])
+        assert np.array_equal(func(stack), per_image)
+
+
+def test_haar_check_reads_trailing_dims():
+    t = HaarTransform(levels=2)
+    t.forward(np.zeros((3, 8, 12)))       # leading axis need not divide
+    for shape in [(3, 8, 10), (3, 6, 8), (2, 2, 4, 6)]:
+        with pytest.raises(ValueError):
+            t.forward(np.zeros(shape))
+        with pytest.raises(ValueError):
+            t.adjoint(np.zeros(shape))
