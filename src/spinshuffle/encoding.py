@@ -10,6 +10,7 @@ in coefficient space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,6 +171,12 @@ class NormalKernel:
 
     psi_k: np.ndarray  # (nx, ny, K, K)
 
+    @cached_property
+    def _uncentered(self) -> np.ndarray:
+        # (K, K, nx, ny) blocks in the unshifted FFT's frequency order
+        psi = np.fft.ifftshift(self.psi_k, axes=(0, 1))
+        return np.ascontiguousarray(psi.transpose(2, 3, 0, 1))
+
 
 def build_normal_kernel(enc: Encoder) -> NormalKernel:
     """Assemble Psi(k) = sum_i mask_i(k) * conj(phi_i) phi_i^T.
@@ -189,17 +196,23 @@ def build_normal_kernel(enc: Encoder) -> NormalKernel:
 
 def apply_normal_kernel(enc: Encoder, kernel: NormalKernel,
                         x: np.ndarray) -> np.ndarray:
-    """Apply A^H A to coefficient images through the per-frequency blocks."""
+    """Apply A^H A to coefficient images through the per-frequency blocks.
+
+    A per-frequency product commutes with the circular shifts of `fft2c`, so
+    the blocks act on the unshifted spectrum in the FFT's own order.
+    """
     x = np.asarray(x, complex)
     if x.shape != enc.domain_shape:
         raise ValueError(f"expected domain shape {enc.domain_shape}, got {x.shape}")
     smaps = enc.maps.maps
+    psi = kernel._uncentered                              # (K, K, nx, ny)
     out = np.zeros_like(x)
     for j in range(enc.n_coils):
-        xs = smaps[j] * x                                 # (K, nx, ny)
-        ks = fft2c(xs)
-        mixed = np.einsum("xykl,lxy->kxy", kernel.psi_k, ks)
-        out += np.conj(smaps[j]) * ifft2c(mixed)
+        ks = np.fft.fft2(smaps[j] * x, norm="ortho")      # (K, nx, ny)
+        mixed = psi[:, 0] * ks[0]
+        for col in range(1, len(ks)):
+            mixed += psi[:, col] * ks[col]
+        out += np.conj(smaps[j]) * np.fft.ifft2(mixed, norm="ortho")
     return out
 
 

@@ -21,7 +21,7 @@ from .encoding import Encoder, SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
 from .qmap import build_dictionary, fit_map
 from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
-from .sampling import DensityProfile, assign_echoes, draw_mask
+from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
 from .spinsim import SequenceParams, TissueParams
 from .subspace import (SubspaceBasis, TissuePrior, back_project,
                        build_ensemble, compute_basis, sample_prior)
@@ -80,9 +80,8 @@ def build_masks(cfg: PipelineConfig) -> SamplingMasks:
     if cfg.ordering == "randomized":
         # shuffled acquisition: an independent variable-density pattern
         # per echo, seeded from the mask seed plus the echo index
-        stack = np.stack([draw_mask(profile, dims, cfg.mask_seed + i)
-                          for i in range(cfg.n_echoes)])
-        return SamplingMasks(stack)
+        seeds = range(cfg.mask_seed, cfg.mask_seed + cfg.n_echoes)
+        return SamplingMasks(_draw_masks(profile, dims, seeds))
     if cfg.ordering == "center-out":
         # single-pass view ordering: every location acquired once, low
         # frequencies at the early echoes

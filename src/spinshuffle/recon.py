@@ -286,10 +286,12 @@ def model_based_solve(masks: SamplingMasks, maps: SensitivityMaps | None,
     scaled. Each step solves the linearized normal equations by conjugate
     gradient and is accepted only if the data residual decreases (step
     halving, up to 20 times). T2 is clipped to the given box after every
-    accepted step.
+    accepted step. The loop stops once the residual norm changes by at most
+    tolerance relative to its last value or falls to tolerance * ||y||.
     """
     enc = Encoder(masks, maps)
     y = np.asarray(y, complex)
+    y_norm = float(np.linalg.norm(y))
     rho = np.asarray(init_rho, complex).copy()
     t2 = np.clip(np.asarray(init_t2, float).copy(), *t2_bounds)
 
@@ -341,7 +343,8 @@ def model_based_solve(masks: SamplingMasks, maps: SensitivityMaps | None,
             converged = True   # no descent direction left at this resolution
             break
         denom = max(res_norms[-2], 1e-300)
-        if abs(res_norms[-2] - res_norms[-1]) <= cfg.tolerance * denom:
+        if (abs(res_norms[-2] - res_norms[-1]) <= cfg.tolerance * denom
+                or res_norms[-1] <= cfg.tolerance * y_norm):
             converged = True
             break
     if not converged:

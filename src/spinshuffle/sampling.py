@@ -81,6 +81,8 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
             raise ValueError("density calibration failed to bracket the target")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # no float left between: lo, hi are final
+            break
         if expected(mid) < target:
             lo = mid
         else:
@@ -90,16 +92,21 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
     return prob
 
 
-def draw_mask(profile: DensityProfile, dims, seed: int) -> np.ndarray:
-    """Independent Bernoulli mask draw; the center disc is always acquired."""
+def _draw_masks(profile: DensityProfile, dims, seeds) -> np.ndarray:
+    """One Bernoulli mask per seed, all drawn from one calibration."""
     if min(dims) < 4:
         raise ValueError("grid must be at least 4x4")
     n = dims[0] * dims[1]
     if profile.accel == 1.0 or n / profile.accel >= n:
-        return np.ones(dims, bool)
+        return np.ones((len(seeds), *dims), bool)
     prob = sampling_probability(profile, dims)
-    rng = np.random.default_rng(seed)
-    return rng.random(dims) < prob
+    return np.stack([np.random.default_rng(s).random(dims) < prob
+                     for s in seeds])
+
+
+def draw_mask(profile: DensityProfile, dims, seed: int) -> np.ndarray:
+    """Independent Bernoulli mask draw; the center disc is always acquired."""
+    return _draw_masks(profile, dims, [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def monte_carlo_mask(profile: DensityProfile, dims, model: SparsityModel,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    masks = [draw_mask(profile, dims, seed + t) for t in range(n_trials)]
+    masks = _draw_masks(profile, dims, range(seed, seed + n_trials))
     peaks = tuple(tpsf_peak(m, model, probe_count=probe_count, seed=seed)
                   for m in masks)
     best = int(np.argmin(peaks))

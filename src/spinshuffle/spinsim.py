@@ -8,10 +8,13 @@ same `advance_echo` step. `simulate_fse_ensemble` advances cache-sized
 column blocks over each echo's live dephasing orders only; columns never mix
 and the skipped orders cannot reach an echo, so the echoes are bit-identical
 to a full-batch, all-orders run; a block's decay factors and refocusing
-matrices are built once, outside the echo loop. A brute-force isochromat
-integrator solves the rotation/relaxation recursion for each resonant
-frequency separately; it is kept apart from the engine as its independent
-oracle, and the two agree to near machine precision.
+matrices are built once, outside the echo loop. Column-invariant factors
+(the pulse matrices when all columns share eta and the flips, e1 when they
+share T1) are built once per call with a length-1 column axis that numpy
+broadcasts like a scalar. A brute-force isochromat integrator solves the
+rotation/relaxation recursion for each resonant frequency separately; it is
+kept apart from the engine as its independent oracle, and the two agree to
+near machine precision.
 
 Units at the public boundary are milliseconds and degrees; radians are used
 internally.
@@ -263,14 +266,28 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
 
     half = seq.echo_spacing_ms / 2
     phases = np.asarray(seq.flip_phases_deg, float)[:, None]
+
+    def pulses(cols):  # refocusing (3, 3, T, cols) and excitation matrices
+        return (rf_matrix(eta[cols] * flips[:, cols], phases),
+                rf_matrix(eta[cols] * seq.excitation_deg,
+                          seq.excitation_phase_deg))
+
+    shared_rf = np.all(eta == eta[0]) and np.all(flips == flips[:, :1])
+    shared_e1 = np.all(t1 == t1[0])
+    if shared_rf:
+        m, excite = pulses(slice(0, 1))
+    if shared_e1:
+        e1 = np.exp(-half / t1[:1])
     out = np.empty((t, b), complex)
     for lo in range(0, b, _BLOCK):
         cols = slice(lo, lo + _BLOCK)
-        e1, e2 = np.exp(-half / t1[cols]), np.exp(-half / t2[cols])
-        m = rf_matrix(eta[cols] * flips[:, cols], phases)  # (3, 3, T, block)
-        block = EpgState.equilibrium(required_max_order(t), e1.shape)
-        apply_rf(block, rf_matrix(eta[cols] * seq.excitation_deg,
-                                  seq.excitation_phase_deg))
+        if not shared_rf:
+            m, excite = pulses(cols)
+        if not shared_e1:
+            e1 = np.exp(-half / t1[cols])
+        e2 = np.exp(-half / t2[cols])
+        block = EpgState.equilibrium(required_max_order(t), e2.shape)
+        apply_rf(block, excite)
         for i in range(t):
             n = min(2 * i + 3, 2 * (t - i) + 1)  # see required_max_order
             live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n])

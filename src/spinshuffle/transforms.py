@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy divides complex by real c as a product with 1.0 / c: this gives the
+# quotient by sqrt(2), up to the sign of a zero, without the division loop
+_INV_R2 = 1.0 / np.sqrt(2)
+
 
 class IdentityTransform:
     """No-op transform; coefficients are the image itself."""
@@ -42,29 +46,19 @@ class HaarTransform:
             raise ValueError(
                 f"dims {shape[-2:]} not divisible by 2^levels = {div}")
 
-    @staticmethod
-    def _split(a, axis):
-        even = np.take(a, np.arange(0, a.shape[axis], 2), axis=axis)
-        odd = np.take(a, np.arange(1, a.shape[axis], 2), axis=axis)
-        lo = (even + odd) / np.sqrt(2)
-        hi = (even - odd) / np.sqrt(2)
-        return np.concatenate([lo, hi], axis=axis)
-
-    @staticmethod
-    def _merge(a, axis):
-        # axis is negative, so stacking at it interleaves even and odd
-        lo, hi = np.split(a, 2, axis=axis)
-        even = (lo + hi) / np.sqrt(2)
-        odd = (lo - hi) / np.sqrt(2)
-        return np.stack([even, odd], axis=axis).reshape(a.shape)
-
     def forward(self, image: np.ndarray) -> np.ndarray:
         self._check(image.shape)
         out = image.astype(complex, copy=True)
         nx, ny = image.shape[-2:]
         for _ in range(self.levels):
-            block = self._split(self._split(out[..., :nx, :ny], -2), -1)
-            out[..., :nx, :ny] = block
+            a = out[..., :nx, :ny]
+            even, odd = a[..., 0::2, :], a[..., 1::2, :]
+            rows = np.empty_like(a)   # row pairs first, then column pairs
+            rows[..., :nx // 2, :] = (even + odd) * _INV_R2
+            rows[..., nx // 2:, :] = (even - odd) * _INV_R2
+            even, odd = rows[..., 0::2], rows[..., 1::2]
+            a[..., :ny // 2] = (even + odd) * _INV_R2
+            a[..., ny // 2:] = (even - odd) * _INV_R2
             nx //= 2
             ny //= 2
         return out
@@ -75,6 +69,12 @@ class HaarTransform:
         nx, ny = coeffs.shape[-2:]
         for level in reversed(range(self.levels)):
             bx, by = nx >> level, ny >> level
-            out[..., :bx, :by] = self._merge(
-                self._merge(out[..., :bx, :by], -1), -2)
+            a = out[..., :bx, :by]
+            lo, hi = a[..., :by // 2], a[..., by // 2:]
+            cols = np.empty_like(a)   # column pairs first, then row pairs
+            cols[..., 0::2] = (lo + hi) * _INV_R2
+            cols[..., 1::2] = (lo - hi) * _INV_R2
+            lo, hi = cols[..., :bx // 2, :], cols[..., bx // 2:, :]
+            a[..., 0::2, :] = (lo + hi) * _INV_R2
+            a[..., 1::2, :] = (lo - hi) * _INV_R2
         return out

@@ -147,6 +147,44 @@ class TestNormalKernel:
                    / np.max(np.abs(composed)))
             assert rel < 1e-10
 
+    def test_odd_grid_with_coil_maps_matches_composed(self, basis):
+        # the shift-free kernel relies on products commuting with circular
+        # shifts, which holds for odd sizes as well
+        rng = np.random.default_rng(3)
+        dims = (15, 17)
+        maps = SensitivityMaps(rng.standard_normal((2, *dims))
+                               + 1j * rng.standard_normal((2, *dims)))
+        enc = Encoder(SamplingMasks(rng.random((T, *dims)) < 0.4), maps,
+                      basis)
+        x, _ = _random_pair(enc, 4)
+        via_kernel = apply_normal_kernel(enc, build_normal_kernel(enc), x)
+        composed = apply_adjoint(enc, apply_forward(enc, x))
+        assert (np.max(np.abs(via_kernel - composed))
+                < 1e-10 * np.max(np.abs(composed)))
+
+    def test_application_makes_no_fft_shifts(self, monkeypatch, masks, basis,
+                                             coil_maps):
+        enc = Encoder(masks, coil_maps, basis)
+        kernel = build_normal_kernel(enc)
+        x, _ = _random_pair(enc, 5)
+        apply_normal_kernel(enc, kernel, x)   # builds the kernel's own layout
+        calls = []
+
+        def counted(name):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("fftshift", "ifftshift"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        apply_normal_kernel(enc, kernel, x)
+        assert calls == []
+        fft2c(x)   # the counters do see the centered FFT's shifts
+        assert sorted(calls) == ["fftshift", "ifftshift"]
+
     def test_identity_normal_operator_full_sampling(self):
         enc = Encoder(SamplingMasks(np.ones((1, *DIMS), bool)))
         x, _ = _random_pair(enc, 9)

@@ -1,6 +1,6 @@
 """Import hygiene: every name a package module imports is used in that
-module, and the flip design runs without loading scipy.optimize or
-numpy.ma.
+module, the flip design runs without loading scipy.optimize or numpy.ma,
+and a pipeline run does not load scipy.fft.
 
 `__init__.py` is exempt from the first check: its imports are the package's
 public re-exports.
@@ -46,6 +46,28 @@ def test_package_modules_have_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _run_fresh(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_pipeline_loads_no_scipy_fft(tmp_path):
+    # importing scipy.fft costs 0.3-0.4 s in a fresh interpreter, which
+    # would land in the benchmark's set-up time
+    script = (
+        "import sys\n"
+        "import spinshuffle\n"
+        "from spinshuffle.config import PipelineConfig\n"
+        "spinshuffle.run_pipeline(PipelineConfig(\n"
+        "    nx=16, ny=16, n_echoes=4, ensemble_size=16, subspace_k=2,\n"
+        f"    max_iters=3, accel=2.0, output_dir={str(tmp_path)!r}))\n"
+        "print('scipy.fft' in sys.modules)\n")
+    assert _run_fresh(script) == "False"
+
+
 def test_flip_design_loads_no_heavy_modules():
     # scipy.optimize costs about 0.5 s and 47 MB of resident memory to
     # import, numpy.ma (which np.unique imports) about a megabyte
@@ -57,8 +79,4 @@ def test_flip_design_loads_no_heavy_modules():
         "               constant_train(8, 120.0, 10.0),\n"
         "               PowerBudget.from_constant_flip(120.0, 8), max_iters=3)\n"
         "print(sorted({'scipy.optimize', 'numpy.ma'} & set(sys.modules)))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _run_fresh(script) == "[]"

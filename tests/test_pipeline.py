@@ -6,8 +6,10 @@ import pytest
 from spinshuffle.arrayio import read_array
 from spinshuffle import pipeline
 from spinshuffle.config import PipelineConfig, load_config
-from spinshuffle.pipeline import PipelineError, run_pipeline
+from spinshuffle.pipeline import (PipelineError, build_masks,
+                                  profile_from_config, run_pipeline)
 from spinshuffle.qmap import FitMaps
+from spinshuffle.sampling import draw_mask
 
 SMALL = dict(nx=32, ny=32, n_echoes=8, ensemble_size=64, subspace_k=2,
              max_iters=40, accel=3.0)
@@ -88,3 +90,13 @@ class TestRunPipeline:
         run_pipeline(cfg)
         masks = read_array(str(tmp_path / "masks"))
         assert masks.shape == (cfg.n_echoes, cfg.nx, cfg.ny)
+
+
+def test_randomized_masks_equal_per_echo_draws():
+    # one calibration shared by all echoes gives the per-echo draws exactly
+    cfg = PipelineConfig()
+    profile = profile_from_config(cfg)
+    expected = np.stack([draw_mask(profile, (cfg.nx, cfg.ny),
+                                   cfg.mask_seed + i)
+                         for i in range(cfg.n_echoes)])
+    assert np.array_equal(build_masks(cfg).masks, expected)

@@ -289,6 +289,19 @@ class TestModelBased:
                                 SolverConfig(max_iters=25, tolerance=1e-14))
         assert np.max(np.abs(res.t2_map - t2) / t2) < 0.005
 
+    def test_stops_once_residual_is_at_rounding_level(self):
+        # noiseless, fully sampled data: the residual falls to about 1e-14
+        # in four steps, and steps after that only move rounding error
+        rho, t2, x = self._phantom_images(self.seq)
+        masks = SamplingMasks(np.ones((T, *DIMS), bool))
+        y = apply_forward(Encoder(masks), x)
+        res = model_based_solve(masks, None, self.seq, y, rho, 1.5 * t2,
+                                SolverConfig(max_iters=25, tolerance=1e-14))
+        assert res.converged
+        assert res.iterations <= 5
+        assert res.residual_norms[-1] <= 1e-14 * np.linalg.norm(y)
+        assert np.max(np.abs(res.t2_map - t2) / t2) < 0.005
+
     def test_undersampled_recovery(self):
         rho, t2, x = self._phantom_images(self.seq)
         prof = DensityProfile(accel=2.0)

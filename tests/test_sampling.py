@@ -4,7 +4,8 @@ import pytest
 from spinshuffle.encoding import fft2c, ifft2c
 from spinshuffle.sampling import (DensityProfile, NonIdentifiableError,
                                   SparsityModel, assign_echoes, draw_mask,
-                                  monte_carlo_mask, sparsity_crb, tpsf_peak)
+                                  monte_carlo_mask, sampling_probability,
+                                  sparsity_crb, tpsf_peak)
 from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 
@@ -44,6 +45,39 @@ class TestDrawMask:
             DensityProfile(shape="poisson")
         with pytest.raises(ValueError):
             draw_mask(DensityProfile(accel=2.0), (2, 8), 0)
+
+
+def _probability_200_steps(profile, dims):
+    # the calibration with all 200 bisection steps and no early exit
+    density = profile.density(dims)
+    gx = (np.arange(dims[0]) - dims[0] // 2) / (dims[0] / 2)
+    gy = (np.arange(dims[1]) - dims[1] // 2) / (dims[1] / 2)
+    disc = np.hypot(gx[:, None], gy[None, :]) <= profile.fully_sampled_radius
+    target = dims[0] * dims[1] / profile.accel
+
+    def clipped(scale):
+        p = np.minimum(1.0, scale * density)
+        p[disc] = 1.0
+        return p
+
+    lo, hi = 0.0, 1.0
+    while clipped(hi).sum() < target:
+        hi *= 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if clipped(mid).sum() < target:
+            lo = mid
+        else:
+            hi = mid
+    return clipped(hi)
+
+
+@pytest.mark.parametrize("accel", [2.0, 4.0, 8.0])
+@pytest.mark.parametrize("shape", ["polynomial", "gaussian"])
+def test_early_exit_calibration_equals_200_steps(shape, accel):
+    prof = DensityProfile(shape=shape, accel=accel)
+    assert np.array_equal(sampling_probability(prof, (64, 48)),
+                          _probability_200_steps(prof, (64, 48)))
 
 
 def _unit_columns(mask, transform, indices):

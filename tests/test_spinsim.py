@@ -202,6 +202,26 @@ class TestBlockedKernel:
         simulate_fse_ensemble(t1, t2, seq, eta=eta)
         n_blocks = -(-b // spinsim._BLOCK)
         assert len(calls) <= 2 * n_blocks
+        # shared eta and flips: one excitation and one refocusing stack per
+        # call, whatever the block count
+        calls.clear()
+        simulate_fse_ensemble(t1, t2, seq, eta=eta[0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("shared_t1", [True, False],
+                             ids=["shared-t1", "per-column-t1"])
+    def test_shared_factors_match_per_column_oracle(self, shared_t1):
+        # shared eta and flips take the length-1 column factors; the oracle
+        # is handed full per-column eta and flips arrays
+        rng = np.random.default_rng(13)
+        b = 2 * spinsim._BLOCK + 3
+        t1, t2, seq, _ = _random_batch(rng, 8, b)
+        if shared_t1:
+            t1 = np.full(b, 3500.0)
+        eta = np.full(b, 0.85)
+        flips = np.repeat(np.asarray(seq.flips_deg)[:, None], b, axis=1)
+        fast = simulate_fse_ensemble(t1, t2, seq, eta=0.85)
+        assert np.array_equal(fast, _all_orders_train(t1, t2, seq, eta, flips))
 
     def test_peak_memory_is_one_block(self):
         # a full-batch state would be 3 * 35 * 16384 complex = 27.5 MB

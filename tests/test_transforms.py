@@ -4,6 +4,34 @@ import pytest
 from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 
+def _split(a, axis):
+    even = np.take(a, np.arange(0, a.shape[axis], 2), axis=axis)
+    odd = np.take(a, np.arange(1, a.shape[axis], 2), axis=axis)
+    return np.concatenate([(even + odd) / np.sqrt(2),
+                           (even - odd) / np.sqrt(2)], axis=axis)
+
+
+def _merge(a, axis):
+    # axis is negative, so stacking at it interleaves even and odd
+    lo, hi = np.split(a, 2, axis=axis)
+    even = (lo + hi) / np.sqrt(2)
+    odd = (lo - hi) / np.sqrt(2)
+    return np.stack([even, odd], axis=axis).reshape(a.shape)
+
+
+def _haar_oracle(x, levels, adjoint):
+    # level by level through whole-array take/concatenate/stack passes
+    out = x.astype(complex, copy=True)
+    nx, ny = x.shape[-2:]
+    order = reversed(range(levels)) if adjoint else range(levels)
+    for level in order:
+        bx, by = nx >> level, ny >> level
+        block = out[..., :bx, :by]
+        out[..., :bx, :by] = (_merge(_merge(block, -1), -2) if adjoint
+                              else _split(_split(block, -2), -1))
+    return out
+
+
 def test_identity_round_trip():
     t = IdentityTransform()
     rng = np.random.default_rng(0)
@@ -58,3 +86,14 @@ def test_haar_check_reads_trailing_dims():
             t.forward(np.zeros(shape))
         with pytest.raises(ValueError):
             t.adjoint(np.zeros(shape))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(3, 64, 64), (2, 16, 32)],
+                         ids=["3x64x64", "2x16x32"])
+def test_haar_matches_take_concatenate_oracle(levels, shape):
+    rng = np.random.default_rng(levels)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = HaarTransform(levels=levels)
+    assert np.array_equal(t.forward(x), _haar_oracle(x, levels, False))
+    assert np.array_equal(t.adjoint(x), _haar_oracle(x, levels, True))
