@@ -54,10 +54,6 @@ class SamplingMasks:
         return self.masks.shape[1:]
 
     @property
-    def sample_counts(self) -> np.ndarray:
-        return self.masks.reshape(self.n_echoes, -1).sum(axis=1)
-
-    @property
     def total_samples(self) -> int:
         return int(self.masks.sum())
 

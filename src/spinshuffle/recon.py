@@ -151,8 +151,9 @@ def cg_solve(enc: Encoder, y: np.ndarray,
 def _soft(values, thresh):
     mag = np.abs(values)
     scale = np.maximum(mag - thresh, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(mag > 0, values / np.where(mag > 0, mag, 1.0) * scale, 0.0)
+    inv = 1.0 / np.where(mag > 0, mag, 1.0)  # as complex division, faster
+    with np.errstate(invalid="ignore"):
+        out = np.where(mag > 0, values * inv * scale, 0.0)
     return out
 
 

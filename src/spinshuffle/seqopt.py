@@ -15,8 +15,8 @@ import numpy as np
 
 from .arrayio import write_csv
 from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
-                      apply_rf, required_max_order, rf_matrix,
-                      signal_jacobian, simulate_fse_ensemble)
+                      required_max_order, rf_matrix, signal_jacobian,
+                      simulate_fse_ensemble)
 from .utils import NonIdentifiableError
 
 
@@ -376,9 +376,9 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     e1, e2 = np.exp(-half / tissue.t1), np.exp(-half / tissue.t2)
 
     # one ensemble on a batch axis of length 1
-    state = EpgState.equilibrium(required_max_order(t), (1,))
-    apply_rf(state, rf_matrix(tissue.eta * seq_template.excitation_deg,
-                              seq_template.excitation_phase_deg))
+    excite = rf_matrix(tissue.eta * seq_template.excitation_deg,
+                       seq_template.excitation_phase_deg)
+    state = EpgState.excited(required_max_order(t), excite, (1,))
 
     def trial(flips_deg, i):
         """The current state advanced through echo i, one column per flip."""

@@ -1,20 +1,17 @@
 """Fast-spin-echo signal simulation.
 
-One configuration-state (phase-graph) engine tracks the dephasing orders of
-spin ensembles: the step operators (RF mixing, relaxation, gradient shift)
-act on an `EpgState` whose trailing axes index a batch, so a single tissue,
-a dictionary of tissues, or a scan over trial flips all advance through the
-same `advance_echo` step. `simulate_fse_ensemble` advances cache-sized
-column blocks over each echo's live dephasing orders only; columns never mix
-and the skipped orders cannot reach an echo, so the echoes are bit-identical
-to a full-batch, all-orders run; a block's decay factors and refocusing
-matrices are built once, outside the echo loop. Column-invariant factors
-(the pulse matrices when all columns share eta and the flips, e1 when they
-share T1) are built once per call with a length-1 column axis that numpy
-broadcasts like a scalar. A brute-force isochromat integrator solves the
-rotation/relaxation recursion for each resonant frequency separately; it is
-kept apart from the engine as its independent oracle, and the two agree to
-near machine precision.
+One configuration-state (phase-graph) engine advances batches of spin
+ensembles (tissues, trial flips) on an `EpgState`'s trailing axes through
+one `advance_echo` step. Each period dephases twice around its refocusing
+pulse, so only F+/- at even orders and Z at odd orders (at an echo) can
+reach an echo; the state holds that family alone, in about T/2 rows, and
+Z(0), its T1 recovery and all it feeds are never computed.
+`simulate_fse_ensemble` advances cache-sized column blocks over each echo's
+live rows, bit-identical to a full run over every order, with the decay
+factors and pulse matrices built outside the echo loop (once per call, on a
+length-1 column axis, when all columns share them). A brute-force
+isochromat integrator, kept apart from the engine, is its independent
+oracle; the two agree to near machine precision.
 
 Units at the public boundary are milliseconds and degrees; radians are used
 internally.
@@ -106,13 +103,13 @@ def constant_train(n_echoes: int, flip_deg: float = 180.0,
 
 @dataclass
 class EpgState:
-    """Configuration-state matrix of a batch of dephasing spin ensembles.
+    """Echo-reachable configuration states of a batch of spin ensembles.
 
-    fplus[k], fminus[k], z[k] hold the transverse (+/- helicity) and
-    longitudinal populations at dephasing order k; the leading axis length
-    sets the highest order kept. Any trailing axes index independent
-    ensembles (tissues, trial flips), so one state advances a whole batch at
-    once. The k = 0 transverse states are conjugate mirrors of each other.
+    At an echo fplus[j], fminus[j] hold the transverse (+/- helicity) states
+    at dephasing order 2j and z[j] the longitudinal one at 2j + 1, with
+    fplus[0] and fminus[0] conjugate mirrors; between a period's two
+    dephasings row j holds order 2j + 1. Trailing axes index independent
+    ensembles, so one state advances a whole batch at once.
     """
 
     fplus: np.ndarray
@@ -120,11 +117,13 @@ class EpgState:
     z: np.ndarray
 
     @classmethod
-    def equilibrium(cls, max_order: int, batch_shape=()) -> "EpgState":
-        shape = (max_order + 1, *batch_shape)
-        state = cls(np.zeros(shape, complex), np.zeros(shape, complex),
-                    np.zeros(shape, complex))
-        state.z[0] = 1.0
+    def excited(cls, max_order: int, excite, batch_shape=()) -> "EpgState":
+        """The excitation `excite` (an `rf_matrix`) tipping Z(0) = 1 into
+        F+/-(0), with the transverse orders up to max_order kept."""
+        shape = (max_order // 2 + 1, *batch_shape)
+        state = cls(*(np.zeros(shape, complex) for _ in range(3)))
+        state.fplus[0] = excite[0, 2]
+        state.fminus[0] = excite[1, 2]
         return state
 
 
@@ -182,43 +181,47 @@ def apply_rf(state: EpgState, m) -> None:
 
 def apply_relaxation(state: EpgState, e1, e2) -> None:
     """Relax all orders by e1 = exp(-t/T1), e2 = exp(-t/T2), scalars or batch
-    arrays; Z(0) recovers toward equilibrium 1."""
+    arrays. Only Z(0) recovers toward equilibrium, and it is not kept."""
     state.fplus *= e2
     state.fminus *= e2
     state.z *= e1
-    state.z[0] += 1.0 - e1
 
 
-def apply_gradient_shift(state: EpgState) -> None:
-    """Advance every transverse state by one dephasing order."""
-    state.fplus[1:] = state.fplus[:-1]
-    state.fminus[:-1] = state.fminus[1:]
-    state.fminus[-1] = 0.0
-    state.fplus[0] = np.conj(state.fminus[0])
+def apply_gradient_shift(state: EpgState, after_rf: bool) -> None:
+    """Advance every transverse state by one dephasing order: before the
+    pulse F- moves down a row (F-(0) leaves the family), after it F+ moves
+    up a row and F+(0) becomes the mirror of F-(0)."""
+    if after_rf:
+        state.fplus[1:] = state.fplus[:-1]
+        state.fplus[0] = np.conj(state.fminus[0])
+    else:
+        state.fminus[:-1] = state.fminus[1:]
+        state.fminus[-1] = 0.0
 
 
 def advance_echo(state: EpgState, m, e1, e2) -> None:
     """One echo period in place: relax Ts/2, dephase, refocus with the mixing
     matrix m, dephase, relax Ts/2; e1 and e2 are the half-period decay
-    factors. The echo is then state.fplus[0]."""
+    factors. The echo is then state.fplus[0]. The top row only hands F- down
+    to the pulse and takes F+ up from it, so the pulse skips it."""
     apply_relaxation(state, e1, e2)
-    apply_gradient_shift(state)
-    apply_rf(state, m)
-    apply_gradient_shift(state)
+    apply_gradient_shift(state, after_rf=False)
+    apply_rf(EpgState(state.fplus[:-1], state.fminus[:-1], state.z[:-1]), m)
+    apply_gradient_shift(state, after_rf=True)
     apply_relaxation(state, e1, e2)
 
 
-_BLOCK = 512  # columns per block; at T = 32: 0.9 MB state, 2.4 MB matrices
+_BLOCK = 512  # columns per block; at T = 32: 0.4 MB state, 2.4 MB matrices
 
 
 def required_max_order(n_echoes: int) -> int:
-    # Orders beyond T+2 can never return to order 0 within the train, so
-    # capping there is exact for the recorded echoes. Echo by echo fewer are
-    # live: each echo dephases twice, so echo i (0-based) starts with orders
-    # above 2i at exact zeros and fills at most 0..2i+2, and an order above
-    # 2(T-i) at its start cannot return to 0 by the last echo. Rows past
-    # min(2i+3, 2(T-i)+1) <= T+2 hold zeros or values that cannot reach one.
-    return n_echoes + 2
+    # At an echo, F+(2j) and Z(2j+1) need j + 1 more periods to reach order 0
+    # and F-(2j) needs j, while echo i (0-based) fills F+/- up to order 2i + 2.
+    # So echo i refocuses rows 0..min(i, T-1-i), at least two (numpy takes a
+    # different complex-multiply loop for one row, changing last bits), plus
+    # one row that F- moves down from and F+ up into; the rest cannot reach
+    # an echo. Transverse orders up to this cover every echo:
+    return 2 * max((n_echoes + 1) // 2, 2)
 
 
 def simulate_fse(tissue: TissueParams, seq: SequenceParams) -> SignalEvolution:
@@ -246,8 +249,8 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
     if t1.shape != t2.shape:
         raise ValueError("t1 and t2 must have the same length")
     # t2 <= t1 is enforced on TissueParams; fitting may probe beyond it.
-    if np.any(t1 <= 0) or np.any(t2 <= 0):
-        raise ValueError("relaxation times must be positive")
+    if not (np.all(t1 > 0) and np.all(t2 > 0)):
+        raise ValueError("relaxation times must be positive (not NaN)")
     b = t1.size
     eta = np.broadcast_to(np.asarray(eta, float), (b,))
     if not np.all(np.isfinite(eta) & (eta > 0)):
@@ -286,10 +289,9 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
         if not shared_e1:
             e1 = np.exp(-half / t1[cols])
         e2 = np.exp(-half / t2[cols])
-        block = EpgState.equilibrium(required_max_order(t), e2.shape)
-        apply_rf(block, excite)
+        block = EpgState.excited(required_max_order(t), excite, e2.shape)
         for i in range(t):
-            n = min(2 * i + 3, 2 * (t - i) + 1)  # see required_max_order
+            n = max(min(i + 1, t - i), 2) + 1  # see required_max_order
             live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n])
             advance_echo(live, m[:, :, i], e1, e2)
             out[i, cols] = live.fplus[0]

@@ -83,10 +83,6 @@ class EnsembleMatrix:
     def n_echoes(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def n_signals(self) -> int:
-        return self.data.shape[1]
-
 
 def build_ensemble(tissues, seq: SequenceParams) -> EnsembleMatrix:
     """Simulate one evolution per tissue (rho normalized to 1)."""

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_tissue, random_train
 from spinshuffle import spinsim
 from spinshuffle.spinsim import (EpgState, SequenceParams, TissueParams,
-                                 advance_echo, apply_gradient_shift,
-                                 apply_relaxation, apply_rf,
+                                 advance_echo, apply_rf,
                                  bloch_isochromat_train, constant_train,
-                                 required_max_order, rf_matrix,
-                                 signal_jacobian, simulate_fse,
+                                 rf_matrix, signal_jacobian, simulate_fse,
                                  simulate_fse_ensemble)
 
 
@@ -92,6 +90,19 @@ class TestSimulateFse:
             simulate_fse_ensemble([1000.0, 900.0], [100.0, 80.0], ramp16,
                                   flips_deg=flips)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_rejects_bad_relaxation_times(self, ramp16, which, bad):
+        times = {"t1": [1000.0, 900.0], "t2": [100.0, 80.0]}
+        times[which][1] = bad
+        with pytest.raises(ValueError, match="relaxation"):
+            simulate_fse_ensemble(times["t1"], times["t2"], ramp16)
+
+    def test_infinite_relaxation_times_are_valid(self, cpmg32):
+        # no decay at all: ideal 180 deg refocusing keeps every echo at 1
+        out = simulate_fse_ensemble([np.inf], [np.inf], cpmg32)
+        assert np.allclose(out, 1.0, atol=1e-12)
+
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_eta(self, ramp16, eta):
         with pytest.raises(ValueError, match="eta"):
@@ -147,30 +158,65 @@ def _random_batch(rng, t, b):
     return t1, t2, seq, rng.uniform(0.5, 1.3, b)
 
 
-def _all_orders_train(t1, t2, seq, eta, flips):
-    # every order of one full-batch state through advance_echo, the way
-    # design_asymptotic_flips carries its state, with echo i refocused by
-    # slice i of one stacked rf_matrix call
+def _full_relax(state, e1, e2, recovery):
+    state.fplus *= e2
+    state.fminus *= e2
+    state.z *= e1
+    state.z[0] += recovery
+
+
+def _full_shift(state):
+    state.fplus[1:] = state.fplus[:-1]
+    state.fminus[:-1] = state.fminus[1:]
+    state.fminus[-1] = 0.0
+    state.fplus[0] = np.conj(state.fminus[0])
+
+
+def _full_excited(shape, excite):
+    state = EpgState(*(np.zeros(shape, complex) for _ in range(3)))
+    state.z[0] = 1.0
+    apply_rf(state, excite)
+    return state
+
+
+def _full_period(state, m, e1, e2, recovery):
+    _full_relax(state, e1, e2, recovery)
+    _full_shift(state)
+    apply_rf(state, m)
+    _full_shift(state)
+    _full_relax(state, e1, e2, recovery)
+
+
+def _all_orders_train(t1, t2, seq, eta, flips, z0=None, recovery=None):
+    # Self-contained reference over the full lattice: every order 0..T+2 of
+    # one full-batch state, with Z(0) recovering by 1 - e1 per half period
+    # and echo i refocused by slice i of one stacked rf_matrix call. z0
+    # overwrites Z(0) after the excitation and recovery replaces 1 - e1.
     half = seq.echo_spacing_ms / 2
     e1, e2 = np.exp(-half / t1), np.exp(-half / t2)
+    if recovery is None:
+        recovery = 1.0 - e1
     m = rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None])
-    state = EpgState.equilibrium(required_max_order(seq.n_echoes), t1.shape)
-    apply_rf(state, rf_matrix(eta * seq.excitation_deg,
-                              seq.excitation_phase_deg))
+    state = _full_excited((seq.n_echoes + 3, t1.size),
+                          rf_matrix(eta * seq.excitation_deg,
+                                    seq.excitation_phase_deg))
+    if z0 is not None:
+        state.z[0] = z0
     out = np.empty((seq.n_echoes, t1.size), complex)
     for i in range(seq.n_echoes):
-        advance_echo(state, m[:, :, i], e1, e2)
+        _full_period(state, m[:, :, i], e1, e2, recovery)
         out[i] = state.fplus[0]
     return out
 
 
 class TestBlockedKernel:
-    def test_blocks_match_one_column_runs(self):
+    @pytest.mark.parametrize("t", [1, 2, 6, 32])
+    def test_blocks_match_one_column_runs(self, t):
         block = spinsim._BLOCK
         rng = np.random.default_rng(11)
         b = 2 * block + 3
-        t1, t2, seq, eta = _random_batch(rng, 6, b)
-        flips = rng.uniform(0.0, 200.0, (6, b))
+        t1, t2, seq, eta = _random_batch(rng, t, b)
+        flips = rng.uniform(0.0, 200.0, (t, b))
         batch = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
         for j in range(b):
             single = simulate_fse_ensemble(t1[j], t2[j], seq, eta=eta[j],
@@ -223,8 +269,21 @@ class TestBlockedKernel:
         fast = simulate_fse_ensemble(t1, t2, seq, eta=0.85)
         assert np.array_equal(fast, _all_orders_train(t1, t2, seq, eta, flips))
 
+    @pytest.mark.parametrize("t", [1, 6, 32])
+    def test_echoes_ignore_z0_family(self, t):
+        # Z(0), its recovery and what they feed never reach an echo, so
+        # arbitrary values there leave every echo bit for bit unchanged
+        rng = np.random.default_rng(17)
+        t1, t2, seq, eta = _random_batch(rng, t, 9)
+        flips = rng.uniform(0.0, 180.0, (t, 9))
+        z0 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        recovery = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        expected = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
+        assert np.array_equal(
+            _all_orders_train(t1, t2, seq, eta, flips, z0, recovery), expected)
+
     def test_peak_memory_is_one_block(self):
-        # a full-batch state would be 3 * 35 * 16384 complex = 27.5 MB
+        # a full-batch state would be 3 * 17 * 16384 complex = 13.4 MB
         rng = np.random.default_rng(5)
         t1, t2, seq, eta = _random_batch(rng, 32, 16384)
         tracemalloc.start()
@@ -245,7 +304,8 @@ def _values(draw, n, lo, hi):
 @given(st.data())
 def test_ensemble_columns_match_isochromat_oracle(data):
     # the batched engine against the independent oracle, one column at a
-    # time: per-element T1, T2 and eta, and a per-column flip override
+    # time: per-element T1, T2 and eta, a per-column flip override and any
+    # excitation, since the echo-reachable family must hold for all of them
     draw = data.draw
     t = draw(st.integers(1, 12))
     b = draw(st.integers(1, 5))
@@ -255,6 +315,8 @@ def test_ensemble_columns_match_isochromat_oracle(data):
     flips = _values(draw, t * b, 0.0, 180.0).reshape(t, b)
     seq = SequenceParams(flips_deg=(180.0,) * t,
                          echo_spacing_ms=draw(st.floats(2.0, 20.0)),
+                         excitation_deg=draw(st.floats(0.0, 180.0)),
+                         excitation_phase_deg=draw(st.floats(-180.0, 180.0)),
                          flip_phases_deg=tuple(_values(draw, t, -180.0,
                                                        180.0)))
     batch = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
@@ -323,16 +385,21 @@ class TestJacobian:
 
 class TestStateInvariants:
     def test_conjugate_symmetry_after_evolution(self):
-        state = EpgState.equilibrium(10)
-        apply_rf(state, rf_matrix(90.0, 90.0))
+        # after every period the public steps hold exactly the full-lattice
+        # reference's F+/-(2j) and Z(2j+1), and the reference keeps F-(0)
+        # the mirror of F+(0)
+        excite = rf_matrix(90.0, 90.0)
+        half = EpgState.excited(10, excite)
+        full = _full_excited(11, excite)
         e1, e2 = np.exp(-5.0 / 1000.0), np.exp(-5.0 / 100.0)
         for flip in (140.0, 90.0, 60.0):
-            apply_relaxation(state, e1, e2)
-            apply_gradient_shift(state)
-            apply_rf(state, rf_matrix(flip, 0.0))
-            apply_gradient_shift(state)
-            apply_relaxation(state, e1, e2)
-            assert abs(state.fminus[0] - np.conj(state.fplus[0])) < 1e-14
+            m = rf_matrix(flip, 0.0)
+            _full_period(full, m, e1, e2, 1.0 - e1)
+            advance_echo(half, m, e1, e2)
+            assert abs(full.fminus[0] - np.conj(full.fplus[0])) < 1e-14
+            assert np.array_equal(half.fplus, full.fplus[0::2])
+            assert np.array_equal(half.fminus, full.fminus[0::2])
+            assert np.array_equal(half.z[:-1], full.z[1::2])
 
     def test_validation(self):
         with pytest.raises(ValueError):
