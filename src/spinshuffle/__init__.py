@@ -17,8 +17,8 @@ from .pipeline import PipelineReport, run_pipeline
 from .qmap import (Dictionary, FitMaps, FitResult, build_dictionary,
                    dictionary_match, fit_map, fit_voxel_nlls,
                    fit_voxel_subspace)
-from .recon import (ModelBasedResult, ReconResult, SolverConfig, cg_solve,
-                    fista_solve, mocco_solve, model_based_solve)
+from .recon import (ReconResult, SolverConfig, cg_solve, fista_solve,
+                    mocco_solve)
 from .sampling import (DensityProfile, MaskSearchResult, SparsityModel,
                        assign_echoes, draw_mask, monte_carlo_mask,
                        sparsity_crb, tpsf_peak)
@@ -31,7 +31,7 @@ from .spinsim import (EpgState, SequenceParams, SignalEvolution, TissueParams,
                       signal_jacobian, simulate_fse, simulate_fse_ensemble)
 from .subspace import (EnsembleMatrix, SubspaceBasis, TissuePrior,
                        back_project, build_ensemble, compute_basis,
-                       project_coefficients, projection_error, sample_prior)
+                       projection_error, sample_prior)
 from .transforms import HaarTransform, IdentityTransform
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands map onto the pipeline stages so intermediate arrays can be
-produced, inspected, and consumed independently; `pipeline` runs the whole
-chain. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Each subcommand runs one pipeline stage through the same functions
+`run_pipeline` calls and writes its arrays with the same writer, so
+intermediate arrays can be produced, inspected and consumed independently;
+`pipeline` runs the whole chain. Exit codes: 0 success, 1 usage error,
+2 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrayio import read_array, write_array, write_csv
+from .arrayio import read_array, write_csv
 from .config import PipelineConfig, load_config
 from .encoding import SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .pipeline import (build_basis, build_masks, reconstruct, run_pipeline,
-                       sequence_from_config)
-from .qmap import fit_map
+from .pipeline import (build_basis, build_masks, fit_maps, reconstruct,
+                       run_pipeline, sequence_from_config, write_arrays)
 from .seqopt import PowerBudget, crlb_t2_sweep, optimize_flips
 from .spinsim import TissueParams
 from .subspace import SubspaceBasis, back_project
@@ -67,28 +68,21 @@ def _load(args) -> PipelineConfig:
 
 def _cmd_phantom(cfg: PipelineConfig) -> None:
     ph = default_phantom((cfg.nx, cfg.ny))
-    out = cfg.output_dir
-    write_array(os.path.join(out, "labels"), ph.labels.astype(np.complex64))
-    write_array(os.path.join(out, "rho_true"), ph.rho_map())
-    write_array(os.path.join(out, "t2_true"),
-                ph.t2_map().astype(np.complex64))
-    log.info("phantom written to %s", out)
+    write_arrays(cfg.output_dir, labels=ph.labels, rho_true=ph.rho_map(),
+                 t2_true=ph.t2_map())
+    log.info("phantom written to %s", cfg.output_dir)
 
 
 def _cmd_basis(cfg: PipelineConfig) -> None:
     ensemble, basis = build_basis(cfg, sequence_from_config(cfg))
-    out = cfg.output_dir
-    write_array(os.path.join(out, "ensemble"), ensemble.data)
-    write_array(os.path.join(out, "basis"), basis.phi_k)
-    write_array(os.path.join(out, "singular_values"),
-                basis.singular_values.astype(np.complex64))
-    log.info("basis written to %s", out)
+    write_arrays(cfg.output_dir, ensemble=ensemble.data, basis=basis.phi_k,
+                 singular_values=basis.singular_values)
+    log.info("basis written to %s", cfg.output_dir)
 
 
 def _cmd_mask(cfg: PipelineConfig) -> None:
     masks = build_masks(cfg)
-    write_array(os.path.join(cfg.output_dir, "masks"),
-                masks.masks.astype(np.complex64))
+    write_arrays(cfg.output_dir, masks=masks.masks)
     log.info("%d masks with %d total samples written to %s",
              masks.n_echoes, masks.total_samples, cfg.output_dir)
 
@@ -99,11 +93,9 @@ def _cmd_sim(cfg: PipelineConfig) -> None:
     masks = build_masks(cfg)
     y = simulate_acquisition(ph, seq, masks, sigma=cfg.noise_sigma,
                              seed=cfg.noise_seed)
-    out = cfg.output_dir
-    write_array(os.path.join(out, "masks"), masks.masks.astype(np.complex64))
-    write_array(os.path.join(out, "kspace"), y)
-    write_array(os.path.join(out, "truth_images"), contrast_images(ph, seq))
-    log.info("k-space (%d samples) written to %s", y.size, out)
+    write_arrays(cfg.output_dir, masks=masks.masks, kspace=y,
+                 truth_images=contrast_images(ph, seq))
+    log.info("k-space (%d samples) written to %s", y.size, cfg.output_dir)
 
 
 def _read_basis(out: str) -> SubspaceBasis:
@@ -118,9 +110,8 @@ def _cmd_recon(cfg: PipelineConfig) -> None:
     basis = _read_basis(out)
     y = read_array(os.path.join(out, "kspace")).astype(complex)
     result = reconstruct(cfg, masks, basis, y)
-    write_array(os.path.join(out, "coefficients"), result.images)
-    write_array(os.path.join(out, "images"),
-                back_project(basis, result.images))
+    write_arrays(out, coefficients=result.images,
+                 images=back_project(basis, result.images))
     write_csv(os.path.join(out, "objective_trace.csv"),
               ("iteration", "objective"),
               list(enumerate(result.objective_trace)))
@@ -132,11 +123,8 @@ def _cmd_fit(cfg: PipelineConfig) -> None:
     seq = sequence_from_config(cfg)
     basis = _read_basis(out)
     coeffs = read_array(os.path.join(out, "coefficients")).astype(complex)
-    maps = fit_map(coeffs, seq, basis=basis, method="subspace",
-                   bounds=(cfg.fit_t2_min_ms, cfg.fit_t2_max_ms),
-                   t1_ms=cfg.fit_t1_nominal_ms)
-    write_array(os.path.join(out, "t2_map"), maps.t2.astype(np.complex64))
-    write_array(os.path.join(out, "rho_map"), maps.rho)
+    maps = fit_maps(cfg, seq, basis, coeffs)
+    write_arrays(out, t2_map=maps.t2, rho_map=maps.rho)
     ok = np.isfinite(maps.t2)
     write_csv(os.path.join(out, "fit_summary.csv"),
               ("metric", "value"),

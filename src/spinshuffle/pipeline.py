@@ -2,9 +2,10 @@
 
 Composes every stage: phantom construction, subspace training, mask design,
 synthetic acquisition, subspace-constrained reconstruction, back-projection,
-and per-voxel parameter fitting. All randomness is seeded through the config
-and every intermediate array lands on disk, so a rerun with the same config
-is bit-identical.
+and per-voxel parameter fitting. Each stage is a function of the config that
+the CLI subcommands call too, and `write_arrays` is the one array writer for
+both. All randomness is seeded through the config and every intermediate
+array lands on disk, so a rerun with the same config is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .arrayio import write_array, write_csv
 from .config import PipelineConfig, save_config
 from .encoding import Encoder, SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .qmap import build_dictionary, fit_map
+from .qmap import FitMaps, build_dictionary, fit_map
 from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
 from .spinsim import SequenceParams, TissueParams
@@ -104,6 +105,33 @@ def reconstruct(cfg: PipelineConfig, masks: SamplingMasks,
     raise ValueError(f"unknown solver {cfg.solver!r}")
 
 
+def fit_maps(cfg: PipelineConfig, seq: SequenceParams, basis: SubspaceBasis,
+             coeffs: np.ndarray) -> FitMaps:
+    """T2 and density maps from subspace coefficients by the configured fit;
+    `nlls` fits the back-projected echo images."""
+    bounds = (cfg.fit_t2_min_ms, cfg.fit_t2_max_ms)
+    if cfg.fit_method == "dictionary":
+        grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]), 1024))
+        tissues = [TissueParams(t1=max(cfg.fit_t1_nominal_ms, v), t2=v)
+                   for v in grid]
+        dictionary = build_dictionary(tissues, seq, basis)
+        return fit_map(coeffs, seq, basis=basis, method="dictionary",
+                       dictionary=dictionary)
+    if cfg.fit_method == "subspace":
+        return fit_map(coeffs, seq, basis=basis, method="subspace",
+                       bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
+    if cfg.fit_method == "nlls":
+        return fit_map(back_project(basis, coeffs), seq, method="nlls",
+                       bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
+    raise ValueError(f"unknown fit method {cfg.fit_method!r}")
+
+
+def write_arrays(out: str, **arrays) -> None:
+    """Write each keyword array as the pair <out>/<name>.hdr / .dat."""
+    for name, array in arrays.items():
+        write_array(os.path.join(out, name), array)
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     """Execute phantom -> basis -> masks -> simulate -> solve -> fit."""
     out = cfg.output_dir
@@ -129,24 +157,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     result = stage("reconstruct", lambda: reconstruct(cfg, masks, basis, y))
     images = stage("back-project", lambda: back_project(basis, result.images))
 
-    def fit():
-        bounds = (cfg.fit_t2_min_ms, cfg.fit_t2_max_ms)
-        if cfg.fit_method == "dictionary":
-            grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]), 1024))
-            tissues = [TissueParams(t1=max(cfg.fit_t1_nominal_ms, v), t2=v)
-                       for v in grid]
-            dictionary = build_dictionary(tissues, seq, basis)
-            return fit_map(result.images, seq, basis=basis,
-                           method="dictionary", dictionary=dictionary)
-        if cfg.fit_method == "subspace":
-            return fit_map(result.images, seq, basis=basis, method="subspace",
-                           bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
-        if cfg.fit_method == "nlls":
-            return fit_map(images, seq, method="nlls", bounds=bounds,
-                           t1_ms=cfg.fit_t1_nominal_ms)
-        raise ValueError(f"unknown fit method {cfg.fit_method!r}")
-
-    maps = stage("fit", fit)
+    maps = stage("fit", lambda: fit_maps(cfg, seq, basis, result.images))
 
     def report():
         nrmse = float(np.linalg.norm(images - truth) / np.linalg.norm(truth))
@@ -167,20 +178,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     nrmse, stats = stage("metrics", report)
 
     def write_outputs():
-        write_array(os.path.join(out, "labels"),
-                    phantom.labels.astype(np.complex64))
-        write_array(os.path.join(out, "truth_images"), truth)
-        write_array(os.path.join(out, "ensemble"), ensemble.data)
-        write_array(os.path.join(out, "basis"), basis.phi_k)
-        write_array(os.path.join(out, "singular_values"),
-                    basis.singular_values.astype(np.complex64))
-        write_array(os.path.join(out, "masks"),
-                    masks.masks.astype(np.complex64))
-        write_array(os.path.join(out, "kspace"), y)
-        write_array(os.path.join(out, "coefficients"), result.images)
-        write_array(os.path.join(out, "images"), images)
-        write_array(os.path.join(out, "t2_map"), maps.t2.astype(np.complex64))
-        write_array(os.path.join(out, "rho_map"), maps.rho)
+        write_arrays(out, labels=phantom.labels, truth_images=truth,
+                     ensemble=ensemble.data, basis=basis.phi_k,
+                     singular_values=basis.singular_values,
+                     masks=masks.masks, kspace=y, coefficients=result.images,
+                     images=images, t2_map=maps.t2, rho_map=maps.rho)
         write_csv(os.path.join(out, "objective_trace.csv"),
                   ("iteration", "objective"),
                   list(enumerate(result.objective_trace)))

@@ -5,9 +5,7 @@ in an orthonormal transform, and a soft subspace-penalty solver that keeps
 the full echo series all share one data term: the normal operator A^H A
 (through the per-frequency subspace kernel when the encoder has a temporal
 basis), A^H y and a proven bound on ||A^H A||, so no iteration forms the
-measurements. A model-based Gauss-Newton solver estimates density and T2
-maps directly from k-space; its linearized steps run through the same
-conjugate gradient. Each solver warns once if it stops unconverged.
+measurements. Each solver warns once if it stops unconverged.
 """
 
 from __future__ import annotations
@@ -17,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (Encoder, SamplingMasks, SensitivityMaps,
-                       apply_adjoint, apply_forward, apply_normal_kernel,
-                       build_normal_kernel)
-from .spinsim import SequenceParams, simulate_fse_ensemble
+from .encoding import (Encoder, apply_adjoint, apply_forward,
+                       apply_normal_kernel, build_normal_kernel)
 from .subspace import SubspaceBasis
 from .transforms import HaarTransform, IdentityTransform
 
@@ -246,111 +242,3 @@ def mocco_solve(enc: Encoder, basis: SubspaceBasis, y: np.ndarray,
         out = data_normal(x)
         return out + cfg.mu * project_out(x) if cfg.mu else out
     return _warn_unconverged("mocco", _cg(normal, aty, half_yy, cfg), cfg)
-
-
-@dataclass
-class ModelBasedResult:
-    rho_map: np.ndarray
-    t2_map: np.ndarray
-    residual_norms: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def _simulate_fields(t2_map, t1_ms, seq, eta):
-    # One batched simulation over all voxels plus central differences in T2.
-    shape = t2_map.shape
-    t2 = t2_map.ravel()
-    t1 = np.full_like(t2, t1_ms)
-    h = 1e-4 * t2
-    batch = np.concatenate([t2, t2 + h, t2 - h])
-    sig = simulate_fse_ensemble(np.tile(t1, 3), batch, seq, eta=eta)
-    n = t2.size
-    f = sig[:, :n]
-    df = (sig[:, n:2 * n] - sig[:, 2 * n:]) / (2 * h)
-    t = seq.n_echoes
-    return f.reshape(t, *shape), df.reshape(t, *shape)
-
-
-def model_based_solve(masks: SamplingMasks, maps: SensitivityMaps | None,
-                      seq: SequenceParams, y: np.ndarray,
-                      init_rho: np.ndarray, init_t2: np.ndarray,
-                      cfg: SolverConfig = SolverConfig(max_iters=15),
-                      t1_ms: float = 1000.0, eta: float = 1.0,
-                      t2_bounds=(5.0, 2000.0),
-                      inner_iters: int = 30) -> ModelBasedResult:
-    """Gauss-Newton estimation of (rho, T2) maps straight from k-space.
-
-    The forward chain is x_i(r) = rho(r) f_i(T2(r)) followed by the linear
-    encoder; T1 and the transmit scale stay fixed. The T2 update is solved
-    in relative units (t2 <- t2 * exp(u)) so the normal system stays well
-    scaled. Each step solves the linearized normal equations by conjugate
-    gradient and is accepted only if the data residual decreases (step
-    halving, up to 20 times). T2 is clipped to the given box after every
-    accepted step. The loop stops once the residual norm changes by at most
-    tolerance relative to its last value or falls to tolerance * ||y||.
-    """
-    enc = Encoder(masks, maps)
-    y = np.asarray(y, complex)
-    y_norm = float(np.linalg.norm(y))
-    rho = np.asarray(init_rho, complex).copy()
-    t2 = np.clip(np.asarray(init_t2, float).copy(), *t2_bounds)
-
-    def residual(rho_m, f):
-        return apply_forward(enc, rho_m[None] * f) - y
-
-    # J^H J maps the real u block to real values and its right-hand side is
-    # real, so CG on the stacked (2, nx, ny) complex unknown keeps u real;
-    # the truncated inner solve stops at ||r|| <= 1e-9 ||b|| or inner_iters
-    inner = SolverConfig(max_iters=inner_iters, tolerance=1e-9)
-    res_norms = []
-    converged = False
-    f, df = _simulate_fields(t2, t1_ms, seq, eta)
-    r = residual(rho, f)
-    res_norms.append(float(np.linalg.norm(r)))
-    outer = 0
-    for outer in range(1, cfg.max_iters + 1):
-        if not np.isfinite(res_norms[-1]):
-            raise RuntimeError("model-based solve hit a non-finite residual")
-        # J [d_rho, u] = E(d_rho * f + u * g), g the relative-T2 sensitivity
-        g = (rho * t2)[None] * df
-
-        def jh_apply(w):
-            z = apply_adjoint(enc, w)                    # (T, nx, ny)
-            return np.stack([np.sum(np.conj(f) * z, axis=0),
-                             np.sum(np.conj(g) * z, axis=0).real])
-
-        def normal(d):
-            return jh_apply(apply_forward(enc, d[0] * f + d[1] * g))
-
-        d = _cg(normal, jh_apply(-r), 0.0, inner).images
-        d_rho, d_u = d[0], d[1].real
-
-        step = 1.0
-        accepted = False
-        for _ in range(20):
-            rho_try = rho + step * d_rho
-            t2_try = np.clip(t2 * np.exp(step * d_u), *t2_bounds)
-            f_try, df_try = _simulate_fields(t2_try, t1_ms, seq, eta)
-            r_try = residual(rho_try, f_try)
-            norm_try = float(np.linalg.norm(r_try))
-            if norm_try < res_norms[-1]:
-                rho, t2, f, df, r = rho_try, t2_try, f_try, df_try, r_try
-                res_norms.append(norm_try)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True   # no descent direction left at this resolution
-            break
-        denom = max(res_norms[-2], 1e-300)
-        if (abs(res_norms[-2] - res_norms[-1]) <= cfg.tolerance * denom
-                or res_norms[-1] <= cfg.tolerance * y_norm):
-            converged = True
-            break
-    if not converged:
-        log.warning("model-based solve stopped at max_iters=%d with residual %.3e",
-                    cfg.max_iters, res_norms[-1])
-    return ModelBasedResult(rho_map=rho, t2_map=t2,
-                            residual_norms=np.asarray(res_norms),
-                            iterations=outer, converged=converged)

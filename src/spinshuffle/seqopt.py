@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrayio import write_csv
 from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
                       required_max_order, rf_matrix, signal_jacobian,
                       simulate_fse_ensemble)
@@ -309,29 +308,6 @@ def minmax_grid_search(tissue_grid, candidate_schedules,
     if best_idx < 0:
         raise NonIdentifiableError("every candidate schedule was singular")
     return best_idx, candidate_schedules[best_idx], best_cost
-
-
-def write_schedule_csv(path: str, flips_deg) -> None:
-    """One row per pulse: echo index (1-based) and flip in degrees."""
-    write_csv(path, ("echo", "flip_deg"),
-              list(enumerate(np.asarray(flips_deg, float), start=1)))
-
-
-def read_schedule_csv(path: str) -> np.ndarray:
-    """Read a flip schedule written by :func:`write_schedule_csv`."""
-    flips = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["echo", "flip_deg"]:
-            raise ValueError(f"{path}: unexpected schedule header {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            echo, flip = line.strip().split(",")[:2]
-            flips[int(echo)] = float(flip)
-    if sorted(flips) != list(range(1, len(flips) + 1)):
-        raise ValueError(f"{path}: echo indices must be 1..T without gaps")
-    return np.array([flips[i] for i in range(1, len(flips) + 1)])
 
 
 def optimal_te(t2a: float, t2b: float) -> float:

@@ -25,17 +25,15 @@ class TissuePrior:
 
     t1_range_ms: tuple = DEFAULT_T1_RANGE_MS
     t2_range_ms: tuple = DEFAULT_T2_RANGE_MS
-    sampling: str = "log-uniform"   # log-uniform | uniform | explicit
+    sampling: str = "log-uniform"   # log-uniform | uniform
     seed: int = 0
-    tissues: tuple = ()             # used when sampling == "explicit"
 
     def __post_init__(self):
-        if self.sampling not in ("log-uniform", "uniform", "explicit"):
+        if self.sampling not in ("log-uniform", "uniform"):
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if self.sampling != "explicit":
-            for lo, hi in (self.t1_range_ms, self.t2_range_ms):
-                if not (0 < lo <= hi):
-                    raise ValueError("ranges must be positive with min <= max")
+        for lo, hi in (self.t1_range_ms, self.t2_range_ms):
+            if not (0 < lo <= hi):
+                raise ValueError("ranges must be positive with min <= max")
 
 
 def sample_prior(prior: TissuePrior, n: int) -> list[TissueParams]:
@@ -45,12 +43,6 @@ def sample_prior(prior: TissuePrior, n: int) -> list[TissueParams]:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    if prior.sampling == "explicit":
-        if len(prior.tissues) != n:
-            raise ValueError(
-                f"explicit prior holds {len(prior.tissues)} tissues, not {n}")
-        return list(prior.tissues)
-
     rng = np.random.default_rng(prior.seed)
 
     def draw(k):
@@ -153,11 +145,6 @@ def projection_error(ensemble: EnsembleMatrix, basis: SubspaceBasis,
             raise ValueError("ensemble contains a zero column")
         return float(np.max(np.linalg.norm(resid, axis=0) / colnorm))
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def project_coefficients(basis: SubspaceBasis, images: np.ndarray) -> np.ndarray:
-    """Temporal compression: alpha = Phi^H x along the leading axis."""
-    return np.tensordot(basis.phi_k.conj().T, images, axes=1)
 
 
 def back_project(basis: SubspaceBasis, coeffs: np.ndarray) -> np.ndarray:

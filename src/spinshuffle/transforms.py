@@ -16,8 +16,6 @@ _INV_R2 = 1.0 / np.sqrt(2)
 class IdentityTransform:
     """No-op transform; coefficients are the image itself."""
 
-    name = "identity"
-
     def forward(self, image: np.ndarray) -> np.ndarray:
         return image.copy()
 
@@ -32,8 +30,6 @@ class HaarTransform:
     (a-b)/sqrt(2) pairs along both axes. The transform is unitary, so its
     adjoint is its inverse and the l1 prox stays exact.
     """
-
-    name = "haar"
 
     def __init__(self, levels: int = 3):
         if levels < 1:

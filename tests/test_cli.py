@@ -1,6 +1,7 @@
 import logging
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from spinshuffle.arrayio import read_array
 from spinshuffle.cli import main
 from spinshuffle.config import PipelineConfig, save_config
+from spinshuffle.pipeline import sequence_from_config
+from spinshuffle.qmap import build_dictionary, fit_map
+from spinshuffle.spinsim import TissueParams
+from spinshuffle.subspace import SubspaceBasis, back_project
 
 SMALL = PipelineConfig(nx=16, ny=16, n_echoes=4, ensemble_size=32,
                        subspace_k=2, max_iters=30, accel=2.0)
@@ -60,10 +65,41 @@ class TestStagedFlow:
             sweep = fh.read().splitlines()
         assert sweep[0] == "t2_ms,bound_constant,bound_optimized"
         assert len(sweep) == 28  # header + 27 grid points
-        from spinshuffle.seqopt import read_schedule_csv
-        flips = read_schedule_csv(out + "/flips_optimized.csv")
-        assert flips.shape == (8,)
+        with open(out + "/flips_optimized.csv") as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "echo,flip_deg"
+        echoes, flips = zip(*(row.split(",") for row in rows))
+        assert [int(e) for e in echoes] == list(range(1, 9))
+        assert np.isfinite([float(f) for f in flips]).all()
         assert "converged=True (tolerance after" in caplog.text
+
+    @pytest.mark.parametrize("method", ["nlls", "dictionary"])
+    def test_fit_uses_configured_method(self, tmp_path, method):
+        cfg = replace(SMALL, fit_method=method)
+        path = str(tmp_path / "cfg.ini")
+        save_config(cfg, path)
+        out = str(tmp_path / "run")
+        for command in ("basis", "sim", "recon", "fit"):
+            assert main([command, "--config", path, "--out", out]) == 0
+        basis = SubspaceBasis(
+            phi_k=read_array(out + "/basis").astype(complex),
+            singular_values=read_array(out + "/singular_values").real)
+        coeffs = read_array(out + "/coefficients").astype(complex)
+        seq = sequence_from_config(cfg)
+        bounds = (cfg.fit_t2_min_ms, cfg.fit_t2_max_ms)
+        if method == "nlls":
+            expected = fit_map(back_project(basis, coeffs), seq,
+                               method="nlls", bounds=bounds,
+                               t1_ms=cfg.fit_t1_nominal_ms)
+        else:
+            grid = np.exp(np.linspace(*np.log(bounds), 1024))
+            dictionary = build_dictionary(
+                [TissueParams(t1=max(cfg.fit_t1_nominal_ms, v), t2=v)
+                 for v in grid], seq, basis)
+            expected = fit_map(coeffs, seq, basis=basis, method="dictionary",
+                               dictionary=dictionary)
+        np.testing.assert_array_equal(read_array(out + "/t2_map").real,
+                                      expected.t2.astype(np.float32))
 
     def test_pipeline_command(self, tmp_path, cfg_path, capsys):
         assert main(["pipeline", "--config", cfg_path,

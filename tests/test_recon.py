@@ -7,8 +7,7 @@ from spinshuffle import recon
 from spinshuffle.encoding import (Encoder, SamplingMasks, apply_adjoint,
                                   apply_forward, materialize_forward)
 from spinshuffle.recon import (SolverConfig, cg_solve, fista_solve,
-                               mocco_solve, model_based_solve)
-from spinshuffle.recon import _simulate_fields
+                               mocco_solve)
 from spinshuffle.sampling import DensityProfile, assign_echoes, draw_mask
 from spinshuffle.spinsim import constant_train
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
@@ -258,86 +257,3 @@ class TestMocco:
         # two iterations short of convergence
         _warns_unconverged(caplog, lambda cfg: mocco_solve(enc, basis, y, cfg),
                            mu=5.0)
-
-
-class TestModelBased:
-    seq = constant_train(T, 180.0, 10.0)
-
-    @staticmethod
-    def _phantom_images(seq):
-        t2 = np.full(DIMS, 60.0)
-        t2[:, 8:] = 150.0
-        rho = np.ones(DIMS, complex)
-        rho[4:12, 4:12] *= 1.5
-        f, _ = _simulate_fields(t2, 1000.0, seq, 1.0)
-        return rho, t2, rho[None] * f
-
-    def test_truth_init_is_stationary(self):
-        rho, t2, x = self._phantom_images(self.seq)
-        masks = SamplingMasks(np.ones((T, *DIMS), bool))
-        y = apply_forward(Encoder(masks), x)
-        res = model_based_solve(masks, None, self.seq, y, rho, t2,
-                                SolverConfig(max_iters=4, tolerance=1e-10))
-        assert res.converged
-        assert res.residual_norms[0] < 1e-10
-
-    def test_recovers_from_perturbed_t2(self):
-        rho, t2, x = self._phantom_images(self.seq)
-        masks = SamplingMasks(np.ones((T, *DIMS), bool))
-        y = apply_forward(Encoder(masks), x)
-        res = model_based_solve(masks, None, self.seq, y, rho, 1.5 * t2,
-                                SolverConfig(max_iters=25, tolerance=1e-14))
-        assert np.max(np.abs(res.t2_map - t2) / t2) < 0.005
-
-    def test_stops_once_residual_is_at_rounding_level(self):
-        # noiseless, fully sampled data: the residual falls to about 1e-14
-        # in four steps, and steps after that only move rounding error
-        rho, t2, x = self._phantom_images(self.seq)
-        masks = SamplingMasks(np.ones((T, *DIMS), bool))
-        y = apply_forward(Encoder(masks), x)
-        res = model_based_solve(masks, None, self.seq, y, rho, 1.5 * t2,
-                                SolverConfig(max_iters=25, tolerance=1e-14))
-        assert res.converged
-        assert res.iterations <= 5
-        assert res.residual_norms[-1] <= 1e-14 * np.linalg.norm(y)
-        assert np.max(np.abs(res.t2_map - t2) / t2) < 0.005
-
-    def test_undersampled_recovery(self):
-        rho, t2, x = self._phantom_images(self.seq)
-        prof = DensityProfile(accel=2.0)
-        masks = SamplingMasks(np.stack(
-            [draw_mask(prof, DIMS, 100 + i) for i in range(T)]))
-        y = apply_forward(Encoder(masks), x)
-        res = model_based_solve(masks, None, self.seq, y,
-                                np.full(DIMS, 1.0 + 0j), 1.3 * t2,
-                                SolverConfig(max_iters=30, tolerance=1e-12))
-        nrmse = np.linalg.norm(res.t2_map - t2) / np.linalg.norm(t2)
-        assert nrmse < 0.05
-
-    def test_one_warning_from_the_outer_loop(self, caplog):
-        # the truncated inner CG solves stop at inner_iters by design and
-        # must not warn; only the unconverged outer loop does
-        rho, t2, x = self._phantom_images(self.seq)
-        prof = DensityProfile(accel=2.0)
-        masks = SamplingMasks(np.stack(
-            [draw_mask(prof, DIMS, 100 + i) for i in range(T)]))
-        y = apply_forward(Encoder(masks), x)
-        with caplog.at_level(logging.WARNING, logger="spinshuffle.recon"):
-            res = model_based_solve(masks, None, self.seq, y,
-                                    np.full(DIMS, 1.0 + 0j), 1.3 * t2,
-                                    SolverConfig(max_iters=30,
-                                                 tolerance=1e-12))
-        warnings = [rec for rec in caplog.records
-                    if rec.name == "spinshuffle.recon"
-                    and rec.levelno == logging.WARNING]
-        assert not res.converged
-        assert len(warnings) == 1
-        assert warnings[0].getMessage().startswith("model-based solve")
-
-    def test_residual_monotone(self):
-        rho, t2, x = self._phantom_images(self.seq)
-        masks = SamplingMasks(np.ones((T, *DIMS), bool))
-        y = apply_forward(Encoder(masks), x)
-        res = model_based_solve(masks, None, self.seq, y, rho, 1.4 * t2,
-                                SolverConfig(max_iters=10, tolerance=1e-14))
-        assert np.all(np.diff(res.residual_norms) <= 0)

@@ -11,8 +11,7 @@ from spinshuffle.pipeline import sequence_from_config
 from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 crlb_t2_sweep, design_asymptotic_flips,
                                 fisher_info, minmax_grid_search, optimal_te,
-                                optimize_flips, read_schedule_csv,
-                                train_power, write_schedule_csv)
+                                optimize_flips, train_power)
 from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
                                  simulate_fse)
 
@@ -379,25 +378,6 @@ class TestAsymptoticDesign:
             design_asymptotic_flips(TISSUE, self.seq, s_target=2.0)
         with pytest.raises(ValueError):
             design_asymptotic_flips(TISSUE, self.seq, s_target=-0.1)
-
-
-class TestScheduleCsv:
-    def test_round_trip(self, tmp_path):
-        flips = np.linspace(60, 160, 24)
-        path = str(tmp_path / "schedule.csv")
-        write_schedule_csv(path, flips)
-        back = read_schedule_csv(path)
-        assert np.array_equal(back, flips)
-        with open(path) as fh:
-            text = fh.read()
-        assert text.startswith("echo,flip_deg\n")
-        assert "\r" not in text
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_schedule_csv(str(path))
 
 
 def test_train_power():
