@@ -21,8 +21,9 @@ from .arrayio import read_array, write_csv
 from .config import PipelineConfig, load_config
 from .encoding import SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .pipeline import (build_basis, build_masks, fit_maps, reconstruct,
-                       run_pipeline, sequence_from_config, write_arrays)
+from .pipeline import (PipelineError, build_basis, build_masks, fit_maps,
+                       reconstruct, run_pipeline, sequence_from_config,
+                       write_arrays)
 from .seqopt import PowerBudget, crlb_t2_sweep, optimize_flips
 from .spinsim import TissueParams
 from .subspace import SubspaceBasis, back_project
@@ -124,8 +125,11 @@ def _cmd_fit(cfg: PipelineConfig) -> None:
     basis = _read_basis(out)
     coeffs = read_array(os.path.join(out, "coefficients")).astype(complex)
     maps = fit_maps(cfg, seq, basis, coeffs)
-    write_arrays(out, t2_map=maps.t2, rho_map=maps.rho)
     ok = np.isfinite(maps.t2)
+    if not ok.any():
+        raise PipelineError("fit", ValueError(
+            f"every voxel failed the fit ({ok.size} of {ok.size})"))
+    write_arrays(out, t2_map=maps.t2, rho_map=maps.rho)
     write_csv(os.path.join(out, "fit_summary.csv"),
               ("metric", "value"),
               [("fitted_voxels", int(ok.sum())),

@@ -40,11 +40,6 @@ class Phantom:
     regions: dict
     dims: tuple
 
-    def tissue_of(self, region_id: int) -> TissueParams:
-        if region_id == 0:
-            return TissueParams(rho=0j, t1=1000.0, t2=100.0)
-        return self.regions[region_id]
-
     @property
     def region_ids(self) -> tuple:
         return tuple(sorted(self.regions))

@@ -6,10 +6,10 @@ form and the search reduces to one dimension. Every fit starts from the same
 grid stage: each voxel is scored against a log-spaced model grid (dense for
 whole maps, where it keeps the per-voxel cost at a few matrix products;
 coarse for single voxels) and refined with a local parabola. Single-voxel
-fits then polish that start with variable-projection Gauss-Newton steps,
-whose Jacobian is the model derivative projected off the model, so they
-converge to the exact minimizer in a few steps. Dictionary matching is the
-grid-search counterpart and is equivalent to matched filtering.
+fits then polish that start with safeguarded Newton steps on the reduced
+objective |m^H s|^2 / ||m||^2 in log T2, which converge to the exact
+minimizer in a few steps even on high-residual voxels. Dictionary matching
+is the grid-search counterpart and is equivalent to matched filtering.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class FitResult:
     t2: float
     residual: float
     converged: bool
-    eta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -128,63 +127,63 @@ def _varpro_cost(models, signals):
 
 
 def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
-    """Variable-projection Gauss-Newton steps on the projected residual.
+    """Safeguarded Newton ascent of g(u) = |m^H s|^2 / ||m||^2, u = log T2.
 
-    With the density eliminated, the residual r = s - rho m has the Jacobian
-    -rho (dm - m (m^H dm) / (m^H m)): the model derivative projected off the
-    model. Far from the optimum a step must decrease the cost (halving, up
-    to 20 times); near it the step is a contraction toward the stationary
-    point and is accepted directly, which localizes the minimizer far better
-    than comparing nearly equal cost values. The flag is True only when
-    the polish stops through those Newton-regime tests, not at max_steps,
-    after a failed backtrack or on a zero Jacobian.
+    Maximizing g minimizes the reduced cost (||s||^2 - g) / 2. Each trial is
+    one [T2, T2+h, T2-h] batch, which gives m and, by central differences,
+    m' and m''. The signs of g' keep a bracket of the maximizer inside the
+    bounds; the Newton point is held to the bounds, and the step bisects the
+    bracket instead when that point leaves it or when g'' >= 0. The polish
+    converges when g' is exactly zero or a step falls to the finite-
+    difference noise floor (1e-10 in u). A fit that ends on a bound returns
+    that bound and False, as does one that reaches max_steps.
     """
-    sig = signal[:, None]
+    norm2 = float(np.vdot(signal, signal).real)
+    log_bounds = [math.log(b) for b in bounds]
+    lo, hi = log_bounds
 
-    def evaluate(t2_val):
-        # one [T2, T2+h, T2-h] batch: cost, density, model and derivative
+    def evaluate(u):
+        t2_val = math.exp(u)
         h = 1e-4 * t2_val
         m0, mp, mm = _model_batch([t2_val, t2_val + h, t2_val - h], seq,
                                   t1_ms, eta, basis).T
-        c, r = _varpro_cost(m0[:, None], sig)
-        return float(c[0]), complex(r[0]), m0, (mp - mm) / (2 * h)
+        m1 = t2_val * (mp - mm) / (2 * h)                     # dm/du
+        m2 = t2_val ** 2 * (mp - 2 * m0 + mm) / h ** 2 + m1   # d2m/du2
+        a0, a1, a2 = (np.vdot(m, signal) for m in (m0, m1, m2))
+        n = np.vdot(m0, m0).real
+        n1 = 2 * np.vdot(m0, m1).real
+        n2 = 2 * (np.vdot(m1, m1).real + np.vdot(m0, m2).real)
+        g = abs(a0) ** 2 / n
+        g1 = (2 * (a0.conjugate() * a1).real - g * n1) / n
+        g2 = (2 * (abs(a1) ** 2 + (a0.conjugate() * a2).real) - g * n2
+              - 2 * g1 * n1) / n
+        return float(0.5 * (norm2 - g)), complex(a0 / n), g1, g2
 
-    cost, rho, m0, dm = evaluate(t2)
-    prev_delta = math.inf
+    u = math.log(t2)
+    cost, rho, g1, g2 = evaluate(u)
     converged = False
     for _ in range(max_steps):
-        r = signal - rho * m0
-        j = -rho * (dm - m0 * (np.vdot(m0, dm) / np.vdot(m0, m0)))
-        jj = float(np.vdot(j, j).real)
-        if jj == 0:
+        if g1 == 0:
+            converged = True
             break
-        delta = -float(np.vdot(j, r).real) / jj
-        if abs(delta) <= 1e-2 * t2:
-            # Newton regime: accept unless the iteration stopped contracting.
-            if abs(delta) >= prev_delta:
-                converged = True
-                break
-            t2 = float(np.clip(t2 + delta, *bounds))
-            cost, rho, m0, dm = evaluate(t2)
-            prev_delta = abs(delta)
-            if abs(delta) < 1e-13 * t2:
-                converged = True
-                break
+        if g1 > 0:
+            lo = u
         else:
-            step = delta
-            accepted = False
-            for _ in range(20):
-                t2_try = float(np.clip(t2 + step, *bounds))
-                trial = evaluate(t2_try)
-                if trial[0] < cost:
-                    t2, (cost, rho, m0, dm) = t2_try, trial
-                    accepted = True
-                    break
-                step *= 0.5
-            prev_delta = math.inf
-            if not accepted:
-                break
-    return t2, cost, rho, converged
+            hi = u
+        target = (min(max(u - g1 / g2, log_bounds[0]), log_bounds[1])
+                  if g2 < 0 else math.nan)
+        if not lo <= target <= hi:
+            target = 0.5 * (lo + hi)
+        step = target - u
+        if abs(step) <= 1e-10:
+            converged = True
+            break
+        u += step
+        cost, rho, g1, g2 = evaluate(u)
+    for bound, log_bound in zip(bounds, log_bounds):
+        if abs(u - log_bound) <= 1e-10:
+            return float(bound), cost, rho, False
+    return math.exp(u), cost, rho, converged
 
 
 def _fit_voxel(signal, seq, bounds, t1_ms, eta, basis) -> FitResult:
@@ -221,8 +220,8 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
 def fit_map(stack: np.ndarray, seq: SequenceParams,
             basis: SubspaceBasis | None = None, method: str = "subspace",
             bounds=DEFAULT_T2_BOUNDS_MS, t1_ms: float = DEFAULT_T1_MS,
-            eta: float = 1.0, dictionary: Dictionary | None = None,
-            grid_size: int = 400) -> FitMaps:
+            eta: float = 1.0,
+            dictionary: Dictionary | None = None) -> FitMaps:
     """Independent per-voxel fits over an image or coefficient stack.
 
     stack is (T, nx, ny) for method 'nlls', (K, nx, ny) for 'subspace', and
@@ -258,8 +257,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
             rho[alive], t2[alive], residual[alive] = _match(cols, dictionary)
         else:
             use_basis = basis if method == "subspace" else None
-            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis,
-                              grid_size)
+            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis, 400)
             residual[alive], rho[alive] = _varpro_cost(
                 _model_batch(t2_fit, seq, t1_ms, eta, use_basis), cols)
             t2[alive] = t2_fit

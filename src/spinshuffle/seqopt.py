@@ -129,10 +129,9 @@ class FlipOptimization:
 
 
 def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
-                   budget: PowerBudget, target_param: str = "t2",
-                   max_iters: int = 200,
+                   budget: PowerBudget, max_iters: int = 200,
                    min_flip_deg: float = 0.0) -> FlipOptimization:
-    """Maximize the target's Fisher diagonal ||df/dp||^2 under the power cap.
+    """Maximize the T2 Fisher diagonal ||df/dT2||^2 under the power cap.
 
     Projected L-BFGS ascent over the flip angles (radians) on the feasible
     set {min_flip <= flip <= 180 deg} intersected with {sum flip^2 <= limit},
@@ -154,8 +153,6 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     trace holds the start value and the value after each accepted step, so
     it strictly increases and has one entry more than there were iterations.
     """
-    if target_param != "t2":
-        raise ValueError("only the transverse-decay target is supported")
     t = seq_template.n_echoes
     const_rad = min(math.sqrt(budget.limit / t), math.pi)
     min_rad = math.radians(min_flip_deg)
@@ -260,9 +257,9 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
 
 
 def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
-                  t1_ms: float = 1000.0, sigma: float = 1.0) -> np.ndarray:
+                  sigma: float = 1.0) -> np.ndarray:
     """CRLB(T2) of one schedule across a T2 grid (single-parameter bound),
-    with T1 = max(t1_ms, T2); the whole grid runs as one batch."""
+    with T1 = max(1000 ms, T2); the whole grid runs as one batch."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     seq = seq_template.with_flips(flips_deg)
@@ -270,7 +267,7 @@ def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
     if not np.all(t2 > 0):
         raise ValueError("T2 values must be positive")
     flips = np.repeat(np.asarray(seq.flips_deg)[:, None], t2.size, axis=1)
-    info = (2.0 / sigma ** 2) * _t2_information(flips, np.maximum(t1_ms, t2),
+    info = (2.0 / sigma ** 2) * _t2_information(flips, np.maximum(1000.0, t2),
                                                 t2, 1.0, seq)
     if not np.all(np.isfinite(info) & (info > 0)):
         raise NonIdentifiableError("T2 information is zero or non-finite")
@@ -330,20 +327,17 @@ class AsymptoticDesign:
 def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
                             s_target: float, alpha_max_deg: float = 180.0,
                             n_constant: int = 4,
-                            approach_factor: float = 0.5,
                             approach_tol: float = 1e-3) -> AsymptoticDesign:
     """Solve for flips that steer echo amplitudes onto a target level.
 
-    Per-echo targets approach s_target geometrically from the maximum
-    achievable first-echo amplitude; each controlled flip is the lowest that
-    reaches its target on the next-echo amplitude given the current ensemble
-    state, bracketed on a 0.5 deg grid and narrowed to 0.5/32^4 deg by four
-    33-point subdivisions (one batch each).
+    Per-echo targets approach s_target from the maximum achievable
+    first-echo amplitude, halving the excess at each echo; each controlled
+    flip is the lowest that reaches its target on the next-echo amplitude
+    given the current ensemble state, bracketed on a 0.5 deg grid and
+    narrowed to 0.5/32^4 deg by four 33-point subdivisions (one batch each).
     After the approach plus n_constant echoes at the target, the remaining
     flips ramp linearly up to alpha_max.
     """
-    if not 0 < approach_factor < 1:
-        raise ValueError("approach factor must lie in (0, 1)")
     if alpha_max_deg > 180.0:
         raise ValueError("alpha_max cannot exceed 180 degrees")
     t = seq_template.n_echoes
@@ -369,17 +363,17 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         raise ValueError(
             f"target {s_target} outside the achievable range (0, {s1_max:.6g}]")
 
-    # approach segment: geometric decay of the excess toward the target
+    # approach segment: the excess over the target halves at each echo
     gap = s1_max - s_target
     n_approach = 0
-    while (gap * approach_factor ** (n_approach + 1) > approach_tol * s_target
+    while (gap * 0.5 ** (n_approach + 1) > approach_tol * s_target
            and n_approach < t - n_constant):
         n_approach += 1
     n_controlled = min(n_approach + n_constant, t)
 
     targets = np.full(n_controlled, s_target)
     for i in range(n_approach):
-        targets[i] = s_target + gap * approach_factor ** (i + 1)
+        targets[i] = s_target + gap * 0.5 ** (i + 1)
 
     # The next-echo amplitude is not monotone in the flip (the stored
     # longitudinal reserve contributes through sin(alpha), which vanishes at

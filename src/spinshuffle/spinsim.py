@@ -84,10 +84,6 @@ class SequenceParams:
     def n_echoes(self) -> int:
         return len(self.flips_deg)
 
-    @property
-    def echo_times_ms(self) -> np.ndarray:
-        return self.echo_spacing_ms * np.arange(1, self.n_echoes + 1)
-
     def with_flips(self, flips_deg) -> "SequenceParams":
         flips = tuple(float(a) for a in flips_deg)
         phases = self.flip_phases_deg if len(flips) == len(self.flips_deg) else None
@@ -133,10 +129,6 @@ class SignalEvolution:
 
     samples: np.ndarray
     echo_spacing_ms: float = 10.0
-
-    @property
-    def echo_times_ms(self) -> np.ndarray:
-        return self.echo_spacing_ms * np.arange(1, len(self.samples) + 1)
 
 
 def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:

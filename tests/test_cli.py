@@ -9,7 +9,7 @@ import pytest
 from spinshuffle.arrayio import read_array
 from spinshuffle.cli import main
 from spinshuffle.config import PipelineConfig, save_config
-from spinshuffle.pipeline import sequence_from_config
+from spinshuffle.pipeline import sequence_from_config, write_arrays
 from spinshuffle.qmap import build_dictionary, fit_map
 from spinshuffle.spinsim import TissueParams
 from spinshuffle.subspace import SubspaceBasis, back_project
@@ -100,6 +100,17 @@ class TestStagedFlow:
                                dictionary=dictionary)
         np.testing.assert_array_equal(read_array(out + "/t2_map").real,
                                       expected.t2.astype(np.float32))
+
+    def test_fit_fails_when_every_voxel_fails(self, tmp_path, cfg_path,
+                                               capsys):
+        out = tmp_path / "run"
+        assert main(["basis", "--config", cfg_path, "--out", str(out)]) == 0
+        write_arrays(str(out), coefficients=np.zeros((2, 16, 16), complex))
+        assert main(["fit", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'fit'" in err and "256 of 256" in err
+        assert not (out / "fit_summary.csv").exists()
+        assert not (out / "t2_map.dat").exists()
 
     def test_pipeline_command(self, tmp_path, cfg_path, capsys):
         assert main(["pipeline", "--config", cfg_path,

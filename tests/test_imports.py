@@ -1,7 +1,7 @@
 """Import hygiene: every name a package module imports is used in that
-module, every top-level definition is reached from code that runs, the flip
-design runs without loading scipy.optimize or numpy.ma, and a pipeline run
-does not load scipy.fft.
+module, every top-level definition and method is reached from code that
+runs, the flip design runs without loading scipy.optimize or numpy.ma, and
+a pipeline run does not load scipy.fft.
 
 `__init__.py` is exempt from the first two checks: its imports are the
 package's public re-exports, and a re-export alone does not make a
@@ -66,17 +66,38 @@ def _identifiers(node, strings=False) -> set:
     return found
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreached_definitions(modules: dict, users: list, kept=()) -> list:
-    """Top-level defs and classes of `modules` (stem -> source) that nothing
+    """Top-level defs and classes of `modules` (stem -> source), and the
+    non-dunder methods and properties of those classes, that nothing
     reaches: not module-level code, not a `users` source, not `kept`, and not
-    the body of a definition reached from those. Names in `users` may also
-    be strings, the way the benchmark's tracer names what it patches."""
+    the body of a definition reached from those. Methods are matched by
+    name, and a class's own body (dunder methods included) counts as reached
+    with the class. Names in `users` may also be strings, the way the
+    benchmark's tracer names what it patches."""
     defined, bodies, pending = [], {}, set(kept)
+
+    def define(owner, node, parts):
+        defined.append((owner, node.name))
+        for part in parts:
+            bodies.setdefault(node.name, set()).update(_identifiers(part))
+
     for stem, source in modules.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((stem, node.name))
-                bodies.setdefault(node.name, set()).update(_identifiers(node))
+            if isinstance(node, ast.FunctionDef):
+                define(stem, node, [node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not _is_dunder(m.name)]
+                for method in methods:
+                    define(f"{stem}.{node.name}", method, [method])
+                define(stem, node, node.bases + node.keywords
+                       + node.decorator_list
+                       + [m for m in node.body if m not in methods])
             else:
                 pending |= _identifiers(node)
     for source in users:
@@ -87,7 +108,7 @@ def unreached_definitions(modules: dict, users: list, kept=()) -> list:
         if name not in reached:
             reached.add(name)
             pending |= bodies.get(name, set()) - reached
-    return sorted(f"{stem}.{name}" for stem, name in defined
+    return sorted(f"{owner}.{name}" for owner, name in defined
                   if name not in reached)
 
 
@@ -97,6 +118,17 @@ def test_reach_scanner_follows_calls_from_used_code():
                "b": "class C: pass\ndef d(): pass\ndef e(): pass\n"}
     assert unreached_definitions(modules, ["'d'"], kept=["e"]) == [
         "a.h", "a.k", "b.C"]
+
+
+def test_reach_scanner_follows_methods_by_name():
+    modules = {"a": "class C:\n"
+                    "    def __init__(self):\n        self.x = used()\n"
+                    "    def m(self):\n        return self.n\n"
+                    "    @property\n    def n(self):\n        return 1\n"
+                    "    def idle(self):\n        return helper()\n"
+                    "def used(): pass\ndef helper(): pass\n"}
+    assert unreached_definitions(modules, ["a.C().m()"]) == [
+        "a.C.idle", "a.helper"]
 
 
 def test_every_definition_is_reached():

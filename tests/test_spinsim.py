@@ -109,10 +109,6 @@ class TestSimulateFse:
             simulate_fse_ensemble([1000.0, 900.0], [100.0, 80.0], ramp16,
                                   eta=[1.0, eta])
 
-    def test_echo_times(self, ramp16, tissue):
-        ev = simulate_fse(tissue, ramp16)
-        assert np.array_equal(ev.echo_times_ms, 10.0 * np.arange(1, 17))
-
 
 class TestBlochOracle:
     def test_cpmg_analytic(self, tissue):
