@@ -26,12 +26,12 @@ from .seqopt import (AsymptoticDesign, FisherInfo, FlipOptimization,
                      PowerBudget, crlb, crlb_t2_sweep,
                      design_asymptotic_flips, fisher_info, minmax_grid_search,
                      optimal_te, optimize_flips, train_power)
-from .spinsim import (EpgState, SequenceParams, SignalEvolution, TissueParams,
+from .spinsim import (EpgState, SequenceParams, TissueParams,
                       bloch_isochromat_train, constant_train, rf_matrix,
                       signal_jacobian, simulate_fse, simulate_fse_ensemble)
-from .subspace import (EnsembleMatrix, SubspaceBasis, TissuePrior,
-                       back_project, build_ensemble, compute_basis,
-                       projection_error, sample_prior)
+from .subspace import (SubspaceBasis, TissuePrior, back_project,
+                       build_ensemble, compute_basis, projection_error,
+                       sample_prior)
 from .transforms import HaarTransform, IdentityTransform
 
 __version__ = "0.1.0"

@@ -76,7 +76,7 @@ def _cmd_phantom(cfg: PipelineConfig) -> None:
 
 def _cmd_basis(cfg: PipelineConfig) -> None:
     ensemble, basis = build_basis(cfg, sequence_from_config(cfg))
-    write_arrays(cfg.output_dir, ensemble=ensemble.data, basis=basis.phi_k,
+    write_arrays(cfg.output_dir, ensemble=ensemble, basis=basis.phi_k,
                  singular_values=basis.singular_values)
     log.info("basis written to %s", cfg.output_dir)
 
@@ -92,10 +92,10 @@ def _cmd_sim(cfg: PipelineConfig) -> None:
     seq = sequence_from_config(cfg)
     ph = default_phantom((cfg.nx, cfg.ny))
     masks = build_masks(cfg)
-    y = simulate_acquisition(ph, seq, masks, sigma=cfg.noise_sigma,
-                             seed=cfg.noise_seed)
+    truth = contrast_images(ph, seq)
+    y = simulate_acquisition(truth, masks, cfg.noise_sigma, cfg.noise_seed)
     write_arrays(cfg.output_dir, masks=masks.masks, kspace=y,
-                 truth_images=contrast_images(ph, seq))
+                 truth_images=truth)
     log.info("k-space (%d samples) written to %s", y.size, cfg.output_dir)
 
 

@@ -1,9 +1,10 @@
 """Numerical phantoms and synthetic acquisition.
 
 A phantom is a labeled 2-D scene built from ellipse primitives, each region
-carrying its own tissue parameters. Acquisition simulates one signal
-evolution per region, broadcasts it to the member voxels, encodes with the
-measurement operator, and adds complex white Gaussian noise.
+carrying its own tissue parameters. The contrast images simulate one signal
+evolution per region and broadcast it to the member voxels; acquisition
+encodes those images with the measurement operator and adds complex white
+Gaussian noise.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Encoder, SamplingMasks, SensitivityMaps, apply_forward
+from .encoding import Encoder, SamplingMasks, apply_forward
 from .spinsim import SequenceParams, TissueParams, simulate_fse_ensemble
 
 
@@ -132,13 +133,8 @@ def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
                         + 1j * rng.standard_normal(y.shape))
 
 
-def simulate_acquisition(phantom: Phantom, seq: SequenceParams,
-                         masks: SamplingMasks,
-                         maps: SensitivityMaps | None = None,
-                         sigma: float = 0.0, seed: int = 0) -> np.ndarray:
-    """Encode the phantom's contrast images and add measurement noise."""
-    enc = Encoder(masks, maps)
-    if masks.n_echoes != seq.n_echoes:
-        raise ValueError("mask echo count does not match the sequence")
-    y = apply_forward(enc, contrast_images(phantom, seq))
-    return add_noise(y, sigma, seed)
+def simulate_acquisition(images: np.ndarray, masks: SamplingMasks,
+                         sigma: float, seed: int) -> np.ndarray:
+    """Encode a (T, nx, ny) echo-image stack, such as `contrast_images`
+    returns, with one uniform coil and add measurement noise."""
+    return add_noise(apply_forward(Encoder(masks), images), sigma, seed)

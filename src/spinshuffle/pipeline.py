@@ -23,7 +23,7 @@ from .phantom import contrast_images, default_phantom, simulate_acquisition
 from .qmap import FitMaps, build_dictionary, fit_map
 from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
-from .spinsim import SequenceParams, TissueParams
+from .spinsim import SequenceParams
 from .subspace import (SubspaceBasis, TissuePrior, back_project,
                        build_ensemble, compute_basis, sample_prior)
 
@@ -68,7 +68,7 @@ def profile_from_config(cfg: PipelineConfig) -> DensityProfile:
 
 
 def build_basis(cfg: PipelineConfig, seq: SequenceParams) -> tuple:
-    """Simulate the prior's training ensemble and take its subspace."""
+    """Simulate the prior's (T, L) training ensemble and take its subspace."""
     tissues = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
     ensemble = build_ensemble(tissues, seq)
     return ensemble, compute_basis(ensemble, cfg.subspace_k)
@@ -112,9 +112,8 @@ def fit_maps(cfg: PipelineConfig, seq: SequenceParams, basis: SubspaceBasis,
     bounds = (cfg.fit_t2_min_ms, cfg.fit_t2_max_ms)
     if cfg.fit_method == "dictionary":
         grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]), 1024))
-        tissues = [TissueParams(t1=max(cfg.fit_t1_nominal_ms, v), t2=v)
-                   for v in grid]
-        dictionary = build_dictionary(tissues, seq, basis)
+        dictionary = build_dictionary(
+            (np.maximum(cfg.fit_t1_nominal_ms, grid), grid), seq, basis)
         return fit_map(coeffs, seq, basis=basis, method="dictionary",
                        dictionary=dictionary)
     if cfg.fit_method == "subspace":
@@ -152,7 +151,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
     truth = stage("truth", lambda: contrast_images(phantom, seq))
     y = stage("simulate", lambda: simulate_acquisition(
-        phantom, seq, masks, sigma=cfg.noise_sigma, seed=cfg.noise_seed))
+        truth, masks, cfg.noise_sigma, cfg.noise_seed))
 
     result = stage("reconstruct", lambda: reconstruct(cfg, masks, basis, y))
     images = stage("back-project", lambda: back_project(basis, result.images))
@@ -179,7 +178,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
     def write_outputs():
         write_arrays(out, labels=phantom.labels, truth_images=truth,
-                     ensemble=ensemble.data, basis=basis.phi_k,
+                     ensemble=ensemble, basis=basis.phi_k,
                      singular_values=basis.singular_values,
                      masks=masks.masks, kspace=y, coefficients=result.images,
                      images=images, t2_map=maps.t2, rho_map=maps.rho)

@@ -9,7 +9,9 @@ coarse for single voxels) and refined with a local parabola. Single-voxel
 fits then polish that start with safeguarded Newton steps on the reduced
 objective |m^H s|^2 / ||m||^2 in log T2, which converge to the exact
 minimizer in a few steps even on high-residual voxels. Dictionary matching
-is the grid-search counterpart and is equivalent to matched filtering.
+is the grid-search counterpart and is equivalent to matched filtering; its
+dictionary is built from (t1, t2) arrays and keeps each atom's T2. Single-
+voxel fits and matches refuse non-finite signals; `fit_map` flags them failed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, simulate_fse_ensemble
+from .spinsim import SequenceParams, check_tissues, simulate_fse_ensemble
 from .subspace import SubspaceBasis
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
@@ -44,15 +46,17 @@ class FitMaps:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit-norm simulated evolutions with their generating tissues."""
+    """Unit-norm simulated evolutions with the T2 of each."""
 
     atoms: np.ndarray                 # (T, D), unit 2-norm columns
-    params: tuple                     # D TissueParams with rho = 1
+    t2: np.ndarray                    # (D,) ms
     compressed: np.ndarray | None = None  # (K, D)
 
     def __post_init__(self):
         if self.atoms.shape[1] < 1:
             raise ValueError("dictionary needs at least one atom")
+        if np.shape(self.t2) != self.atoms.shape[1:]:
+            raise ValueError("dictionary needs one T2 per atom")
         norms = np.linalg.norm(self.atoms, axis=0)
         if np.max(np.abs(norms - 1)) > 1e-12:
             raise ValueError("atoms must have unit 2-norm")
@@ -60,12 +64,10 @@ class Dictionary:
 
 def build_dictionary(tissues, seq: SequenceParams,
                      basis: SubspaceBasis | None = None) -> Dictionary:
-    """Simulate, normalize, and (optionally) compress a dictionary."""
-    tissues = list(tissues)
-    t1 = np.array([t.t1 for t in tissues])
-    t2 = np.array([t.t2 for t in tissues])
-    eta = np.array([t.eta for t in tissues])
-    atoms = simulate_fse_ensemble(t1, t2, seq, eta=eta)
+    """Simulate, normalize, and (optionally) compress one atom per tissue of
+    a (t1, t2) pair of arrays."""
+    t1, t2 = check_tissues(*tissues)
+    atoms = simulate_fse_ensemble(t1, t2, seq)
     norms = np.linalg.norm(atoms, axis=0)
     if np.any(norms == 0):
         raise ValueError("dictionary contains an all-zero evolution")
@@ -73,36 +75,42 @@ def build_dictionary(tissues, seq: SequenceParams,
     compressed = None
     if basis is not None:
         compressed = basis.phi_k.conj().T @ atoms
-    return Dictionary(atoms=atoms, params=tuple(tissues), compressed=compressed)
+    return Dictionary(atoms=atoms, t2=t2, compressed=compressed)
 
 
-def _match(cols, dictionary: Dictionary):
+def _match(cols, dictionary: Dictionary, compressed: bool):
     """Matched filter of (T|K, n) signal columns: rho, T2 and residual each.
 
-    Columns match the compressed atoms when their length is K, otherwise
-    the atoms; ties go to the lowest index.
+    The caller names the domain: the columns match the compressed atoms if
+    `compressed`, otherwise the atoms; ties go to the lowest index.
     """
-    atoms = (dictionary.compressed if dictionary.compressed is not None
-             and cols.shape[0] == dictionary.compressed.shape[0]
-             else dictionary.atoms)
-    if cols.shape[0] != atoms.shape[0]:
-        raise ValueError("signal length matches neither atoms nor compressed atoms")
+    atoms = dictionary.compressed if compressed else dictionary.atoms
+    if atoms is None or cols.shape[0] != atoms.shape[0]:
+        raise ValueError("dictionary has no atoms in the signal's domain")
     scores = atoms.conj().T @ cols
     best = np.argmax(np.abs(scores), axis=0)
     rho = scores[best, np.arange(cols.shape[1])]
-    t2 = np.array([dictionary.params[b].t2 for b in best])
     resid = 0.5 * (np.sum(np.abs(cols) ** 2, axis=0) - np.abs(rho) ** 2)
-    return rho, t2, resid
+    return rho, dictionary.t2[best], resid
 
 
 def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
     """Matched-filter grid search: argmax of |<atom, signal>|.
 
-    Works on time-domain signals against the atoms, or on coefficient
-    vectors against the compressed atoms; ties go to the lowest index.
+    The signal's length names its domain: a time-domain signal of length T
+    matches the atoms, a coefficient vector of length K the compressed
+    atoms; a dictionary compressed with K = T leaves it ambiguous and is
+    refused (use `fit_map`, whose basis argument names the domain), as is a
+    non-finite signal. Ties go to the lowest index.
     """
     signal = np.asarray(signal, complex).ravel()
-    rho, t2, resid = _match(signal[:, None], dictionary)
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal must be finite")
+    compressed = (dictionary.compressed is not None
+                  and signal.size == dictionary.compressed.shape[0])
+    if compressed and signal.size == dictionary.atoms.shape[0]:
+        raise ValueError("with K = T the signal's domain is ambiguous")
+    rho, t2, resid = _match(signal[:, None], dictionary, compressed)
     return FitResult(rho=complex(rho[0]), t2=float(t2[0]),
                      residual=float(resid[0]), converged=True)
 
@@ -187,7 +195,10 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
 
 
 def _fit_voxel(signal, seq, bounds, t1_ms, eta, basis) -> FitResult:
-    """Coarse 48-point grid start, then the polish; zero signal fails."""
+    """Coarse 48-point grid start, then the polish; zero signal fails and a
+    non-finite one is refused."""
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal must be finite")
     if np.all(signal == 0):
         return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
     t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, eta, basis, 48)
@@ -224,10 +235,12 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
             dictionary: Dictionary | None = None) -> FitMaps:
     """Independent per-voxel fits over an image or coefficient stack.
 
-    stack is (T, nx, ny) for method 'nlls', (K, nx, ny) for 'subspace', and
-    either for 'dictionary' (matched against atoms or compressed atoms).
-    Voxels with no signal are flagged in the failed mask. Results do not
-    depend on voxel ordering.
+    stack is (T, nx, ny) for method 'nlls' and (K, nx, ny) for 'subspace'.
+    For 'dictionary' the basis names the domain: given a basis, the stack
+    holds coefficients and matches the compressed atoms, otherwise it holds
+    echo images and matches the atoms. Voxels with no signal or a non-finite
+    one are flagged in the failed mask. Results do not depend on voxel
+    ordering.
     """
     stack = np.asarray(stack, complex)
     lead, nx, ny = stack.shape
@@ -246,7 +259,9 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
         raise ValueError(f"unknown fit method {method!r}")
     signals = stack.reshape(lead, -1)
     power = np.sum(np.abs(signals) ** 2, axis=0)
-    alive = power > 1e-24 * max(power.max(), 1e-300)
+    finite = np.all(np.isfinite(signals), axis=0)
+    alive = finite & (power > 1e-24 * max(np.max(power, where=finite,
+                                                 initial=0.0), 1e-300))
 
     rho = np.zeros(nx * ny, complex)
     t2 = np.full(nx * ny, np.nan)
@@ -254,7 +269,8 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     if np.any(alive):
         cols = signals[:, alive]
         if method == "dictionary":
-            rho[alive], t2[alive], residual[alive] = _match(cols, dictionary)
+            rho[alive], t2[alive], residual[alive] = _match(
+                cols, dictionary, basis is not None)
         else:
             use_basis = basis if method == "subspace" else None
             t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis, 400)

@@ -13,8 +13,10 @@ length-1 column axis, when all columns share them). A brute-force
 isochromat integrator, kept apart from the engine, is its independent
 oracle; the two agree to near machine precision.
 
-Units at the public boundary are milliseconds and degrees; radians are used
-internally.
+A batch of tissues is a pair of float arrays (t1, t2), validated by
+`check_tissues`; an echo train is a bare (T,) array and a batch of them a
+(T, B) array. Units at the public boundary are milliseconds and degrees;
+radians are used internally.
 """
 
 from __future__ import annotations
@@ -40,12 +42,22 @@ class TissueParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError("t1 and t2 must be positive")
-        if self.t2 > self.t1:
-            raise ValueError("t2 must not exceed t1")
+        check_tissues(self.t1, self.t2)
         if not self.eta > 0:
             raise ValueError("eta must be positive")
+
+
+def check_tissues(t1, t2) -> tuple:
+    """A batch of tissues as float arrays (t1, t2) in ms, with the checks a
+    `TissueParams` makes of one: both times positive and t2 <= t1."""
+    t1, t2 = np.asarray(t1, float), np.asarray(t2, float)
+    if t1.shape != t2.shape or t1.size == 0:
+        raise ValueError("t1 and t2 must be nonempty and of one shape")
+    if not (np.all(t1 > 0) and np.all(t2 > 0)):
+        raise ValueError("t1 and t2 must be positive")
+    if np.any(t2 > t1):
+        raise ValueError("t2 must not exceed t1")
+    return t1, t2
 
 
 @dataclass(frozen=True)
@@ -121,14 +133,6 @@ class EpgState:
         state.fplus[0] = excite[0, 2]
         state.fminus[0] = excite[1, 2]
         return state
-
-
-@dataclass(frozen=True)
-class SignalEvolution:
-    """Transverse magnetization sampled at the echo times i * Ts."""
-
-    samples: np.ndarray
-    echo_spacing_ms: float = 10.0
 
 
 def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:
@@ -216,12 +220,11 @@ def required_max_order(n_echoes: int) -> int:
     return 2 * max((n_echoes + 1) // 2, 2)
 
 
-def simulate_fse(tissue: TissueParams, seq: SequenceParams) -> SignalEvolution:
-    """Echo train of one tissue: the B = 1 case of simulate_fse_ensemble,
-    scaled by the tissue's density."""
+def simulate_fse(tissue: TissueParams, seq: SequenceParams) -> np.ndarray:
+    """(T,) echo train of one tissue, sampled at the echo times i * Ts: the
+    B = 1 case of simulate_fse_ensemble, scaled by the tissue's density."""
     f = simulate_fse_ensemble(tissue.t1, tissue.t2, seq, eta=tissue.eta)
-    return SignalEvolution(samples=tissue.rho * f[:, 0],
-                           echo_spacing_ms=seq.echo_spacing_ms)
+    return tissue.rho * f[:, 0]
 
 
 def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
@@ -240,7 +243,7 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
     t2 = np.atleast_1d(np.asarray(t2, float))
     if t1.shape != t2.shape:
         raise ValueError("t1 and t2 must have the same length")
-    # t2 <= t1 is enforced on TissueParams; fitting may probe beyond it.
+    # t2 <= t1 is enforced by check_tissues; fitting may probe beyond it.
     if not (np.all(t1 > 0) and np.all(t2 > 0)):
         raise ValueError("relaxation times must be positive (not NaN)")
     b = t1.size
@@ -304,8 +307,9 @@ def _axis_rotation(alpha_deg: float, phi_deg: float) -> np.ndarray:
 
 
 def bloch_isochromat_train(tissue: TissueParams, seq: SequenceParams,
-                           n_isochromats: int) -> SignalEvolution:
-    """Brute-force oracle: average many isochromats over resonance offsets.
+                           n_isochromats: int) -> np.ndarray:
+    """Brute-force oracle for `simulate_fse`: the (T,) echo train as the
+    average of many isochromats over resonance offsets.
 
     Each isochromat accrues a fixed dephasing angle per half echo spacing,
     with the angles uniformly spaced over [0, 2pi). Once n_isochromats
@@ -344,7 +348,7 @@ def bloch_isochromat_train(tissue: TissueParams, seq: SequenceParams,
         dephase(m)
         relax_half(m)
         samples[i] = tissue.rho * np.mean(m[0] + 1j * m[1])
-    return SignalEvolution(samples=samples, echo_spacing_ms=seq.echo_spacing_ms)
+    return samples
 
 
 _FD_REL_STEP = 1e-4          # relative step for T1/T2/eta

@@ -1,9 +1,9 @@
 """Temporal subspace design from simulated signal ensembles.
 
-An ensemble of unit-density signal evolutions is drawn from a tissue prior,
-stacked into a T x L matrix, and compressed with a truncated SVD. The
-resulting orthonormal temporal basis is the workhorse of the
-subspace-constrained reconstruction.
+A tissue prior is drawn as a pair of (L,) arrays (t1, t2), its unit-density
+signal evolutions are simulated as the columns of a (T, L) array, and that
+ensemble is compressed with a truncated SVD. The resulting orthonormal
+temporal basis is the workhorse of the subspace-constrained reconstruction.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, TissueParams, simulate_fse_ensemble
+from .spinsim import SequenceParams, check_tissues, simulate_fse_ensemble
 
 DEFAULT_T1_RANGE_MS = (500.0, 3000.0)
 DEFAULT_T2_RANGE_MS = (20.0, 400.0)
@@ -36,8 +36,9 @@ class TissuePrior:
                 raise ValueError("ranges must be positive with min <= max")
 
 
-def sample_prior(prior: TissuePrior, n: int) -> list[TissueParams]:
-    """Draw n tissues from the prior, reproducibly for a given seed.
+def sample_prior(prior: TissuePrior, n: int) -> tuple:
+    """Draw n tissues from the prior as (t1, t2) arrays in ms, reproducibly
+    for a given seed.
 
     Pairs violating t2 <= t1 are rejected and redrawn.
     """
@@ -60,32 +61,13 @@ def sample_prior(prior: TissuePrior, n: int) -> list[TissueParams]:
         t1b, t2b = draw(int(bad.sum()))
         t1[bad], t2[bad] = t1b, t2b
         bad = t2 > t1
-    return [TissueParams(rho=1.0, t1=float(a), t2=float(b))
-            for a, b in zip(t1, t2)]
+    return t1, t2
 
 
-@dataclass(frozen=True)
-class EnsembleMatrix:
-    """T x L matrix whose columns are unit-density signal evolutions."""
-
-    data: np.ndarray
-    tissues: tuple = ()
-
-    @property
-    def n_echoes(self) -> int:
-        return self.data.shape[0]
-
-
-def build_ensemble(tissues, seq: SequenceParams) -> EnsembleMatrix:
-    """Simulate one evolution per tissue (rho normalized to 1)."""
-    tissues = list(tissues)
-    if not tissues:
-        raise ValueError("empty tissue list")
-    t1 = np.array([t.t1 for t in tissues])
-    t2 = np.array([t.t2 for t in tissues])
-    eta = np.array([t.eta for t in tissues])
-    data = simulate_fse_ensemble(t1, t2, seq, eta=eta)
-    return EnsembleMatrix(data=data, tissues=tuple(tissues))
+def build_ensemble(tissues, seq: SequenceParams) -> np.ndarray:
+    """(T, L) ensemble of unit-density evolutions, one column per tissue of
+    the (t1, t2) pair that `sample_prior` returns."""
+    return simulate_fse_ensemble(*check_tissues(*tissues), seq)
 
 
 @dataclass(frozen=True)
@@ -117,10 +99,9 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def compute_basis(ensemble: EnsembleMatrix, k: int) -> SubspaceBasis:
-    """Top-k left singular vectors of the ensemble matrix X, from the small
+def compute_basis(x: np.ndarray, k: int) -> SubspaceBasis:
+    """Top-k left singular vectors of the (T, L) ensemble X, from the small
     factor R^H of X = R^H Q^H (X^H = QR); no T x L factor is formed."""
-    x = ensemble.data
     t, l = x.shape
     if not 1 <= k <= min(t, l):
         raise ValueError(f"k={k} out of range for a {t}x{l} ensemble")
@@ -129,10 +110,9 @@ def compute_basis(ensemble: EnsembleMatrix, k: int) -> SubspaceBasis:
     return SubspaceBasis(phi_k=_fix_column_signs(u[:, :k]), singular_values=s)
 
 
-def projection_error(ensemble: EnsembleMatrix, basis: SubspaceBasis,
+def projection_error(x: np.ndarray, basis: SubspaceBasis,
                      metric: str = "frobenius-relative") -> float:
-    """Relative residual of projecting the ensemble onto the basis."""
-    x = ensemble.data
+    """Relative residual of projecting the (T, L) ensemble X onto the basis."""
     norm = np.linalg.norm(x)
     if norm == 0:
         raise ValueError("ensemble matrix has zero norm")

@@ -52,7 +52,7 @@ def test_criterion_01_cpmg_analytic_oracle():
     seq = constant_train(32, 180.0, 10.0)
     for rho, t2 in ((1.0, 100.0), (2.0 - 1j, 55.0), (0.5j, 240.0)):
         tissue = TissueParams(rho=rho, t1=1000.0, t2=t2)
-        samples = simulate_fse(tissue, seq).samples
+        samples = simulate_fse(tissue, seq)
         expected = rho * np.exp(-np.arange(1, 33) * 10.0 / t2)
         rel = np.max(np.abs(samples - expected) / np.abs(expected))
         assert rel < 1e-12
@@ -69,9 +69,9 @@ def test_criterion_02_phase_graph_vs_isochromat():
     for _ in range(20):
         tissue = random_tissue(rng)
         seq = random_train(rng, int(rng.integers(8, 24)))
-        epg = simulate_fse(tissue, seq).samples
+        epg = simulate_fse(tissue, seq)
         bloch = bloch_isochromat_train(tissue, seq,
-                                       2 * (seq.n_echoes + 1)).samples
+                                       2 * (seq.n_echoes + 1))
         worst = max(worst, float(np.max(np.abs(epg - bloch))
                                  / np.max(np.abs(epg))))
     elapsed = time.time() - start
@@ -233,7 +233,7 @@ def test_criterion_06_end_to_end_fidelity(tmp_path):
 
 def test_criterion_07_fit_correctness():
     seq = constant_train(32, 180.0, 10.0)
-    clean = simulate_fse(TissueParams(t2=100.0), seq).samples
+    clean = simulate_fse(TissueParams(t2=100.0), seq)
     rng = np.random.default_rng(7)
 
     def oracle(signal):
@@ -268,13 +268,14 @@ def test_criterion_07_fit_correctness():
                           abs(s_fit.rho - t_fit.rho) / abs(t_fit.rho))
     assert worst_equiv < 1e-10
 
-    dictionary = build_dictionary(
-        [TissueParams(t2=v) for v in np.arange(20.0, 401.0, 5.0)], seq)
+    t2_grid = np.arange(20.0, 401.0, 5.0)
+    dictionary = build_dictionary((np.full(t2_grid.shape, 1000.0), t2_grid),
+                                  seq)
     for _ in range(25):
         sig = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         match = dictionary_match(sig, dictionary)
         scores = np.abs(dictionary.atoms.conj().T @ sig)
-        assert match.t2 == dictionary.params[int(np.argmax(scores))].t2
+        assert match.t2 == dictionary.t2[int(np.argmax(scores))]
     report(7, f"grid-oracle gap {worst:.4f} ms <= 0.01, full-basis "
               f"equivalence {worst_equiv:.1e}, matched filter == argmax")
 

@@ -11,7 +11,6 @@ from spinshuffle.cli import main
 from spinshuffle.config import PipelineConfig, save_config
 from spinshuffle.pipeline import sequence_from_config, write_arrays
 from spinshuffle.qmap import build_dictionary, fit_map
-from spinshuffle.spinsim import TissueParams
 from spinshuffle.subspace import SubspaceBasis, back_project
 
 SMALL = PipelineConfig(nx=16, ny=16, n_echoes=4, ensemble_size=32,
@@ -94,8 +93,7 @@ class TestStagedFlow:
         else:
             grid = np.exp(np.linspace(*np.log(bounds), 1024))
             dictionary = build_dictionary(
-                [TissueParams(t1=max(cfg.fit_t1_nominal_ms, v), t2=v)
-                 for v in grid], seq, basis)
+                (np.maximum(cfg.fit_t1_nominal_ms, grid), grid), seq, basis)
             expected = fit_map(coeffs, seq, basis=basis, method="dictionary",
                                dictionary=dictionary)
         np.testing.assert_array_equal(read_array(out + "/t2_map").real,

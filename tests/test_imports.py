@@ -1,7 +1,8 @@
 """Import hygiene: every name a package module imports is used in that
 module, every top-level definition and method is reached from code that
-runs, the flip design runs without loading scipy.optimize or numpy.ma, and
-a pipeline run does not load scipy.fft.
+runs, the package exports exactly the pinned public API, the flip design
+runs without loading scipy.optimize or numpy.ma, and a pipeline run does
+not load scipy.fft.
 
 `__init__.py` is exempt from the first two checks: its imports are the
 package's public re-exports, and a re-export alone does not make a
@@ -13,6 +14,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import spinshuffle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinshuffle"
@@ -20,6 +24,38 @@ PACKAGE = ROOT / "src" / "spinshuffle"
 # Reached by no workload, kept as the paper's soft-subspace solver and its
 # min-max CRB flip design.
 KEPT_UNREACHED = ("mocco_solve", "minmax_grid_search")
+
+# The public API. A name is added here only when another is removed, so the
+# API does not grow.
+PUBLIC_API = (
+    "AsymptoticDesign", "DensityProfile", "Dictionary", "EllipseSpec",
+    "Encoder", "EpgState", "FisherInfo", "FitMaps", "FitResult",
+    "FlipOptimization", "HaarTransform", "IdentityTransform",
+    "MaskSearchResult", "NormalKernel", "Phantom", "PipelineConfig",
+    "PipelineReport", "PowerBudget", "ReconResult", "SamplingMasks",
+    "SensitivityMaps", "SequenceParams", "SolverConfig", "SparsityModel",
+    "SubspaceBasis", "TissueParams", "TissuePrior", "add_noise",
+    "apply_adjoint", "apply_forward", "apply_normal_kernel", "assign_echoes",
+    "back_project", "bloch_isochromat_train", "build_dictionary",
+    "build_ensemble", "build_normal_kernel", "cg_solve", "compute_basis",
+    "constant_train", "contrast_images", "crlb", "crlb_t2_sweep",
+    "default_phantom", "design_asymptotic_flips", "dictionary_match",
+    "draw_mask", "fft2c", "fisher_info", "fista_solve", "fit_map",
+    "fit_voxel_nlls", "fit_voxel_subspace", "from_ini", "ifft2c",
+    "load_config", "make_phantom", "minmax_grid_search", "mocco_solve",
+    "monte_carlo_mask", "optimal_te", "optimize_flips", "projection_error",
+    "read_array", "rf_matrix", "run_pipeline", "sample_prior", "save_config",
+    "signal_jacobian", "simulate_acquisition", "simulate_fse",
+    "simulate_fse_ensemble", "sparsity_crb", "to_ini", "tpsf_peak",
+    "train_power", "write_array", "write_csv",
+)
+
+
+def test_public_api_is_pinned():
+    exported = {name for name, value in vars(spinshuffle).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert sorted(exported) == sorted(PUBLIC_API)
 
 
 def unused_imports(source: str) -> list:

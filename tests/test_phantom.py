@@ -56,7 +56,7 @@ class TestContrastImages:
         images = contrast_images(ph, seq)
         for rid in ph.region_ids:
             tissue = ph.regions[rid]
-            expected = simulate_fse(tissue, seq).samples
+            expected = simulate_fse(tissue, seq)
             sel = ph.labels == rid
             column = images[:, sel][:, 0]
             assert np.max(np.abs(column - expected)) < 1e-14
@@ -69,8 +69,8 @@ class TestSimulateAcquisition:
     def test_noiseless_full_sampling_inverts(self):
         ph = default_phantom((32, 32))
         masks = SamplingMasks(np.ones((4, 32, 32), bool))
-        y = simulate_acquisition(ph, self.seq, masks, sigma=0.0, seed=0)
         images = contrast_images(ph, self.seq)
+        y = simulate_acquisition(images, masks, sigma=0.0, seed=0)
         k = y.reshape(4, 32, 32)
         for i in range(4):
             back = ifft2c(k[i])
@@ -79,10 +79,11 @@ class TestSimulateAcquisition:
     def test_same_seed_identical_noise(self):
         ph = default_phantom((16, 16))
         masks = SamplingMasks(np.ones((4, 16, 16), bool))
-        a = simulate_acquisition(ph, self.seq, masks, sigma=0.01, seed=5)
-        b = simulate_acquisition(ph, self.seq, masks, sigma=0.01, seed=5)
+        images = contrast_images(ph, self.seq)
+        a = simulate_acquisition(images, masks, sigma=0.01, seed=5)
+        b = simulate_acquisition(images, masks, sigma=0.01, seed=5)
         assert np.array_equal(a, b)
-        c = simulate_acquisition(ph, self.seq, masks, sigma=0.01, seed=6)
+        c = simulate_acquisition(images, masks, sigma=0.01, seed=6)
         assert not np.array_equal(a, c)
 
     def test_noise_variance_calibrated(self):
@@ -95,7 +96,7 @@ class TestSimulateAcquisition:
         ph = default_phantom((16, 16))
         masks = SamplingMasks(np.ones((3, 16, 16), bool))
         with pytest.raises(ValueError):
-            simulate_acquisition(ph, self.seq, masks)
+            simulate_acquisition(contrast_images(ph, self.seq), masks, 0.0, 0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ SEQ = constant_train(T, 180.0, 10.0)
 
 @pytest.fixture(scope="module")
 def clean_signal():
-    return simulate_fse(TissueParams(t2=100.0), SEQ).samples
+    return simulate_fse(TissueParams(t2=100.0), SEQ)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,21 @@ class TestFitVoxelNlls:
         with pytest.raises(ValueError):
             fit_voxel_nlls(np.zeros(5), SEQ)
 
+    @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+    def test_non_finite_signal_rejected(self, clean_signal, ensemble, bad):
+        signal = clean_signal.copy()
+        if bad == "all-nan":
+            signal[:] = np.nan
+        else:
+            signal[3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit_voxel_nlls(signal, SEQ)
+        basis = compute_basis(ensemble, T)
+        with np.errstate(invalid="ignore"):
+            alpha = basis.phi_k.conj().T @ signal
+        with pytest.raises(ValueError, match="finite"):
+            fit_voxel_subspace(alpha, basis, SEQ)
+
     def test_polish_cap_reported_unconverged(self, clean_signal):
         # one Newton step from the coarse grid start is not yet converged
         rng = np.random.default_rng(34)
@@ -130,7 +145,7 @@ def test_voxel_fit_simulates_each_t2_once(monkeypatch, ensemble):
     basis = compute_basis(ensemble, 3)
     rng = np.random.default_rng(6)
     for t2 in (30.0, 100.0, 250.0):
-        clean = simulate_fse(TissueParams(t2=t2), SEQ).samples
+        clean = simulate_fse(TissueParams(t2=t2), SEQ)
         noisy = clean + 0.02 * (rng.standard_normal(T)
                                 + 1j * rng.standard_normal(T))
         for fit in (lambda: fit_voxel_nlls(noisy, SEQ),
@@ -175,7 +190,7 @@ class TestDictionaryMatch:
     def dictionary(self, ensemble):
         basis = compute_basis(ensemble, 3)
         t2s = np.arange(20.0, 401.0, 5.0)
-        return build_dictionary([TissueParams(t2=v) for v in t2s], SEQ, basis)
+        return build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
 
     def test_exact_atom_recovered(self, dictionary, clean_signal):
         res = dictionary_match(clean_signal, dictionary)
@@ -194,15 +209,26 @@ class TestDictionaryMatch:
             res = dictionary_match(sig, dictionary)
             scores = [abs(np.vdot(dictionary.atoms[:, d], sig))
                       for d in range(dictionary.atoms.shape[1])]
-            assert res.t2 == dictionary.params[int(np.argmax(scores))].t2
+            assert res.t2 == dictionary.t2[int(np.argmax(scores))]
 
     def test_tie_goes_to_lowest_index(self):
-        atom = simulate_fse(TissueParams(t2=80.0), SEQ).samples
+        atom = simulate_fse(TissueParams(t2=80.0), SEQ)
         atom = atom / np.linalg.norm(atom)
         dup = Dictionary(atoms=np.stack([atom, atom], axis=1),
-                         params=(TissueParams(t2=80.0),
-                                 TissueParams(t2=999.0)))
+                         t2=np.array([80.0, 999.0]))
         assert dictionary_match(atom, dup).t2 == 80.0
+
+    def test_one_t2_per_atom(self):
+        atom = simulate_fse(TissueParams(t2=80.0), SEQ)
+        atoms = np.stack([atom, atom], axis=1) / np.linalg.norm(atom)
+        with pytest.raises(ValueError, match="one T2 per atom"):
+            Dictionary(atoms=atoms, t2=np.array([80.0]))
+
+    def test_non_finite_signal_rejected(self, dictionary, clean_signal):
+        signal = clean_signal.copy()
+        signal[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dictionary_match(signal, dictionary)
 
     def test_compressed_domain_match(self, dictionary, ensemble,
                                      clean_signal):
@@ -261,10 +287,41 @@ class TestFitMap:
         assert not maps.failed[0, 0]
         assert maps.failed[1, 1] and math.isnan(maps.t2[1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_fails_alone(self, bad):
+        seq = constant_train(8, 180.0, 10.0)
+        t2 = np.linspace(40.0, 200.0, 16)
+        stack = simulate_fse_ensemble(np.full(16, 1000.0), t2, seq)
+        good = fit_map(stack.reshape(8, 4, 4), seq, method="nlls")
+        stack[2, 5] = bad
+        maps = fit_map(stack.reshape(8, 4, 4), seq, method="nlls")
+        expected = np.zeros(16, bool)
+        expected[5] = True
+        assert np.array_equal(maps.failed.ravel(), expected)
+        assert math.isnan(maps.t2.ravel()[5])
+        keep = ~expected
+        assert np.array_equal(maps.t2.ravel()[keep], good.t2.ravel()[keep])
+
+    def test_full_basis_dictionary_domain(self, ensemble, clean_signal):
+        # with K = T a coefficient vector and an echo train have the same
+        # length, so the basis argument alone names the domain
+        basis = compute_basis(ensemble, T)
+        t2s = np.arange(20.0, 401.0, 5.0)
+        dic = build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
+        echoes = np.repeat(clean_signal[:, None], 4, axis=1).reshape(T, 2, 2)
+        maps = fit_map(echoes, SEQ, method="dictionary", dictionary=dic)
+        assert np.all(maps.t2 == 100.0)
+        coeffs = np.tensordot(basis.phi_k.conj().T, echoes, axes=1)
+        maps = fit_map(coeffs, SEQ, basis=basis, method="dictionary",
+                       dictionary=dic)
+        assert np.all(maps.t2 == 100.0)
+        with pytest.raises(ValueError, match="ambiguous"):
+            dictionary_match(clean_signal, dic)
+
     def test_dictionary_method(self, ensemble, clean_signal):
         basis = compute_basis(ensemble, 3)
         t2s = np.arange(20.0, 401.0, 5.0)
-        dic = build_dictionary([TissueParams(t2=v) for v in t2s], SEQ, basis)
+        dic = build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
         alpha = basis.phi_k.conj().T @ clean_signal
         stack = np.repeat(alpha[:, None], 4, axis=1).reshape(3, 2, 2)
         maps = fit_map(stack, SEQ, basis=basis, method="dictionary",

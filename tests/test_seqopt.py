@@ -39,9 +39,9 @@ class TestFisherInfo:
 
         from dataclasses import replace
         h = 5e-5 * TISSUE.t2
-        fp = simulate_fse(replace(TISSUE, t2=TISSUE.t2 + h), seq).samples
-        fm = simulate_fse(replace(TISSUE, t2=TISSUE.t2 - h), seq).samples
-        base = simulate_fse(TISSUE, seq).samples
+        fp = simulate_fse(replace(TISSUE, t2=TISSUE.t2 + h), seq)
+        fm = simulate_fse(replace(TISSUE, t2=TISSUE.t2 - h), seq)
+        base = simulate_fse(TISSUE, seq)
         j = np.stack([base / TISSUE.rho, (fp - fm) / (2 * h)], axis=1)
         oracle = (2.0 / 0.7 ** 2) * (j.conj().T @ j).real
         assert np.max(np.abs(info.matrix - oracle)) / np.max(np.abs(oracle)) < 1e-5
@@ -344,13 +344,13 @@ class TestAsymptoticDesign:
                                       n_constant=4)
         assert np.max(np.abs(des.achieved - des.targets)) < 1e-6
         resim = np.abs(simulate_fse(tissue,
-                                    self.seq.with_flips(des.flips_deg)).samples)
+                                    self.seq.with_flips(des.flips_deg)))
         assert np.max(np.abs(resim[:des.n_controlled] - des.targets)) < 1e-6
 
     def test_fixed_point_near_180(self):
         # no-relaxation limit: the first-echo maximum is sustainable forever
         tissue = TissueParams(t1=np.inf, t2=np.inf)
-        s1max = abs(simulate_fse(tissue, self.seq).samples[0])
+        s1max = abs(simulate_fse(tissue, self.seq)[0])
         des = design_asymptotic_flips(tissue, self.seq,
                                       s_target=s1max * (1 - 1e-12),
                                       n_constant=4)
@@ -368,7 +368,7 @@ class TestAsymptoticDesign:
     def test_unreachable_target_reports_echo(self):
         # feasible at the first echo, unsustainable afterwards
         tissue = TissueParams(t1=600.0, t2=40.0)
-        s1max = abs(simulate_fse(tissue, self.seq).samples[0])
+        s1max = abs(simulate_fse(tissue, self.seq)[0])
         with pytest.raises(ValueError, match="echo 2"):
             design_asymptotic_flips(tissue, self.seq, s_target=0.98 * s1max,
                                     n_constant=4)

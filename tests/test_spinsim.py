@@ -52,18 +52,18 @@ class TestSimulateFse:
     def test_cpmg_pure_exponential(self, cpmg32, tissue):
         ev = simulate_fse(tissue, cpmg32)
         expected = np.exp(-np.arange(1, 33) * 10.0 / 100.0)
-        rel = np.abs(ev.samples - expected) / expected
+        rel = np.abs(ev - expected) / expected
         assert rel.max() < 1e-12
-        assert abs(ev.samples[0] - 0.904837) < 1e-6
+        assert abs(ev[0] - 0.904837) < 1e-6
 
     def test_zero_flips_give_zero_echoes(self):
         seq = constant_train(8, 0.0, 10.0)
         ev = simulate_fse(TissueParams(), seq)
-        assert np.max(np.abs(ev.samples)) == 0.0
+        assert np.max(np.abs(ev)) == 0.0
 
     def test_density_scaling_is_exact(self, ramp16):
-        base = simulate_fse(TissueParams(rho=1.0), ramp16).samples
-        scaled = simulate_fse(TissueParams(rho=2.5 - 1j), ramp16).samples
+        base = simulate_fse(TissueParams(rho=1.0), ramp16)
+        scaled = simulate_fse(TissueParams(rho=2.5 - 1j), ramp16)
         assert np.array_equal(scaled, (2.5 - 1j) * base)
 
     def test_passivity(self):
@@ -72,7 +72,7 @@ class TestSimulateFse:
             tis = random_tissue(rng)
             seq = random_train(rng, 12)
             ev = simulate_fse(tis, seq)
-            assert np.all(np.abs(ev.samples) <= abs(tis.rho) * (1 + 1e-12))
+            assert np.all(np.abs(ev) <= abs(tis.rho) * (1 + 1e-12))
 
     def test_ensemble_matches_scalar(self, ramp16):
         rng = np.random.default_rng(3)
@@ -81,7 +81,7 @@ class TestSimulateFse:
         batch = simulate_fse_ensemble(t1, t2, ramp16)
         for i in range(5):
             single = simulate_fse(TissueParams(t1=t1[i], t2=t2[i]), ramp16)
-            assert np.array_equal(batch[:, i], single.samples)
+            assert np.array_equal(batch[:, i], single)
 
     def test_rejects_non_finite_flip_override(self, ramp16):
         flips = np.full((16, 2), 120.0)
@@ -115,19 +115,19 @@ class TestBlochOracle:
         seq = constant_train(16, 180.0, 10.0)
         ev = bloch_isochromat_train(tissue, seq, 2 * 17)
         expected = np.exp(-np.arange(1, 17) * 10.0 / 100.0)
-        assert np.max(np.abs(ev.samples - expected)) < 1e-12
+        assert np.max(np.abs(ev - expected)) < 1e-12
 
     def test_quadrature_exact_beyond_threshold(self, ramp16, tissue):
-        a = bloch_isochromat_train(tissue, ramp16, 2 * 17).samples
-        b = bloch_isochromat_train(tissue, ramp16, 4 * 17).samples
+        a = bloch_isochromat_train(tissue, ramp16, 2 * 17)
+        b = bloch_isochromat_train(tissue, ramp16, 4 * 17)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_agrees_with_phase_graph_both_directions(self, ramp16):
         rng = np.random.default_rng(11)
         for _ in range(3):
             tis = random_tissue(rng)
-            epg = simulate_fse(tis, ramp16).samples
-            bloch = bloch_isochromat_train(tis, ramp16, 2 * 17).samples
+            epg = simulate_fse(tis, ramp16)
+            bloch = bloch_isochromat_train(tis, ramp16, 2 * 17)
             scale = np.max(np.abs(epg))
             assert np.max(np.abs(epg - bloch)) / scale < 1e-10
 
@@ -136,8 +136,8 @@ class TestBlochOracle:
         tis = TissueParams(t1=1000.0, t2=100.0)
         seq = SequenceParams(flips_deg=tuple(np.linspace(60, 120, 24)),
                              echo_spacing_ms=10.0)
-        epg = simulate_fse(tis, seq).samples
-        bloch = bloch_isochromat_train(tis, seq, 2 * 25).samples
+        epg = simulate_fse(tis, seq)
+        bloch = bloch_isochromat_train(tis, seq, 2 * 25)
         assert np.max(np.abs(epg - bloch)) / np.max(np.abs(epg)) < 1e-10
 
     def test_rejects_too_few_isochromats(self, ramp16, tissue):
@@ -319,7 +319,7 @@ def test_ensemble_columns_match_isochromat_oracle(data):
     for j in range(b):
         tissue = TissueParams(t1=t1[j], t2=t2[j], eta=eta[j])
         oracle = bloch_isochromat_train(tissue, seq.with_flips(flips[:, j]),
-                                        2 * (t + 1)).samples
+                                        2 * (t + 1))
         assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
 
 
@@ -327,7 +327,7 @@ class TestJacobian:
     def test_density_column_exact(self, ramp16):
         tis = TissueParams(rho=2.0 + 1j, t1=900.0, t2=80.0)
         j = signal_jacobian(tis, ramp16, wrt=("rho",))
-        f = simulate_fse(tis, ramp16).samples
+        f = simulate_fse(tis, ramp16)
         assert np.array_equal(j[:, 0], f / tis.rho)
 
     def test_cpmg_t2_derivative_analytic(self, cpmg32, tissue):
@@ -340,8 +340,8 @@ class TestJacobian:
         # two-step-size central differences with Richardson combination
         def fd(param, h):
             from dataclasses import replace
-            fp = simulate_fse(replace(tissue, **{param: getattr(tissue, param) + h}), ramp16).samples
-            fm = simulate_fse(replace(tissue, **{param: getattr(tissue, param) - h}), ramp16).samples
+            fp = simulate_fse(replace(tissue, **{param: getattr(tissue, param) + h}), ramp16)
+            fm = simulate_fse(replace(tissue, **{param: getattr(tissue, param) - h}), ramp16)
             return (fp - fm) / (2 * h)
 
         j = signal_jacobian(tissue, ramp16, wrt=("t2",))[:, 0]
@@ -365,8 +365,8 @@ class TestJacobian:
                                     for k, v in step.items()})
             tm = replace(tissue, **{k: getattr(tissue, k) - v
                                     for k, v in step.items()})
-            fd = (simulate_fse(tp, ramp16).samples
-                  - simulate_fse(tm, ramp16).samples) / (2 * h)
+            fd = (simulate_fse(tp, ramp16)
+                  - simulate_fse(tm, ramp16)) / (2 * h)
             jd = j @ (d * scale)
             assert np.linalg.norm(jd - fd) / np.linalg.norm(fd) < 1e-5
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spinshuffle.spinsim import TissueParams, constant_train
-from spinshuffle.subspace import (EnsembleMatrix, TissuePrior,
-                                  _fix_column_signs, back_project,
-                                  build_ensemble, compute_basis,
+from spinshuffle.qmap import build_dictionary
+from spinshuffle.spinsim import constant_train, simulate_fse_ensemble
+from spinshuffle.subspace import (TissuePrior, _fix_column_signs,
+                                  back_project, build_ensemble, compute_basis,
                                   projection_error, sample_prior)
 
 
@@ -19,19 +19,19 @@ class TestSamplePrior:
         prior = TissuePrior(seed=77)
         a = sample_prior(prior, 32)
         b = sample_prior(prior, 32)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_log_uniform_median(self):
         prior = TissuePrior(seed=5)
         draws = sample_prior(prior, 10_000)
-        med = np.median([t.t2 for t in draws])
+        med = np.median(draws[1])
         assert abs(med - np.sqrt(20 * 400)) / np.sqrt(20 * 400) < 0.05
 
     def test_rejection_keeps_t2_below_t1(self):
         prior = TissuePrior(t1_range_ms=(50.0, 300.0),
                             t2_range_ms=(40.0, 400.0), seed=3)
-        draws = sample_prior(prior, 500)
-        assert all(t.t2 <= t.t1 for t in draws)
+        t1, t2 = sample_prior(prior, 500)
+        assert np.all(t2 <= t1)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
@@ -45,32 +45,47 @@ class TestSamplePrior:
 class TestBuildEnsemble:
     def test_single_tissue_rank_one(self):
         seq = constant_train(8, 160.0, 10.0)
-        ens = build_ensemble([TissueParams(t2=90)], seq)
-        assert ens.data.shape == (8, 1)
-        assert np.linalg.matrix_rank(ens.data) == 1
+        ens = build_ensemble(([1000.0], [90.0]), seq)
+        assert ens.shape == (8, 1)
+        assert np.linalg.matrix_rank(ens) == 1
 
     def test_identical_tissues_identical_columns(self):
         seq = constant_train(8, 140.0, 10.0)
-        ens = build_ensemble([TissueParams(t2=90), TissueParams(t2=90)], seq)
-        assert np.array_equal(ens.data[:, 0], ens.data[:, 1])
+        ens = build_ensemble(([1000.0, 1000.0], [90.0, 90.0]), seq)
+        assert np.array_equal(ens[:, 0], ens[:, 1])
 
     def test_cpmg_columns_analytic(self):
         seq = constant_train(8, 180.0, 10.0)
         t2s = [50.0, 100.0, 150.0]
-        ens = build_ensemble([TissueParams(t2=v) for v in t2s], seq)
+        ens = build_ensemble((np.full(3, 1000.0), t2s), seq)
         t = np.arange(1, 9) * 10.0
         for col, t2 in enumerate(t2s):
-            assert np.max(np.abs(ens.data[:, col] - np.exp(-t / t2))) < 1e-12
+            assert np.max(np.abs(ens[:, col] - np.exp(-t / t2))) < 1e-12
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            build_ensemble([], constant_train(4))
+            build_ensemble(([], []), constant_train(4))
+
+    def test_prior_draws_as_arrays(self):
+        # the (t1, t2) pair from the prior feeds the ensemble unchanged, and
+        # both batch builders keep the checks a TissueParams makes of one
+        seq = constant_train(8, 150.0, 10.0)
+        t1, t2 = sample_prior(TissuePrior(seed=4), 300)
+        assert np.array_equal(build_ensemble((t1, t2), seq),
+                              simulate_fse_ensemble(t1, t2, seq))
+        for bad in (([100.0, 900.0], [50.0, 950.0]),   # t2 > t1
+                    ([100.0, 0.0], [50.0, 60.0]),
+                    ([100.0, 900.0], [-1.0, 60.0]),
+                    ([100.0, np.nan], [50.0, 60.0])):
+            for builder in (build_ensemble, build_dictionary):
+                with pytest.raises(ValueError):
+                    builder(bad, seq)
 
 
 class TestComputeBasis:
     def test_rank_one_single_component(self):
         seq = constant_train(8, 180.0, 10.0)
-        ens = build_ensemble([TissueParams(t2=90)], seq)
+        ens = build_ensemble(([1000.0], [90.0]), seq)
         basis = compute_basis(ens, 1)
         assert projection_error(ens, basis) < 1e-12
 
@@ -115,7 +130,7 @@ class TestComputeBasis:
 
         s = 2.0 ** -np.arange(n)
         data = (orthonormal(t) * s) @ orthonormal(l).conj().T
-        basis = compute_basis(EnsembleMatrix(data=data), n)
+        basis = compute_basis(data, n)
         u, s_ref, _ = np.linalg.svd(data, full_matrices=False)
         assert np.allclose(basis.singular_values, s_ref, rtol=1e-12, atol=0)
         assert np.max(np.abs(basis.phi_k - _fix_column_signs(u))) < 1e-12
@@ -146,7 +161,7 @@ class TestProjectionError:
         rng = np.random.default_rng(8)
         for _ in range(5):
             data = rng.standard_normal((12, 40)) + 1j * rng.standard_normal((12, 40))
-            ens = EnsembleMatrix(data=data)
+            ens = data
             basis = compute_basis(ens, 4)
             wc = projection_error(ens, basis, "worst-column-relative")
             fro = projection_error(ens, basis)
@@ -160,7 +175,7 @@ class TestProjectionError:
 
     def test_eckart_young_beats_random_projectors(self, default_ensemble):
         rng = np.random.default_rng(1)
-        x = default_ensemble.data
+        x = default_ensemble
         best = projection_error(default_ensemble,
                                 compute_basis(default_ensemble, 3))
         for _ in range(10):
@@ -170,10 +185,9 @@ class TestProjectionError:
             assert best <= resid + 1e-12
 
     def test_zero_matrix_rejected(self):
-        ens = EnsembleMatrix(data=np.zeros((4, 4), complex))
+        ens = np.zeros((4, 4), complex)
         with pytest.raises(ValueError):
-            projection_error(ens, compute_basis(
-                EnsembleMatrix(data=np.eye(4, dtype=complex)), 2))
+            projection_error(ens, compute_basis(np.eye(4, dtype=complex), 2))
 
     def test_unknown_metric(self, default_ensemble):
         basis = compute_basis(default_ensemble, 2)
