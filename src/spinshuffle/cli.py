@@ -4,7 +4,8 @@ Each subcommand runs one pipeline stage through the same functions
 `run_pipeline` calls and writes its arrays with the same writer, so
 intermediate arrays can be produced, inspected and consumed independently;
 `pipeline` runs the whole chain. Exit codes: 0 success, 1 usage error,
-2 runtime failure.
+2 runtime failure, reported with the failing stage: the subcommand, or the
+`run_pipeline` stage for `pipeline`.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def _cmd_fit(cfg: PipelineConfig) -> None:
     maps = fit_maps(cfg, seq, basis, coeffs)
     ok = np.isfinite(maps.t2)
     if not ok.any():
-        raise PipelineError("fit", ValueError(
-            f"every voxel failed the fit ({ok.size} of {ok.size})"))
+        raise ValueError(
+            f"every voxel failed the fit ({ok.size} of {ok.size})")
     write_arrays(out, t2_map=maps.t2, rho_map=maps.rho)
     write_csv(os.path.join(out, "fit_summary.csv"),
               ("metric", "value"),
@@ -197,6 +198,8 @@ def main(argv=None) -> int:
             _COMMANDS[args.command](cfg)
         return 0
     except Exception as exc:  # runtime failure -> exit code 2
+        if not isinstance(exc, PipelineError):
+            exc = PipelineError(args.command, exc)
         print(f"spinshuffle: error: {exc}", file=sys.stderr)
         if getattr(args, "verbose", False):
             raise

@@ -20,7 +20,7 @@ from .arrayio import write_array, write_csv
 from .config import PipelineConfig, save_config
 from .encoding import Encoder, SamplingMasks
 from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .qmap import FitMaps, build_dictionary, fit_map
+from .qmap import FitMaps, fit_map
 from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
 from .spinsim import SequenceParams
@@ -107,22 +107,11 @@ def reconstruct(cfg: PipelineConfig, masks: SamplingMasks,
 
 def fit_maps(cfg: PipelineConfig, seq: SequenceParams, basis: SubspaceBasis,
              coeffs: np.ndarray) -> FitMaps:
-    """T2 and density maps from subspace coefficients by the configured fit;
-    `nlls` fits the back-projected echo images."""
-    bounds = (cfg.fit_t2_min_ms, cfg.fit_t2_max_ms)
-    if cfg.fit_method == "dictionary":
-        grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]), 1024))
-        dictionary = build_dictionary(
-            (np.maximum(cfg.fit_t1_nominal_ms, grid), grid), seq, basis)
-        return fit_map(coeffs, seq, basis=basis, method="dictionary",
-                       dictionary=dictionary)
-    if cfg.fit_method == "subspace":
-        return fit_map(coeffs, seq, basis=basis, method="subspace",
-                       bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
-    if cfg.fit_method == "nlls":
-        return fit_map(back_project(basis, coeffs), seq, method="nlls",
-                       bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
-    raise ValueError(f"unknown fit method {cfg.fit_method!r}")
+    """T2 and density maps from subspace coefficients by the configured fit
+    method, T2 bounds and nominal T1 (see `fit_map`)."""
+    return fit_map(coeffs, seq, basis=basis, method=cfg.fit_method,
+                   bounds=(cfg.fit_t2_min_ms, cfg.fit_t2_max_ms),
+                   t1_ms=cfg.fit_t1_nominal_ms)
 
 
 def write_arrays(out: str, **arrays) -> None:

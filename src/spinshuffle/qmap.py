@@ -9,9 +9,12 @@ coarse for single voxels) and refined with a local parabola. Single-voxel
 fits then polish that start with safeguarded Newton steps on the reduced
 objective |m^H s|^2 / ||m||^2 in log T2, which converge to the exact
 minimizer in a few steps even on high-residual voxels. Dictionary matching
-is the grid-search counterpart and is equivalent to matched filtering; its
-dictionary is built from (t1, t2) arrays and keeps each atom's T2. Single-
-voxel fits and matches refuse non-finite signals; `fit_map` flags them failed.
+is the grid-search counterpart and is equivalent to matched filtering: it
+keeps the best-scoring atom's T2 and takes the density and residual from
+the same closed form. `fit_map` is the one place that knows the fit method;
+whatever the method, a basis means the stack holds subspace coefficients.
+Single-voxel fits and matches refuse non-finite signals and fail an all-zero
+one; `fit_map` flags such voxels failed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinsim import SequenceParams, check_tissues, simulate_fse_ensemble
-from .subspace import SubspaceBasis
+from .subspace import SubspaceBasis, back_project
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
 DEFAULT_T1_MS = 1000.0
@@ -46,79 +49,82 @@ class FitMaps:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit-norm simulated evolutions with the T2 of each."""
+    """Unit-norm simulated evolutions with the T2 and the norm of each."""
 
     atoms: np.ndarray                 # (T, D), unit 2-norm columns
     t2: np.ndarray                    # (D,) ms
-    compressed: np.ndarray | None = None  # (K, D)
+    norms: np.ndarray                 # (D,) 2-norm of each unit-density model
 
     def __post_init__(self):
         if self.atoms.shape[1] < 1:
             raise ValueError("dictionary needs at least one atom")
         if np.shape(self.t2) != self.atoms.shape[1:]:
             raise ValueError("dictionary needs one T2 per atom")
+        if np.shape(self.norms) != self.atoms.shape[1:]:
+            raise ValueError("dictionary needs one norm per atom")
         norms = np.linalg.norm(self.atoms, axis=0)
         if np.max(np.abs(norms - 1)) > 1e-12:
             raise ValueError("atoms must have unit 2-norm")
 
 
-def build_dictionary(tissues, seq: SequenceParams,
-                     basis: SubspaceBasis | None = None) -> Dictionary:
-    """Simulate, normalize, and (optionally) compress one atom per tissue of
-    a (t1, t2) pair of arrays."""
+def build_dictionary(tissues, seq: SequenceParams) -> Dictionary:
+    """Simulate and normalize one time-domain atom per tissue of a (t1, t2)
+    pair of arrays, keeping each model's norm for the density."""
     t1, t2 = check_tissues(*tissues)
     atoms = simulate_fse_ensemble(t1, t2, seq)
     norms = np.linalg.norm(atoms, axis=0)
     if np.any(norms == 0):
         raise ValueError("dictionary contains an all-zero evolution")
-    atoms = atoms / norms
-    compressed = None
-    if basis is not None:
-        compressed = basis.phi_k.conj().T @ atoms
-    return Dictionary(atoms=atoms, t2=t2, compressed=compressed)
+    return Dictionary(atoms=atoms / norms, t2=t2, norms=norms)
 
 
-def _match(cols, dictionary: Dictionary, compressed: bool):
+def _match(cols, dictionary: Dictionary, basis: SubspaceBasis | None = None):
     """Matched filter of (T|K, n) signal columns: rho, T2 and residual each.
 
-    The caller names the domain: the columns match the compressed atoms if
-    `compressed`, otherwise the atoms; ties go to the lowest index.
+    Given a basis the columns are coefficients and match the compressed
+    atoms a = Phi^H atom. The best atom maximizes |a^H s| (ties go to the
+    lowest index); its model ||m|| a then gives the least-squares density
+    a^H s / (||m|| ||a||^2) and residual (||s||^2 - |a^H s|^2 / ||a||^2) / 2.
     """
-    atoms = dictionary.compressed if compressed else dictionary.atoms
-    if atoms is None or cols.shape[0] != atoms.shape[0]:
-        raise ValueError("dictionary has no atoms in the signal's domain")
-    scores = atoms.conj().T @ cols
-    best = np.argmax(np.abs(scores), axis=0)
-    rho = scores[best, np.arange(cols.shape[1])]
-    resid = 0.5 * (np.sum(np.abs(cols) ** 2, axis=0) - np.abs(rho) ** 2)
+    atoms = dictionary.atoms
+    if basis is not None:
+        atoms = basis.phi_k.conj().T @ atoms
+    if cols.shape[0] != atoms.shape[0]:
+        raise ValueError("signal length does not match the dictionary")
+    best = np.argmax(np.abs(atoms.conj().T @ cols), axis=0)
+    resid, rho = _varpro_cost(atoms[:, best] * dictionary.norms[best], cols)
     return rho, dictionary.t2[best], resid
 
 
-def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
-    """Matched-filter grid search: argmax of |<atom, signal>|.
-
-    The signal's length names its domain: a time-domain signal of length T
-    matches the atoms, a coefficient vector of length K the compressed
-    atoms; a dictionary compressed with K = T leaves it ambiguous and is
-    refused (use `fit_map`, whose basis argument names the domain), as is a
-    non-finite signal. Ties go to the lowest index.
-    """
-    signal = np.asarray(signal, complex).ravel()
+def _no_signal(signal) -> bool:
+    """Refuse a non-finite signal; True for an all-zero one."""
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal must be finite")
-    compressed = (dictionary.compressed is not None
-                  and signal.size == dictionary.compressed.shape[0])
-    if compressed and signal.size == dictionary.atoms.shape[0]:
-        raise ValueError("with K = T the signal's domain is ambiguous")
-    rho, t2, resid = _match(signal[:, None], dictionary, compressed)
+    return not np.any(signal)
+
+
+_FAILED = FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
+
+
+def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
+    """Matched-filter grid search of an echo train: argmax of |<atom, signal>|.
+
+    Returns the matched atom's T2 with the least-squares density and
+    residual of its model. A non-finite signal is refused and an all-zero
+    one fails. Ties go to the lowest index.
+    """
+    signal = np.asarray(signal, complex).ravel()
+    if _no_signal(signal):
+        return _FAILED
+    rho, t2, resid = _match(signal[:, None], dictionary)
     return FitResult(rho=complex(rho[0]), t2=float(t2[0]),
                      residual=float(resid[0]), converged=True)
 
 
-def _model_batch(t2_values, seq, t1_ms, eta, basis=None):
+def _model_batch(t2_values, seq, t1_ms, basis=None):
     """Unit-density evolutions for a batch of T2 values, compressed if asked."""
     t2 = np.asarray(t2_values, float)
-    sig = simulate_fse_ensemble(np.full(t2.shape, t1_ms), t2, seq, eta=eta)
+    sig = simulate_fse_ensemble(np.full(t2.shape, t1_ms), t2, seq)
     if basis is not None:
         sig = basis.phi_k.conj().T @ sig
     return sig  # (T or K, B)
@@ -134,7 +140,7 @@ def _varpro_cost(models, signals):
     return cost, rho
 
 
-def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
+def _polish(signal, seq, t2, bounds, t1_ms, basis, max_steps=20):
     """Safeguarded Newton ascent of g(u) = |m^H s|^2 / ||m||^2, u = log T2.
 
     Maximizing g minimizes the reduced cost (||s||^2 - g) / 2. Each trial is
@@ -154,7 +160,7 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
         t2_val = math.exp(u)
         h = 1e-4 * t2_val
         m0, mp, mm = _model_batch([t2_val, t2_val + h, t2_val - h], seq,
-                                  t1_ms, eta, basis).T
+                                  t1_ms, basis).T
         m1 = t2_val * (mp - mm) / (2 * h)                     # dm/du
         m2 = t2_val ** 2 * (mp - 2 * m0 + mm) / h ** 2 + m1   # d2m/du2
         a0, a1, a2 = (np.vdot(m, signal) for m in (m0, m1, m2))
@@ -194,69 +200,64 @@ def _polish(signal, seq, t2, bounds, t1_ms, eta, basis, max_steps=20):
     return math.exp(u), cost, rho, converged
 
 
-def _fit_voxel(signal, seq, bounds, t1_ms, eta, basis) -> FitResult:
+def _fit_voxel(signal, seq, bounds, t1_ms, basis) -> FitResult:
     """Coarse 48-point grid start, then the polish; zero signal fails and a
     non-finite one is refused."""
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal must be finite")
-    if np.all(signal == 0):
-        return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
-    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, eta, basis, 48)
+    if _no_signal(signal):
+        return _FAILED
+    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, basis, 48)
     t2, cost, rho, converged = _polish(signal, seq, float(t2[0]), bounds,
-                                       t1_ms, eta, basis)
+                                       t1_ms, basis)
     return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
 
 
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
-                   bounds=DEFAULT_T2_BOUNDS_MS, t1_ms: float = DEFAULT_T1_MS,
-                   eta: float = 1.0) -> FitResult:
+                   bounds=DEFAULT_T2_BOUNDS_MS,
+                   t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Voxel-wise nonlinear least squares over (complex density, T2)."""
     signal = np.asarray(signal, complex).ravel()
     if signal.size != seq.n_echoes:
         raise ValueError("signal length does not match the echo train")
-    return _fit_voxel(signal, seq, bounds, t1_ms, eta, None)
+    return _fit_voxel(signal, seq, bounds, t1_ms, None)
 
 
 def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
                        seq: SequenceParams, bounds=DEFAULT_T2_BOUNDS_MS,
-                       t1_ms: float = DEFAULT_T1_MS,
-                       eta: float = 1.0) -> FitResult:
+                       t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Fit directly in coefficient space: min ||alpha - Phi^H rho f(T2)||."""
     alpha = np.asarray(alpha, complex).ravel()
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
-    return _fit_voxel(alpha, seq, bounds, t1_ms, eta, basis)
+    return _fit_voxel(alpha, seq, bounds, t1_ms, basis)
 
 
 def fit_map(stack: np.ndarray, seq: SequenceParams,
             basis: SubspaceBasis | None = None, method: str = "subspace",
-            bounds=DEFAULT_T2_BOUNDS_MS, t1_ms: float = DEFAULT_T1_MS,
-            eta: float = 1.0,
-            dictionary: Dictionary | None = None) -> FitMaps:
+            bounds=DEFAULT_T2_BOUNDS_MS,
+            t1_ms: float = DEFAULT_T1_MS) -> FitMaps:
     """Independent per-voxel fits over an image or coefficient stack.
 
-    stack is (T, nx, ny) for method 'nlls' and (K, nx, ny) for 'subspace'.
-    For 'dictionary' the basis names the domain: given a basis, the stack
-    holds coefficients and matches the compressed atoms, otherwise it holds
-    echo images and matches the atoms. Voxels with no signal or a non-finite
-    one are flagged in the failed mask. Results do not depend on voxel
-    ordering.
+    Given a basis, the stack holds (K, nx, ny) subspace coefficients,
+    otherwise (T, nx, ny) echo images. 'subspace' fits the coefficients and
+    needs the basis; 'nlls' fits echo images and back-projects coefficients
+    first; 'dictionary' matches 1024 atoms log-spaced in T2 over the bounds
+    with T1 = max(t1_ms, T2), compressed by the basis if given. Voxels with
+    no signal or a non-finite one are flagged in the failed mask. Results do
+    not depend on voxel ordering.
     """
-    stack = np.asarray(stack, complex)
-    lead, nx, ny = stack.shape
-    if method == "dictionary":
-        if dictionary is None:
-            raise ValueError("dictionary method needs a dictionary")
-    elif method == "subspace":
-        if basis is None:
-            raise ValueError("subspace method needs a basis")
-        if lead != basis.k:
-            raise ValueError("stack leading axis does not match basis size")
-    elif method == "nlls":
-        if lead != seq.n_echoes:
-            raise ValueError("stack leading axis does not match echo count")
-    else:
+    if method not in ("subspace", "nlls", "dictionary"):
         raise ValueError(f"unknown fit method {method!r}")
+    stack = np.asarray(stack, complex)
+    if basis is not None:
+        if stack.shape[0] != basis.k:
+            raise ValueError("stack leading axis does not match basis size")
+        if method == "nlls":
+            stack, basis = back_project(basis, stack), None
+    elif method == "subspace":
+        raise ValueError("subspace method needs a basis")
+    elif stack.shape[0] != seq.n_echoes:
+        raise ValueError("stack leading axis does not match echo count")
+    lead, nx, ny = stack.shape
     signals = stack.reshape(lead, -1)
     power = np.sum(np.abs(signals) ** 2, axis=0)
     finite = np.all(np.isfinite(signals), axis=0)
@@ -269,20 +270,22 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     if np.any(alive):
         cols = signals[:, alive]
         if method == "dictionary":
-            rho[alive], t2[alive], residual[alive] = _match(
-                cols, dictionary, basis is not None)
+            grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]),
+                                      1024))
+            dictionary = build_dictionary((np.maximum(t1_ms, grid), grid), seq)
+            rho[alive], t2[alive], residual[alive] = _match(cols, dictionary,
+                                                            basis)
         else:
-            use_basis = basis if method == "subspace" else None
-            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, eta, use_basis, 400)
+            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, basis, 400)
             residual[alive], rho[alive] = _varpro_cost(
-                _model_batch(t2_fit, seq, t1_ms, eta, use_basis), cols)
+                _model_batch(t2_fit, seq, t1_ms, basis), cols)
             t2[alive] = t2_fit
     return FitMaps(rho=rho.reshape(nx, ny), t2=t2.reshape(nx, ny),
                    residual=residual.reshape(nx, ny),
                    failed=(~alive).reshape(nx, ny))
 
 
-def _grid_t2(signals, seq, bounds, t1_ms, eta, basis, grid_size):
+def _grid_t2(signals, seq, bounds, t1_ms, basis, grid_size):
     """Grid-scored variable-projection T2 for many signal columns at once.
 
     The model curve is smooth on a log-T2 grid, so a dense scan plus a
@@ -291,7 +294,7 @@ def _grid_t2(signals, seq, bounds, t1_ms, eta, basis, grid_size):
     """
     lo, hi = bounds
     logs = np.linspace(math.log(lo), math.log(hi), grid_size)
-    models = _model_batch(np.exp(logs), seq, t1_ms, eta, basis)  # (T|K, G)
+    models = _model_batch(np.exp(logs), seq, t1_ms, basis)  # (T|K, G)
     num = np.abs(models.conj().T @ signals) ** 2                 # (G, n)
     den = np.sum(np.abs(models) ** 2, axis=0)[:, None]
     score = num / den                                            # maximize

@@ -36,12 +36,9 @@ class DensityProfile:
         if self.accel < 1:
             raise ValueError("acceleration must be >= 1")
 
-    def density(self, dims) -> np.ndarray:
-        """Unnormalized density on the centered grid, 1 on the center disc."""
-        nx, ny = dims
-        gx = (np.arange(nx) - nx // 2) / (nx / 2)
-        gy = (np.arange(ny) - ny // 2) / (ny / 2)
-        r = np.hypot(gx[:, None], gy[None, :])
+    def density(self, r: np.ndarray) -> np.ndarray:
+        """Unnormalized density at the radii `r` of `_radius_grid`, 1 on the
+        center disc."""
         if self.shape == "polynomial":
             d = np.clip(1.0 - r, 0.0, None) ** self.decay_power
         else:
@@ -50,19 +47,21 @@ class DensityProfile:
         return d
 
 
-def _center_disc(dims, radius_fraction) -> np.ndarray:
+def _radius_grid(dims) -> np.ndarray:
+    """Distance of each location from the k-space center, 1 at half width."""
     nx, ny = dims
     gx = (np.arange(nx) - nx // 2) / (nx / 2)
     gy = (np.arange(ny) - ny // 2) / (ny / 2)
-    return np.hypot(gx[:, None], gy[None, :]) <= radius_fraction
+    return np.hypot(gx[:, None], gy[None, :])
 
 
 def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
     """Per-location Bernoulli probability calibrated to N / accel samples."""
     n = dims[0] * dims[1]
     target = n / profile.accel
-    density = profile.density(dims)
-    disc = _center_disc(dims, profile.fully_sampled_radius)
+    r = _radius_grid(dims)
+    density = profile.density(r)
+    disc = r <= profile.fully_sampled_radius
     support = density > 0
     if target > support.sum():
         raise ValueError(
@@ -96,8 +95,7 @@ def _draw_masks(profile: DensityProfile, dims, seeds) -> np.ndarray:
     """One Bernoulli mask per seed, all drawn from one calibration."""
     if min(dims) < 4:
         raise ValueError("grid must be at least 4x4")
-    n = dims[0] * dims[1]
-    if profile.accel == 1.0 or n / profile.accel >= n:
+    if profile.accel == 1:
         return np.ones((len(seeds), *dims), bool)
     prob = sampling_probability(profile, dims)
     return np.stack([np.random.default_rng(s).random(dims) < prob

@@ -238,12 +238,12 @@ def test_criterion_07_fit_correctness():
 
     def oracle(signal):
         coarse = np.arange(1.0, 1000.0 + 1e-9, 0.5)
-        cost, _ = _varpro_cost(_model_batch(coarse, seq, 1000.0, 1.0),
+        cost, _ = _varpro_cost(_model_batch(coarse, seq, 1000.0),
                                np.repeat(signal[:, None], coarse.size, 1))
         center = coarse[int(np.argmin(cost))]
         fine = np.arange(max(1.0, center - 1.0),
                          min(1000.0, center + 1.0) + 1e-9, 0.01)
-        cost, _ = _varpro_cost(_model_batch(fine, seq, 1000.0, 1.0),
+        cost, _ = _varpro_cost(_model_batch(fine, seq, 1000.0),
                                np.repeat(signal[:, None], fine.size, 1))
         return fine[int(np.argmin(cost))]
 

@@ -10,7 +10,7 @@ from spinshuffle.arrayio import read_array
 from spinshuffle.cli import main
 from spinshuffle.config import PipelineConfig, save_config
 from spinshuffle.pipeline import sequence_from_config, write_arrays
-from spinshuffle.qmap import build_dictionary, fit_map
+from spinshuffle.qmap import fit_map
 from spinshuffle.subspace import SubspaceBasis, back_project
 
 SMALL = PipelineConfig(nx=16, ny=16, n_echoes=4, ensemble_size=32,
@@ -34,6 +34,8 @@ class TestExitCodes:
         assert main(["recon", "--out", str(tmp_path / "empty")]) == 2
         err = capsys.readouterr().err
         assert "error" in err
+        # the failure names its stage, not only the missing file
+        assert "'recon'" in err and "masks.hdr" in err
 
     def test_success_is_zero(self, tmp_path, cfg_path):
         assert main(["phantom", "--config", cfg_path,
@@ -91,11 +93,8 @@ class TestStagedFlow:
                                method="nlls", bounds=bounds,
                                t1_ms=cfg.fit_t1_nominal_ms)
         else:
-            grid = np.exp(np.linspace(*np.log(bounds), 1024))
-            dictionary = build_dictionary(
-                (np.maximum(cfg.fit_t1_nominal_ms, grid), grid), seq, basis)
             expected = fit_map(coeffs, seq, basis=basis, method="dictionary",
-                               dictionary=dictionary)
+                               bounds=bounds, t1_ms=cfg.fit_t1_nominal_ms)
         np.testing.assert_array_equal(read_array(out + "/t2_map").real,
                                       expected.t2.astype(np.float32))
 

@@ -1,8 +1,8 @@
 """Import hygiene: every name a package module imports is used in that
 module, every top-level definition and method is reached from code that
-runs, the package exports exactly the pinned public API, the flip design
-runs without loading scipy.optimize or numpy.ma, and a pipeline run does
-not load scipy.fft.
+runs, the package exports exactly the pinned public API with a pinned
+total of parameters, the flip design runs without loading scipy.optimize or
+numpy.ma, and a pipeline run does not load scipy.fft.
 
 `__init__.py` is exempt from the first two checks: its imports are the
 package's public re-exports, and a re-export alone does not make a
@@ -10,6 +10,7 @@ definition reached.
 """
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -56,6 +57,18 @@ def test_public_api_is_pinned():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert sorted(exported) == sorted(PUBLIC_API)
+
+
+# Total of the signature parameters of every exported callable, a class
+# counted by its constructor. A new knob shows here as a changed total.
+PUBLIC_PARAMETERS = 259
+
+
+def test_public_parameters_are_counted():
+    total = sum(len(inspect.signature(value).parameters)
+                for name, value in vars(spinshuffle).items()
+                if name in PUBLIC_API and callable(value))
+    assert total == PUBLIC_PARAMETERS
 
 
 def unused_imports(source: str) -> list:

@@ -15,6 +15,8 @@ from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
 
 T = 32
 SEQ = constant_train(T, 180.0, 10.0)
+# fit_map's dictionary grid at the default bounds
+GRID_T2 = np.exp(np.linspace(*np.log(DEFAULT_T2_BOUNDS_MS), 1024))
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +33,11 @@ def grid_oracle(signal, lo=1.0, hi=1000.0):
     """Dense grid search at 0.01 ms resolution (coarse scan, then exhaustive
     fine grid around the coarse winner)."""
     coarse = np.arange(lo, hi + 1e-9, 0.5)
-    cost, _ = _varpro_cost(_model_batch(coarse, SEQ, 1000.0, 1.0),
+    cost, _ = _varpro_cost(_model_batch(coarse, SEQ, 1000.0),
                            np.repeat(signal[:, None], coarse.size, 1))
     center = coarse[int(np.argmin(cost))]
     fine = np.arange(max(lo, center - 1.0), min(hi, center + 1.0) + 1e-9, 0.01)
-    cost, _ = _varpro_cost(_model_batch(fine, SEQ, 1000.0, 1.0),
+    cost, _ = _varpro_cost(_model_batch(fine, SEQ, 1000.0),
                            np.repeat(signal[:, None], fine.size, 1))
     return fine[int(np.argmin(cost))]
 
@@ -68,7 +70,7 @@ class TestFitVoxelNlls:
         rng = np.random.default_rng(1)
         noisy = clean_signal + 0.02 * rng.standard_normal(T)
         res = fit_voxel_nlls(noisy, SEQ, bounds=(1.0, 1000.0))
-        model = _model_batch([res.t2], SEQ, 1000.0, 1.0)[:, 0]
+        model = _model_batch([res.t2], SEQ, 1000.0)[:, 0]
         resid = noisy - res.rho * model
         assert abs(np.vdot(model, resid)) < 1e-8
 
@@ -96,9 +98,9 @@ class TestFitVoxelNlls:
         rng = np.random.default_rng(34)
         noisy = clean_signal + 0.1 * rng.standard_normal(T)
         start = qmap._grid_t2(noisy[:, None], SEQ, DEFAULT_T2_BOUNDS_MS,
-                              1000.0, 1.0, None, 48)
+                              1000.0, None, 48)
         *_, converged = _polish(noisy, SEQ, float(start[0]),
-                                DEFAULT_T2_BOUNDS_MS, 1000.0, 1.0, None,
+                                DEFAULT_T2_BOUNDS_MS, 1000.0, None,
                                 max_steps=1)
         assert converged is False
         assert fit_voxel_nlls(noisy, SEQ).converged
@@ -126,7 +128,7 @@ class TestFitVoxelNlls:
                 continue
             assert res.converged
             nearby = res.t2 * np.array([1.0, 1 - 1e-6, 1 + 1e-6])
-            cost, _ = _varpro_cost(_model_batch(nearby, SEQ, 1000.0, 1.0),
+            cost, _ = _varpro_cost(_model_batch(nearby, SEQ, 1000.0),
                                    np.repeat(signal[:, None], 3, 1))
             assert np.all(cost[1:] >= cost[0])
 
@@ -187,15 +189,20 @@ class TestFitVoxelSubspace:
 
 class TestDictionaryMatch:
     @pytest.fixture(scope="class")
-    def dictionary(self, ensemble):
-        basis = compute_basis(ensemble, 3)
+    def dictionary(self):
         t2s = np.arange(20.0, 401.0, 5.0)
-        return build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
+        return build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ)
 
     def test_exact_atom_recovered(self, dictionary, clean_signal):
         res = dictionary_match(clean_signal, dictionary)
         assert res.t2 == 100.0
-        assert abs(abs(res.rho) - np.linalg.norm(clean_signal)) < 1e-12
+        assert abs(res.rho - 1.0) < 1e-12
+        assert abs(res.residual) < 1e-12
+
+    def test_zero_signal_flagged(self, dictionary):
+        res = dictionary_match(np.zeros(T), dictionary)
+        assert res.rho == 0 and math.isnan(res.t2)
+        assert res.residual == 0.0 and res.converged is False
 
     def test_negated_atom_same_match(self, dictionary, clean_signal):
         res = dictionary_match(-clean_signal, dictionary)
@@ -215,14 +222,14 @@ class TestDictionaryMatch:
         atom = simulate_fse(TissueParams(t2=80.0), SEQ)
         atom = atom / np.linalg.norm(atom)
         dup = Dictionary(atoms=np.stack([atom, atom], axis=1),
-                         t2=np.array([80.0, 999.0]))
+                         t2=np.array([80.0, 999.0]), norms=np.ones(2))
         assert dictionary_match(atom, dup).t2 == 80.0
 
     def test_one_t2_per_atom(self):
         atom = simulate_fse(TissueParams(t2=80.0), SEQ)
         atoms = np.stack([atom, atom], axis=1) / np.linalg.norm(atom)
         with pytest.raises(ValueError, match="one T2 per atom"):
-            Dictionary(atoms=atoms, t2=np.array([80.0]))
+            Dictionary(atoms=atoms, t2=np.array([80.0]), norms=np.ones(2))
 
     def test_non_finite_signal_rejected(self, dictionary, clean_signal):
         signal = clean_signal.copy()
@@ -232,9 +239,13 @@ class TestDictionaryMatch:
 
     def test_compressed_domain_match(self, dictionary, ensemble,
                                      clean_signal):
+        # coefficient columns match the basis-compressed atoms, the path
+        # fit_map takes for a 'dictionary' fit given a basis
         basis = compute_basis(ensemble, 3)
         alpha = basis.phi_k.conj().T @ clean_signal
-        assert dictionary_match(alpha, dictionary).t2 == 100.0
+        rho, t2, _ = qmap._match(alpha[:, None], dictionary, basis)
+        assert t2[0] == 100.0
+        assert abs(rho[0] - 1.0) < 1e-3
 
     def test_noisy_monte_carlo_within_one_step(self, dictionary,
                                                clean_signal):
@@ -260,7 +271,7 @@ class TestFitMap:
         basis = compute_basis(ensemble, 3)
         t2 = np.full((8, 8), 60.0)
         t2[:, 4:] = 150.0
-        sig = _model_batch(t2.ravel(), SEQ, 1000.0, 1.0)
+        sig = _model_batch(t2.ravel(), SEQ, 1000.0)
         alpha = basis.phi_k.conj().T @ sig
         maps = fit_map(alpha.reshape(3, 8, 8), SEQ, basis=basis,
                        method="subspace")
@@ -302,31 +313,51 @@ class TestFitMap:
         keep = ~expected
         assert np.array_equal(maps.t2.ravel()[keep], good.t2.ravel()[keep])
 
-    def test_full_basis_dictionary_domain(self, ensemble, clean_signal):
+    def test_full_basis_dictionary_domain(self, ensemble):
         # with K = T a coefficient vector and an echo train have the same
         # length, so the basis argument alone names the domain
         basis = compute_basis(ensemble, T)
-        t2s = np.arange(20.0, 401.0, 5.0)
-        dic = build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
-        echoes = np.repeat(clean_signal[:, None], 4, axis=1).reshape(T, 2, 2)
-        maps = fit_map(echoes, SEQ, method="dictionary", dictionary=dic)
-        assert np.all(maps.t2 == 100.0)
+        t2 = GRID_T2[[300, 450, 600, 750]]
+        echoes = simulate_fse_ensemble(np.full(4, 1000.0), t2,
+                                       SEQ).reshape(T, 2, 2)
+        maps = fit_map(echoes, SEQ, method="dictionary")
+        assert np.array_equal(maps.t2.ravel(), t2)
         coeffs = np.tensordot(basis.phi_k.conj().T, echoes, axes=1)
-        maps = fit_map(coeffs, SEQ, basis=basis, method="dictionary",
-                       dictionary=dic)
-        assert np.all(maps.t2 == 100.0)
-        with pytest.raises(ValueError, match="ambiguous"):
-            dictionary_match(clean_signal, dic)
+        maps = fit_map(coeffs, SEQ, basis=basis, method="dictionary")
+        assert np.array_equal(maps.t2.ravel(), t2)
 
-    def test_dictionary_method(self, ensemble, clean_signal):
+    def test_dictionary_method(self, ensemble):
+        # compressed atoms: a K = 3 coefficient stack matches its own atom
         basis = compute_basis(ensemble, 3)
-        t2s = np.arange(20.0, 401.0, 5.0)
-        dic = build_dictionary((np.full(t2s.shape, 1000.0), t2s), SEQ, basis)
-        alpha = basis.phi_k.conj().T @ clean_signal
-        stack = np.repeat(alpha[:, None], 4, axis=1).reshape(3, 2, 2)
-        maps = fit_map(stack, SEQ, basis=basis, method="dictionary",
-                       dictionary=dic)
-        assert np.all(maps.t2 == 100.0)
+        t2 = GRID_T2[[520, 560, 600, 640]]
+        echoes = simulate_fse_ensemble(np.full(4, 1000.0), t2, SEQ)
+        alpha = basis.phi_k.conj().T @ echoes
+        maps = fit_map(alpha.reshape(3, 2, 2), SEQ, basis=basis,
+                       method="dictionary")
+        assert np.array_equal(maps.t2.ravel(), t2)
+
+    def test_methods_agree_on_density(self, ensemble):
+        # noiseless rho * m(T2) with T2 on the dictionary grid: every method
+        # recovers the complex density, in the time domain and on full-basis
+        # coefficients. Narrow bounds make the 400-point map grid fine
+        # enough for the grid fits' T2 to hold rho well within 1e-6.
+        bounds = (80.0, 125.0)
+        t2 = np.exp(np.linspace(*np.log(bounds), 1024))[[100, 300, 511, 900]]
+        rng = np.random.default_rng(11)
+        rho = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        echoes = (rho * simulate_fse_ensemble(np.full(4, 1000.0), t2, SEQ)
+                  ).reshape(T, 2, 2)
+        basis = compute_basis(ensemble, T)
+        coeffs = np.tensordot(basis.phi_k.conj().T, echoes, axes=1)
+        for stack, method, use_basis in [(echoes, "nlls", None),
+                                         (echoes, "dictionary", None),
+                                         (coeffs, "subspace", basis),
+                                         (coeffs, "nlls", basis),
+                                         (coeffs, "dictionary", basis)]:
+            maps = fit_map(stack, SEQ, basis=use_basis, method=method,
+                           bounds=bounds)
+            err = np.abs(maps.rho.ravel() - rho) / np.abs(rho)
+            assert np.all(err < 1e-6), (method, use_basis is None, err)
 
     def test_method_validation(self, clean_signal):
         stack = np.zeros((T, 2, 2), complex)

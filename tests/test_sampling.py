@@ -49,10 +49,11 @@ class TestDrawMask:
 
 def _probability_200_steps(profile, dims):
     # the calibration with all 200 bisection steps and no early exit
-    density = profile.density(dims)
     gx = (np.arange(dims[0]) - dims[0] // 2) / (dims[0] / 2)
     gy = (np.arange(dims[1]) - dims[1] // 2) / (dims[1] / 2)
-    disc = np.hypot(gx[:, None], gy[None, :]) <= profile.fully_sampled_radius
+    r = np.hypot(gx[:, None], gy[None, :])
+    density = profile.density(r)
+    disc = r <= profile.fully_sampled_radius
     target = dims[0] * dims[1] / profile.accel
 
     def clipped(scale):
