@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, check_tissues, simulate_fse_ensemble
+from .spinsim import SequenceParams, _shared_pulse_ensemble, check_tissues
 from .subspace import SubspaceBasis, back_project
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
@@ -69,9 +69,10 @@ class Dictionary:
 
 def build_dictionary(tissues, seq: SequenceParams) -> Dictionary:
     """Simulate and normalize one time-domain atom per tissue of a (t1, t2)
-    pair of arrays, keeping each model's norm for the density."""
+    pair of arrays, keeping each model's norm for the density; more than
+    2T + 1 atoms are relaxation polynomials, as in `build_ensemble`."""
     t1, t2 = check_tissues(*tissues)
-    atoms = simulate_fse_ensemble(t1, t2, seq)
+    atoms = _shared_pulse_ensemble(t1, t2, seq)
     norms = np.linalg.norm(atoms, axis=0)
     if np.any(norms == 0):
         raise ValueError("dictionary contains an all-zero evolution")
@@ -85,13 +86,16 @@ def _match(cols, dictionary: Dictionary, basis: SubspaceBasis | None = None):
     atoms a = Phi^H atom. The best atom maximizes |a^H s| (ties go to the
     lowest index); its model ||m|| a then gives the least-squares density
     a^H s / (||m|| ||a||^2) and residual (||s||^2 - |a^H s|^2 / ||a||^2) / 2.
+    Columns are scored in blocks, so no (atoms x n) matrix is held.
     """
     atoms = dictionary.atoms
     if basis is not None:
         atoms = basis.phi_k.conj().T @ atoms
     if cols.shape[0] != atoms.shape[0]:
         raise ValueError("signal length does not match the dictionary")
-    best = np.argmax(np.abs(atoms.conj().T @ cols), axis=0)
+    adjoint = atoms.conj().T
+    best = np.concatenate([np.abs(adjoint @ cols[:, lo:lo + 256]).argmax(0)
+                           for lo in range(0, cols.shape[1], 256)])
     resid, rho = _varpro_cost(atoms[:, best] * dictionary.norms[best], cols)
     return rho, dictionary.t2[best], resid
 
@@ -122,9 +126,10 @@ def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
 
 
 def _model_batch(t2_values, seq, t1_ms, basis=None):
-    """Unit-density evolutions for a batch of T2 values, compressed if asked."""
+    """Unit-density evolutions for a batch of T2 values, compressed if asked;
+    batches above 2T + 1 (not the polish's 3) are relaxation polynomials."""
     t2 = np.asarray(t2_values, float)
-    sig = simulate_fse_ensemble(np.full(t2.shape, t1_ms), t2, seq)
+    sig = _shared_pulse_ensemble(np.full(t2.shape, t1_ms), t2, seq)
     if basis is not None:
         sig = basis.phi_k.conj().T @ sig
     return sig  # (T or K, B)
@@ -221,11 +226,18 @@ def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
     return _fit_voxel(signal, seq, bounds, t1_ms, None)
 
 
+def _check_echoes(basis: SubspaceBasis, seq: SequenceParams) -> None:
+    if basis.n_echoes != seq.n_echoes:
+        raise ValueError(f"basis has {basis.n_echoes} echoes but the "
+                         f"sequence has {seq.n_echoes}")
+
+
 def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
                        seq: SequenceParams, bounds=DEFAULT_T2_BOUNDS_MS,
                        t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Fit directly in coefficient space: min ||alpha - Phi^H rho f(T2)||."""
     alpha = np.asarray(alpha, complex).ravel()
+    _check_echoes(basis, seq)
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
     return _fit_voxel(alpha, seq, bounds, t1_ms, basis)
@@ -249,6 +261,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
         raise ValueError(f"unknown fit method {method!r}")
     stack = np.asarray(stack, complex)
     if basis is not None:
+        _check_echoes(basis, seq)
         if stack.shape[0] != basis.k:
             raise ValueError("stack leading axis does not match basis size")
         if method == "nlls":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,13 +138,13 @@ def test_voxel_fit_simulates_each_t2_once(monkeypatch, ensemble):
     # the grid stage plus one [T2, T2+h, T2-h] batch per polish trial: no
     # T2 is simulated twice within one fit
     batches = []
-    original = qmap.simulate_fse_ensemble
+    original = qmap._shared_pulse_ensemble
 
     def recorded(t1, t2, *args, **kwargs):
         batches.append(np.array(t2, float))
         return original(t1, t2, *args, **kwargs)
 
-    monkeypatch.setattr(qmap, "simulate_fse_ensemble", recorded)
+    monkeypatch.setattr(qmap, "_shared_pulse_ensemble", recorded)
     basis = compute_basis(ensemble, 3)
     rng = np.random.default_rng(6)
     for t2 in (30.0, 100.0, 250.0):
@@ -365,3 +366,29 @@ class TestFitMap:
             fit_map(stack, SEQ, method="magic")
         with pytest.raises(ValueError):
             fit_map(stack, SEQ, method="subspace")  # no basis
+
+    @pytest.mark.parametrize("method", ["subspace", "nlls", "dictionary"])
+    def test_basis_echo_count_checked(self, method):
+        # a 16-echo basis with the 32-echo sequence names both counts
+        seq16 = constant_train(16, 180.0, 10.0)
+        basis = compute_basis(build_ensemble(
+            sample_prior(TissuePrior(seed=3), 64), seq16), 3)
+        stack = np.ones((3, 2, 2), complex)
+        with pytest.raises(ValueError, match="16.*32"):
+            fit_map(stack, SEQ, basis=basis, method=method)
+        with pytest.raises(ValueError, match="16.*32"):
+            fit_voxel_subspace(stack[:, 0, 0], basis, SEQ)
+
+    def test_dictionary_holds_no_atoms_by_voxels_matrix(self, ensemble):
+        # 1024 atoms against 48 x 48 voxels: the scores alone would be
+        # 1024 * 2304 * 16 B = 37.7 MB, their modulus 18.9 MB
+        rng = np.random.default_rng(8)
+        stack = (rng.standard_normal((T, 48, 48))
+                 + 1j * rng.standard_normal((T, 48, 48)))
+        tracemalloc.start()
+        try:
+            fit_map(stack, SEQ, method="dictionary")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 48 * 48 * 8

@@ -323,6 +323,74 @@ def test_ensemble_columns_match_isochromat_oracle(data):
         assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relaxation_polynomials_match_engine(data):
+    # every column in the polynomial interval: T1 = inf, T2 << T1 (down to
+    # 1e-3 T1) and T2 > T1 up to the fits' bound of 2000 ms at T1 = 1000 ms
+    draw = data.draw
+    t = draw(st.integers(1, 32))
+    seq = SequenceParams(
+        flips_deg=tuple(_values(draw, t, 0.0, 180.0)),
+        echo_spacing_ms=draw(st.floats(2.0, 20.0)),
+        excitation_deg=draw(st.floats(0.0, 180.0)),
+        excitation_phase_deg=draw(st.floats(-180.0, 180.0)),
+        flip_phases_deg=tuple(_values(draw, t, -180.0, 180.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = 2 * t + 2 + int(rng.integers(0, 80))
+    t2 = np.exp(rng.uniform(np.log(1.0), np.log(2000.0), b))
+    kind = rng.integers(0, 3, b)
+    t1 = np.where(kind == 0, np.inf,
+                  np.where(kind == 1, t2 * 10 ** rng.uniform(0, 3, b), 1000.0))
+    fast = spinsim._shared_pulse_ensemble(t1, t2, seq)
+    assert np.max(np.abs(fast - simulate_fse_ensemble(t1, t2, seq))) < 1e-12
+
+
+class TestRelaxationPolynomials:
+    def test_outside_columns_and_small_batches_run_the_engine(self,
+                                                             monkeypatch):
+        rng = np.random.default_rng(21)
+        t1, t2, seq, _ = _random_batch(rng, 8, 200)
+        t1[::7] = 60.0          # r = e2/e1 above the interval
+        t2[::7] = 1000.0
+        expected = simulate_fse_ensemble(t1, t2, seq)
+        sizes = []
+        original = spinsim.simulate_fse_ensemble
+
+        def counted(t1, t2, *args):
+            sizes.append(np.size(t2))
+            return original(t1, t2, *args)
+
+        monkeypatch.setattr(spinsim, "simulate_fse_ensemble", counted)
+        fast = spinsim._shared_pulse_ensemble(t1, t2, seq)
+        assert sizes == [t2[::7].size]
+        assert np.array_equal(fast[:, ::7], expected[:, ::7])
+        assert np.max(np.abs(fast - expected)) < 1e-12
+        for b in (1, 17):       # at most P = 2T + 1 columns
+            sizes.clear()
+            out = spinsim._shared_pulse_ensemble(t1[:b], t2[:b], seq)
+            assert sizes == [b]
+            assert np.array_equal(out, expected[:, :b])
+
+    def test_invalid_columns_raise(self):
+        t2 = np.linspace(20.0, 200.0, 40)
+        for bad in (np.nan, 0.0, -5.0):
+            t1 = np.full(40, 1000.0)
+            t1[3] = bad
+            with pytest.raises(ValueError):
+                spinsim._shared_pulse_ensemble(t1, t2, constant_train(4))
+
+    @pytest.mark.parametrize("t", [1, 5, 32])
+    def test_permuted_columns_permute_the_echoes(self, t):
+        # decided per column; only the GEMM's edge columns round differently
+        rng = np.random.default_rng(t)
+        t1, t2, seq, _ = _random_batch(rng, t, spinsim._POLY_BLOCK + 37)
+        perm = rng.permutation(t1.size)
+        fast = spinsim._shared_pulse_ensemble(t1, t2, seq)
+        moved = spinsim._shared_pulse_ensemble(t1[perm], t2[perm], seq)
+        assert np.max(np.abs(moved - fast[:, perm])) <= 1e-15
+
+
 class TestJacobian:
     def test_density_column_exact(self, ramp16):
         tis = TissueParams(rho=2.0 + 1j, t1=900.0, t2=80.0)
