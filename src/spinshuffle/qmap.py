@@ -303,23 +303,23 @@ def _grid_t2(signals, seq, bounds, t1_ms, basis, grid_size):
 
     The model curve is smooth on a log-T2 grid, so a dense scan plus a
     three-point parabolic refinement of the scored cost locates each voxel's
-    minimizer to a small fraction of the grid step.
+    minimizer to a small fraction of the grid step. Columns are scored in
+    blocks, keeping only each one's best index and its neighbours' scores.
     """
-    lo, hi = bounds
-    logs = np.linspace(math.log(lo), math.log(hi), grid_size)
+    logs = np.linspace(math.log(bounds[0]), math.log(bounds[1]), grid_size)
     models = _model_batch(np.exp(logs), seq, t1_ms, basis)  # (T|K, G)
-    num = np.abs(models.conj().T @ signals) ** 2                 # (G, n)
     den = np.sum(np.abs(models) ** 2, axis=0)[:, None]
-    score = num / den                                            # maximize
-    best = np.argmax(score, axis=0)
+
+    def scored(cols):
+        score = np.abs(models.conj().T @ cols) ** 2 / den        # maximize
+        best = np.argmax(score, axis=0)
+        near = np.clip(best, 1, grid_size - 2) + np.array([[-1], [0], [1]])
+        return best, *np.take_along_axis(score, near, axis=0)
+    blocks = (scored(signals[:, i:i + 256])
+              for i in range(0, signals.shape[1], 256))
+    best, c0, c1, c2 = map(np.concatenate, zip(*blocks))
     inner = np.clip(best, 1, grid_size - 2)
-    step = logs[1] - logs[0]
-    c0 = score[inner - 1, np.arange(signals.shape[1])]
-    c1 = score[inner, np.arange(signals.shape[1])]
-    c2 = score[inner + 1, np.arange(signals.shape[1])]
     denom = c0 - 2 * c1 + c2
-    offset = np.where(np.abs(denom) > 0,
-                      0.5 * (c0 - c2) / np.where(denom != 0, denom, 1.0), 0.0)
-    offset = np.clip(offset, -1.0, 1.0)
-    offset = np.where(best == inner, offset, 0.0)  # no refinement at the edges
-    return np.exp(logs[inner] + offset * step)
+    offset = np.divide(0.5 * (c0 - c2), denom, out=np.zeros_like(denom),
+                       where=(denom != 0) & (best == inner))  # edges: none
+    return np.exp(logs[inner] + np.clip(offset, -1, 1) * (logs[1] - logs[0]))

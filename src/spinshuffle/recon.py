@@ -5,17 +5,19 @@ in an orthonormal transform, and a soft subspace-penalty solver that keeps
 the full echo series all share one data term: the normal operator A^H A
 (through the per-frequency subspace kernel when the encoder has a temporal
 basis), A^H y and a proven bound on ||A^H A||, so no iteration forms the
-measurements. Each solver warns once if it stops unconverged.
+measurements. Conjugate gradient is exact for a basis and one all-ones coil
+(plain CG otherwise). Each solver warns once if it stops unconverged.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .encoding import (Encoder, apply_adjoint, apply_forward,
+from .encoding import (Encoder, NormalKernel, apply_adjoint, apply_forward,
                        apply_normal_kernel, build_normal_kernel)
 from .subspace import SubspaceBasis
 from .transforms import HaarTransform, IdentityTransform
@@ -64,9 +66,7 @@ def _data_term(enc: Encoder, y: np.ndarray):
     y = np.asarray(y, complex)
     if enc.basis is not None:
         kernel = build_normal_kernel(enc)
-
-        def normal(x):
-            return apply_normal_kernel(enc, kernel, x)
+        normal = partial(apply_normal_kernel, enc, kernel)
         peak = float(np.linalg.eigvalsh(kernel.psi_k).max())
     else:
         def normal(x):
@@ -76,30 +76,31 @@ def _data_term(enc: Encoder, y: np.ndarray):
     return normal, apply_adjoint(enc, y), 0.5 * _vdot(y, y).real, peak * coil_gain
 
 
-def _cg(normal_op, rhs, half_yy, cfg: SolverConfig) -> ReconResult:
-    """Conjugate gradient from zero on a Hermitian PSD system.
+def _cg(normal_op, rhs, half_yy, cfg: SolverConfig,
+        precond=None) -> ReconResult:
+    """Conjugate gradient from zero on a Hermitian PSD system M x = b,
+    preconditioned by precond (Hermitian PSD) if given; convergence and
+    divergence are judged on the true residual ||r||.
 
     The trace logs 0.5||y||^2 - 0.5 Re x^H (b + r), which equals
     0.5 x^H M x - Re x^H b + 0.5||y||^2 because M x = b - r, so any ridge or
     subspace penalty folded into M is part of it.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = _vdot(r, r).real
+    x, r = np.zeros_like(rhs), rhs.copy()
+    p = precond(r) if precond else r
+    rz = _vdot(r, p).real
     b_norm = np.linalg.norm(rhs)
     trace = [half_yy]
     converged = b_norm == 0
-    grow_streak = 0
-    prev_res = np.sqrt(rs)
-    it = 0
+    grow_streak = it = 0
+    prev_res = np.sqrt(_vdot(r, r).real)
     while not converged and it < cfg.max_iters:
         it += 1
         ap = normal_op(p)
         denom = _vdot(p, ap).real
         if denom <= 0:
             break
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
         rs_new = _vdot(r, r).real
@@ -112,8 +113,10 @@ def _cg(normal_op, rhs, half_yy, cfg: SolverConfig) -> ReconResult:
                 "conjugate gradient diverged (10 consecutive residual increases)")
         prev_res = res
         converged = res <= cfg.tolerance * b_norm
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = precond(r) if precond and not converged else r
+        rz_new = _vdot(r, z).real if precond else rs_new
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return ReconResult(images=x, objective_trace=np.asarray(trace),
                        iterations=it, converged=bool(converged))
 
@@ -133,15 +136,27 @@ def cg_solve(enc: Encoder, y: np.ndarray,
 
     A^H A is the shared data term: with a temporal basis on the encoder it
     runs through the per-frequency kernel blocks, otherwise through the
-    composed forward/adjoint pair.
+    composed forward/adjoint pair. With a basis and exactly one coil whose
+    map is all ones, A^H A + lam I = F^H (Psi(k) + lam I) F, and its inverse
+    (eigenvalues of Psi(k) within T K eps of the largest count as zero, as
+    A^H y has no component there) makes the solve exact after one step, at
+    lam = 0 the minimum-norm point. Coil maps, or no basis, keep plain CG.
     """
     data_normal, aty, half_yy, _ = _data_term(enc, y)
+    precond = None
+    if (enc.basis is not None and enc.n_coils == 1
+            and np.all(enc.maps.maps == 1)):
+        w, v = np.linalg.eigh(build_normal_kernel(enc).psi_k)
+        keep = w > w.max() * w.shape[-1] * enc.n_echoes * np.finfo(float).eps
+        inv = np.divide(1.0, w + cfg.lam, out=np.zeros_like(w), where=keep)
+        precond = partial(apply_normal_kernel, enc, NormalKernel(
+            (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)))
 
     def normal(x):
         out = data_normal(x)
         return out + cfg.lam * x if cfg.lam else out
     return _warn_unconverged("conjugate gradient",
-                             _cg(normal, aty, half_yy, cfg), cfg)
+                             _cg(normal, aty, half_yy, cfg, precond), cfg)
 
 
 def _soft(values, thresh):

@@ -392,3 +392,19 @@ class TestFitMap:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 48 * 48 * 8
+
+    def test_grid_scores_held_one_block_at_a_time(self, ensemble):
+        # 400 grid T2 against 64 x 64 voxels (K = 3): the whole score matrix
+        # and its modulus took a 39.8 MB peak; blocked scoring measured
+        # 8.1 MB, so 16 MB leaves twofold room
+        basis = compute_basis(ensemble, 3)
+        rng = np.random.default_rng(9)
+        stack = (rng.standard_normal((3, 64, 64))
+                 + 1j * rng.standard_normal((3, 64, 64)))
+        tracemalloc.start()
+        try:
+            fit_map(stack, SEQ, basis=basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

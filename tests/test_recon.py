@@ -2,10 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshuffle import recon
-from spinshuffle.encoding import (Encoder, SamplingMasks, apply_adjoint,
-                                  apply_forward, materialize_forward)
+from spinshuffle.encoding import (Encoder, SamplingMasks, SensitivityMaps,
+                                  apply_adjoint, apply_forward,
+                                  materialize_forward)
 from spinshuffle.recon import (SolverConfig, cg_solve, fista_solve,
                                mocco_solve)
 from spinshuffle.sampling import DensityProfile, assign_echoes, draw_mask
@@ -42,6 +45,21 @@ def problem(basis, masks):
     return enc, y
 
 
+@pytest.fixture(scope="module")
+def coil_problem(basis, masks):
+    # two smooth complex coils: A^H A is no longer block-diagonal in k-space,
+    # so conjugate gradient iterates
+    gx, gy = np.meshgrid(*(np.linspace(-1, 1, n) for n in DIMS),
+                         indexing="ij")
+    maps = SensitivityMaps(np.stack([np.exp(-(gx - 0.6) ** 2 - 1j * gy),
+                                     np.exp(-(gy + 0.6) ** 2 + 2j * gx)]))
+    enc = Encoder(masks, maps, basis)
+    rng = np.random.default_rng(3)
+    alpha = (rng.standard_normal(enc.domain_shape)
+             + 1j * rng.standard_normal(enc.domain_shape))
+    return enc, apply_forward(enc, alpha)
+
+
 def _warns_unconverged(caplog, solve, **cfg_fields):
     with caplog.at_level(logging.WARNING, logger="spinshuffle.recon"):
         res = solve(SolverConfig(max_iters=2, **cfg_fields))
@@ -71,8 +89,8 @@ class TestCg:
         assert np.all(res.images == 0)
         assert res.converged and res.iterations == 0
 
-    def test_warns_when_unconverged(self, problem, caplog):
-        enc, y = problem
+    def test_warns_when_unconverged(self, coil_problem, caplog):
+        enc, y = coil_problem
         _warns_unconverged(caplog, lambda cfg: cg_solve(enc, y, cfg))
 
     def test_matches_dense_least_squares(self, problem):
@@ -99,6 +117,131 @@ class TestCg:
         dense = np.linalg.solve(a.conj().T @ a + lam * np.eye(n),
                                 a.conj().T @ y)
         assert np.linalg.norm(res.images.ravel() - dense) / np.linalg.norm(dense) < 1e-8
+
+
+def _dense_solution(enc, y, lam):
+    """Minimum-norm least squares at lam = 0, else the ridge solution, from
+    the dense forward matrix. The ridge solve applies the filter factors
+    s / (s^2 + lam) to the singular values of A, with those below lstsq's
+    default cutoff (rounding) set to zero. Forming A^H A + lam I, or least
+    squares on [A; sqrt(lam) I], is itself off by up to about 1e-10
+    relative at lam = 1e-6."""
+    a = materialize_forward(enc)
+    if not lam:
+        return np.linalg.lstsq(a, y, rcond=None)[0].reshape(enc.domain_shape)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    s = np.where(s > s.max() * max(a.shape) * np.finfo(float).eps, s, 0.0)
+    x = vh.conj().T @ (s / (s ** 2 + lam) * (u.conj().T @ y))
+    return x.reshape(enc.domain_shape)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def bases():
+    tissues = sample_prior(TissuePrior(seed=3), 64)
+    ensemble = build_ensemble(tissues, constant_train(T, 180.0, 10.0))
+    return {k: compute_basis(ensemble, k) for k in (1, 2, 3)}
+
+
+class TestExactCg:
+    """A basis and one all-ones coil: one preconditioned step is exact."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5])
+    def test_one_step_matches_dense_oracle(self, problem, lam):
+        enc, y = problem
+        res = cg_solve(enc, y, SolverConfig(tolerance=1e-10, lam=lam))
+        assert res.iterations == 1 and res.converged
+        assert _rel(res.images, _dense_solution(enc, y, lam)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_empty_echoes_and_unsampled_frequencies(self, basis, lam):
+        rng = np.random.default_rng(11)
+        masks = rng.random((T, *DIMS)) < 0.3
+        masks[[1, 4]] = False            # echoes without samples
+        masks[:, :3] = False             # frequencies sampled at no echo
+        enc = Encoder(SamplingMasks(masks), basis=basis)
+        y = (rng.standard_normal(enc.n_measurements)
+             + 1j * rng.standard_normal(enc.n_measurements))
+        res = cg_solve(enc, y, SolverConfig(tolerance=1e-10, lam=lam))
+        assert res.iterations == 1 and res.converged
+        assert _rel(res.images, _dense_solution(enc, y, lam)) < 1e-10
+
+    @pytest.mark.parametrize("coils", [slice(None), slice(1), "ones"])
+    def test_coil_maps_keep_plain_cg(self, coil_problem, coils):
+        # two smooth coils, the first of them alone, and two all-ones coils
+        enc, _ = coil_problem
+        maps = (np.ones((2, *DIMS)) if coils == "ones"
+                else enc.maps.maps[coils])
+        enc = Encoder(enc.masks, SensitivityMaps(maps), enc.basis)
+        rng = np.random.default_rng(4)
+        y = (rng.standard_normal(enc.n_measurements)
+             + 1j * rng.standard_normal(enc.n_measurements))
+        cfg = SolverConfig(max_iters=30, tolerance=1e-12, lam=1e-3)
+        data_normal, aty, half_yy, _ = recon._data_term(enc, y)
+        plain = recon._cg(lambda x: data_normal(x) + cfg.lam * x, aty,
+                          half_yy, cfg)
+        res = cg_solve(enc, y, cfg)
+        assert res.iterations == plain.iterations > 1
+        assert np.array_equal(res.images, plain.images)
+        assert np.array_equal(res.objective_trace, plain.objective_trace)
+
+    def test_preconditioned_recurrence_matches_dense_pcg(self, coil_problem):
+        # five steps with a diagonal preconditioner against a textbook dense
+        # PCG loop: the exact path stops after one step, so this is what
+        # pins the recurrence (beta = r^H z / r_old^H z_old) beyond it
+        enc, y = coil_problem
+        lam = 1e-3
+        a = materialize_forward(enc)
+        m = a.conj().T @ a + lam * np.eye(a.shape[1])
+        d = np.random.default_rng(5).uniform(0.5, 2.0, a.shape[1])
+        x, r = np.zeros(a.shape[1], complex), a.conj().T @ y
+        p = z = d * r
+        for _ in range(5):
+            ap = m @ p
+            rz = np.vdot(r, z).real
+            alpha = rz / np.vdot(p, ap).real
+            x, r = x + alpha * p, r - alpha * ap
+            z = d * r
+            p = z + (np.vdot(r, z).real / rz) * p
+        data_normal, aty, half_yy, _ = recon._data_term(enc, y)
+        res = recon._cg(lambda v: data_normal(v) + lam * v, aty, half_yy,
+                        SolverConfig(max_iters=5, tolerance=1e-14, lam=lam),
+                        lambda v: d.reshape(v.shape) * v)
+        assert res.iterations == 5 and not res.converged
+        assert _rel(res.images.ravel(), x) < 1e-12
+
+    def test_at_most_three_kernel_applications(self, problem, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return apply_normal(*args)
+        apply_normal = recon.apply_normal_kernel
+        monkeypatch.setattr(recon, "apply_normal_kernel", counted)
+        enc, y = problem
+        res = cg_solve(enc, y, SolverConfig(tolerance=1e-10, lam=1e-3))
+        assert res.converged and len(calls) <= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exact_cg_matches_dense_oracle(bases, data):
+    k = data.draw(st.integers(1, 3))
+    lam = data.draw(st.just(0.0) | st.floats(1e-6, 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    masks = rng.random((T, 8, 8)) < data.draw(st.floats(0.0, 1.0))
+    enc = Encoder(SamplingMasks(masks), basis=bases[k])
+    y = (rng.standard_normal(enc.n_measurements)
+         + 1j * rng.standard_normal(enc.n_measurements))
+    res = cg_solve(enc, y, SolverConfig(tolerance=1e-10, lam=lam))
+    assert res.converged and res.iterations <= 1
+    if enc.n_measurements:
+        assert _rel(res.images, _dense_solution(enc, y, lam)) < 1e-10
+    else:
+        assert not np.any(res.images)
 
 
 class TestFista:
