@@ -2,19 +2,17 @@
 
 All fits share a variable-projection structure: the complex density enters
 the model linearly, so for any candidate T2 the optimal density has a closed
-form and the search reduces to one dimension. Every fit starts from the same
-grid stage: each voxel is scored against a log-spaced model grid (dense for
-whole maps, where it keeps the per-voxel cost at a few matrix products;
-coarse for single voxels) and refined with a local parabola. Single-voxel
-fits then polish that start with safeguarded Newton steps on the reduced
-objective |m^H s|^2 / ||m||^2 in log T2, which converge to the exact
-minimizer in a few steps even on high-residual voxels. Dictionary matching
-is the grid-search counterpart and is equivalent to matched filtering: it
-keeps the best-scoring atom's T2 and takes the density and residual from
-the same closed form. `fit_map` is the one place that knows the fit method;
-whatever the method, a basis means the stack holds subspace coefficients.
-Single-voxel fits and matches refuse non-finite signals and fail an all-zero
-one; `fit_map` flags such voxels failed.
+form and the search reduces to one dimension. The 'nlls' and 'subspace'
+maps and the single-voxel fits (one column) are one vectorised fit: a
+48-point log-T2 grid start, then safeguarded Newton steps on every live
+column at once on |m^H s|^2 / ||m||^2 in log T2, with the model and its
+exact derivatives from relaxation polynomials built once per sequence.
+Dictionary matching is the grid-search counterpart (matched filtering): it
+keeps the best atom's T2 with the same closed-form density and residual.
+`fit_map` is the one place that knows the fit method; whatever the method, a
+basis means the stack holds subspace coefficients. Single-voxel fits and
+matches refuse non-finite signals and fail an all-zero one; `fit_map` flags
+such voxels failed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, _shared_pulse_ensemble, check_tissues
+from .spinsim import (_POLY_BLOCK, SequenceParams, _relaxation_model,
+                      _shared_pulse_ensemble, check_tissues)
 from .subspace import SubspaceBasis, back_project
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
@@ -100,14 +99,14 @@ def _match(cols, dictionary: Dictionary, basis: SubspaceBasis | None = None):
     return rho, dictionary.t2[best], resid
 
 
-def _no_signal(signal) -> bool:
-    """Refuse a non-finite signal; True for an all-zero one."""
+def _fit_one(signal, fit) -> FitResult:
+    """A columns fit (rho, T2, residual, converged) of one signal; a
+    non-finite signal is refused and an all-zero one fails."""
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal must be finite")
-    return not np.any(signal)
-
-
-_FAILED = FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
+    if not np.any(signal):
+        return FitResult(rho=0j, t2=math.nan, residual=0.0, converged=False)
+    return FitResult(*(v[0].item() for v in fit(signal[:, None])))
 
 
 def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
@@ -117,22 +116,8 @@ def dictionary_match(signal: np.ndarray, dictionary: Dictionary) -> FitResult:
     residual of its model. A non-finite signal is refused and an all-zero
     one fails. Ties go to the lowest index.
     """
-    signal = np.asarray(signal, complex).ravel()
-    if _no_signal(signal):
-        return _FAILED
-    rho, t2, resid = _match(signal[:, None], dictionary)
-    return FitResult(rho=complex(rho[0]), t2=float(t2[0]),
-                     residual=float(resid[0]), converged=True)
-
-
-def _model_batch(t2_values, seq, t1_ms, basis=None):
-    """Unit-density evolutions for a batch of T2 values, compressed if asked;
-    batches above 2T + 1 (not the polish's 3) are relaxation polynomials."""
-    t2 = np.asarray(t2_values, float)
-    sig = _shared_pulse_ensemble(np.full(t2.shape, t1_ms), t2, seq)
-    if basis is not None:
-        sig = basis.phi_k.conj().T @ sig
-    return sig  # (T or K, B)
+    return _fit_one(np.asarray(signal, complex).ravel(),
+                    lambda col: (*_match(col, dictionary), np.ones(1, bool)))
 
 
 def _varpro_cost(models, signals):
@@ -145,75 +130,60 @@ def _varpro_cost(models, signals):
     return cost, rho
 
 
-def _polish(signal, seq, t2, bounds, t1_ms, basis, max_steps=20):
-    """Safeguarded Newton ascent of g(u) = |m^H s|^2 / ||m||^2, u = log T2.
+def _fit_columns(cols, seq, bounds, t1_ms, basis, max_steps=20):
+    """Variable-projection fit of (T|K, n) signal columns, compressed by the
+    basis if given: rho, T2, residual and convergence of each.
 
-    Maximizing g minimizes the reduced cost (||s||^2 - g) / 2. Each trial is
-    one [T2, T2+h, T2-h] batch, which gives m and, by central differences,
-    m' and m''. The signs of g' keep a bracket of the maximizer inside the
-    bounds; the Newton point is held to the bounds, and the step bisects the
-    bracket instead when that point leaves it or when g'' >= 0. The polish
-    converges when g' is exactly zero or a step falls to the finite-
-    difference noise floor (1e-10 in u). A fit that ends on a bound returns
-    that bound and False, as does one that reaches max_steps.
+    From the best of 48 log-spaced T2 (edges included), every live column
+    takes safeguarded Newton steps at once on g(u) = |m^H s|^2 / ||m||^2,
+    u = log T2 (maximizing g minimizes the cost (||s||^2 - g) / 2). The
+    signs of g' keep a bracket in the bounds; the step bisects it when
+    g'' >= 0 or the bound-held Newton point leaves it. A column converges
+    when g' = 0 or a step falls to 1e-10 in u; one that ends on a bound
+    returns the bound and False, as does one that reaches max_steps.
     """
-    norm2 = float(np.vdot(signal, signal).real)
-    log_bounds = [math.log(b) for b in bounds]
-    lo, hi = log_bounds
+    model = _relaxation_model(seq, t1_ms, bounds[1], None if basis is None
+                              else basis.phi_k.conj().T)
+    log_bounds = np.log(bounds)
+    grid = np.linspace(*log_bounds, 48)
+    atoms = model(np.exp(grid))[0]
+    u = grid[np.argmax(np.abs(atoms.conj().T @ cols) ** 2
+                       / np.sum(np.abs(atoms) ** 2, axis=0)[:, None], axis=0)]
+    norm2 = np.sum(np.abs(cols) ** 2, axis=0)
+    rho, cost = np.zeros(u.shape, complex), np.zeros(u.shape)
 
-    def evaluate(u):
-        t2_val = math.exp(u)
-        h = 1e-4 * t2_val
-        m0, mp, mm = _model_batch([t2_val, t2_val + h, t2_val - h], seq,
-                                  t1_ms, basis).T
-        m1 = t2_val * (mp - mm) / (2 * h)                     # dm/du
-        m2 = t2_val ** 2 * (mp - 2 * m0 + mm) / h ** 2 + m1   # d2m/du2
-        a0, a1, a2 = (np.vdot(m, signal) for m in (m0, m1, m2))
-        n = np.vdot(m0, m0).real
-        n1 = 2 * np.vdot(m0, m1).real
-        n2 = 2 * (np.vdot(m1, m1).real + np.vdot(m0, m2).real)
-        g = abs(a0) ** 2 / n
-        g1 = (2 * (a0.conjugate() * a1).real - g * n1) / n
-        g2 = (2 * (abs(a1) ** 2 + (a0.conjugate() * a2).real) - g * n2
+    def evaluate(idx):
+        m = np.array(model(np.exp(u[idx])))           # m, m', m''
+        a0, a1, a2 = np.sum(m.conj() * cols[:, idx], axis=1)
+        n, c1, c2 = np.sum(m[0].conj() * m, axis=1).real
+        n1, n2 = 2 * c1, 2 * (c2 + np.sum(np.abs(m[1]) ** 2, axis=0))
+        g = np.abs(a0) ** 2 / n
+        g1 = (2 * (a0.conj() * a1).real - g * n1) / n
+        g2 = (2 * (np.abs(a1) ** 2 + (a0.conj() * a2).real) - g * n2
               - 2 * g1 * n1) / n
-        return float(0.5 * (norm2 - g)), complex(a0 / n), g1, g2
+        cost[idx], rho[idx] = 0.5 * (norm2[idx] - g), a0 / n
+        return g1, g2
 
-    u = math.log(t2)
-    cost, rho, g1, g2 = evaluate(u)
-    converged = False
+    live, converged = np.arange(u.size), np.zeros(u.shape, bool)
+    lo, hi = (np.full(u.shape, b) for b in log_bounds)
+    g1, g2 = evaluate(live)
     for _ in range(max_steps):
-        if g1 == 0:
-            converged = True
+        ul = u[live]
+        lo, hi = np.where(g1 > 0, ul, lo), np.where(g1 > 0, hi, ul)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(ul - g1 / g2, *log_bounds)
+        step = np.where((g2 < 0) & (lo <= newton) & (newton <= hi), newton,
+                        0.5 * (lo + hi)) - ul
+        done = (g1 == 0) | (np.abs(step) <= 1e-10)
+        converged[live[done]] = True
+        live, lo, hi, step = (x[~done] for x in (live, lo, hi, step))
+        if not live.size:
             break
-        if g1 > 0:
-            lo = u
-        else:
-            hi = u
-        target = (min(max(u - g1 / g2, log_bounds[0]), log_bounds[1])
-                  if g2 < 0 else math.nan)
-        if not lo <= target <= hi:
-            target = 0.5 * (lo + hi)
-        step = target - u
-        if abs(step) <= 1e-10:
-            converged = True
-            break
-        u += step
-        cost, rho, g1, g2 = evaluate(u)
-    for bound, log_bound in zip(bounds, log_bounds):
-        if abs(u - log_bound) <= 1e-10:
-            return float(bound), cost, rho, False
-    return math.exp(u), cost, rho, converged
-
-
-def _fit_voxel(signal, seq, bounds, t1_ms, basis) -> FitResult:
-    """Coarse 48-point grid start, then the polish; zero signal fails and a
-    non-finite one is refused."""
-    if _no_signal(signal):
-        return _FAILED
-    t2 = _grid_t2(signal[:, None], seq, bounds, t1_ms, basis, 48)
-    t2, cost, rho, converged = _polish(signal, seq, float(t2[0]), bounds,
-                                       t1_ms, basis)
-    return FitResult(rho=rho, t2=t2, residual=cost, converged=converged)
+        u[live] += step
+        g1, g2 = evaluate(live)
+    edge = np.abs(u - log_bounds[:, None]) <= 1e-10
+    return (rho, np.select(list(edge), bounds, np.exp(u)), cost,
+            converged & ~edge.any(axis=0))
 
 
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
@@ -223,7 +193,8 @@ def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
     signal = np.asarray(signal, complex).ravel()
     if signal.size != seq.n_echoes:
         raise ValueError("signal length does not match the echo train")
-    return _fit_voxel(signal, seq, bounds, t1_ms, None)
+    return _fit_one(signal, lambda col: _fit_columns(col, seq, bounds, t1_ms,
+                                                     None))
 
 
 def _check_echoes(basis: SubspaceBasis, seq: SequenceParams) -> None:
@@ -240,7 +211,8 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
     _check_echoes(basis, seq)
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
-    return _fit_voxel(alpha, seq, bounds, t1_ms, basis)
+    return _fit_one(alpha, lambda col: _fit_columns(col, seq, bounds, t1_ms,
+                                                    basis))
 
 
 def fit_map(stack: np.ndarray, seq: SequenceParams,
@@ -289,37 +261,11 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
             rho[alive], t2[alive], residual[alive] = _match(cols, dictionary,
                                                             basis)
         else:
-            t2_fit = _grid_t2(cols, seq, bounds, t1_ms, basis, 400)
-            residual[alive], rho[alive] = _varpro_cost(
-                _model_batch(t2_fit, seq, t1_ms, basis), cols)
-            t2[alive] = t2_fit
+            fits = [_fit_columns(cols[:, i:i + _POLY_BLOCK], seq, bounds,
+                                 t1_ms, basis)
+                    for i in range(0, cols.shape[1], _POLY_BLOCK)]
+            rho[alive], t2[alive], residual[alive], _ = map(np.concatenate,
+                                                            zip(*fits))
     return FitMaps(rho=rho.reshape(nx, ny), t2=t2.reshape(nx, ny),
                    residual=residual.reshape(nx, ny),
                    failed=(~alive).reshape(nx, ny))
-
-
-def _grid_t2(signals, seq, bounds, t1_ms, basis, grid_size):
-    """Grid-scored variable-projection T2 for many signal columns at once.
-
-    The model curve is smooth on a log-T2 grid, so a dense scan plus a
-    three-point parabolic refinement of the scored cost locates each voxel's
-    minimizer to a small fraction of the grid step. Columns are scored in
-    blocks, keeping only each one's best index and its neighbours' scores.
-    """
-    logs = np.linspace(math.log(bounds[0]), math.log(bounds[1]), grid_size)
-    models = _model_batch(np.exp(logs), seq, t1_ms, basis)  # (T|K, G)
-    den = np.sum(np.abs(models) ** 2, axis=0)[:, None]
-
-    def scored(cols):
-        score = np.abs(models.conj().T @ cols) ** 2 / den        # maximize
-        best = np.argmax(score, axis=0)
-        near = np.clip(best, 1, grid_size - 2) + np.array([[-1], [0], [1]])
-        return best, *np.take_along_axis(score, near, axis=0)
-    blocks = (scored(signals[:, i:i + 256])
-              for i in range(0, signals.shape[1], 256))
-    best, c0, c1, c2 = map(np.concatenate, zip(*blocks))
-    inner = np.clip(best, 1, grid_size - 2)
-    denom = c0 - 2 * c1 + c2
-    offset = np.divide(0.5 * (c0 - c2), denom, out=np.zeros_like(denom),
-                       where=(denom != 0) & (best == inner))  # edges: none
-    return np.exp(logs[inner] + np.clip(offset, -1, 1) * (logs[1] - logs[0]))

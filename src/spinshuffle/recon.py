@@ -4,9 +4,10 @@ Least-squares conjugate gradient, proximal gradient with l1 regularization
 in an orthonormal transform, and a soft subspace-penalty solver that keeps
 the full echo series all share one data term: the normal operator A^H A
 (through the per-frequency subspace kernel when the encoder has a temporal
-basis), A^H y and a proven bound on ||A^H A||, so no iteration forms the
-measurements. Conjugate gradient is exact for a basis and one all-ones coil
-(plain CG otherwise). Each solver warns once if it stops unconverged.
+basis) and A^H y, so no iteration forms the measurements; the proximal
+step takes a proven bound on ||A^H A||. Conjugate gradient is exact for a
+basis and one all-ones coil (plain CG otherwise). Each solver warns once if
+it stops unconverged.
 """
 
 from __future__ import annotations
@@ -56,24 +57,25 @@ def _vdot(a, b) -> complex:
 
 
 def _data_term(enc: Encoder, y: np.ndarray):
-    """Normal operator N = A^H A, A^H y, 0.5||y||^2 and a bound L >= ||N||.
-
-    With a basis, x^H N x = sum_j (F S_j x)^H Psi (F S_j x), so
-    L = max_k lambda_max(Psi(k)) * max_r sum_j |S_j(r)|^2 bounds it; without
-    one, Psi(k) is a 0/1 diagonal and lambda_max is 1 if anything is sampled.
-    The bound is exact when there are no coil maps.
-    """
+    """Normal operator N = A^H A, A^H y, 0.5||y||^2 and, given a basis, the
+    per-frequency kernel that N runs through (None without one)."""
     y = np.asarray(y, complex)
-    if enc.basis is not None:
-        kernel = build_normal_kernel(enc)
+    kernel = build_normal_kernel(enc) if enc.basis is not None else None
+    if kernel is not None:
         normal = partial(apply_normal_kernel, enc, kernel)
-        peak = float(np.linalg.eigvalsh(kernel.psi_k).max())
     else:
         def normal(x):
             return apply_adjoint(enc, apply_forward(enc, x))
-        peak = 1.0 if enc.masks.total_samples else 0.0
-    coil_gain = float(np.sum(np.abs(enc.maps.maps) ** 2, axis=0).max())
-    return normal, apply_adjoint(enc, y), 0.5 * _vdot(y, y).real, peak * coil_gain
+    return normal, apply_adjoint(enc, y), 0.5 * _vdot(y, y).real, kernel
+
+
+def _normal_bound(enc: Encoder, kernel) -> float:
+    """L >= ||A^H A||: with a basis x^H N x = sum_j (F S_j x)^H Psi (F S_j x),
+    so L = max_k lambda_max(Psi(k)) * max_r sum_j |S_j(r)|^2; without one
+    Psi(k) is a 0/1 diagonal. L is exact when there are no coil maps."""
+    peak = (np.linalg.eigvalsh(kernel.psi_k).max() if kernel is not None
+            else enc.masks.total_samples > 0)
+    return float(peak) * float(np.max(np.sum(np.abs(enc.maps.maps) ** 2, 0)))
 
 
 def _cg(normal_op, rhs, half_yy, cfg: SolverConfig,
@@ -142,11 +144,11 @@ def cg_solve(enc: Encoder, y: np.ndarray,
     A^H y has no component there) makes the solve exact after one step, at
     lam = 0 the minimum-norm point. Coil maps, or no basis, keep plain CG.
     """
-    data_normal, aty, half_yy, _ = _data_term(enc, y)
+    data_normal, aty, half_yy, kernel = _data_term(enc, y)
     precond = None
-    if (enc.basis is not None and enc.n_coils == 1
+    if (kernel is not None and enc.n_coils == 1
             and np.all(enc.maps.maps == 1)):
-        w, v = np.linalg.eigh(build_normal_kernel(enc).psi_k)
+        w, v = np.linalg.eigh(kernel.psi_k)
         keep = w > w.max() * w.shape[-1] * enc.n_echoes * np.finfo(float).eps
         inv = np.divide(1.0, w + cfg.lam, out=np.zeros_like(w), where=keep)
         precond = partial(apply_normal_kernel, enc, NormalKernel(
@@ -190,7 +192,8 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
         transform = HaarTransform(levels=3)
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
-    normal, aty, half_yy, lip = _data_term(enc, y)
+    normal, aty, half_yy, kernel = _data_term(enc, y)
+    lip = _normal_bound(enc, kernel)
     if lip <= 0:
         raise ValueError("encoder acquires no signal: the step bound is 0")
     step = 1.0 / lip

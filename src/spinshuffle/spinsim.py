@@ -13,11 +13,10 @@ length-1 column axis, when all columns share them). A brute-force
 isochromat integrator, kept apart from the engine, is its independent
 oracle; the two agree to near machine precision.
 
-The large shared-pulse batches of `subspace.build_ensemble`,
-`qmap.build_dictionary` and `qmap.fit_map`'s model grids are instead
-relaxation polynomials interpolated from one run of the echo loop
-(`_shared_pulse_ensemble`); every finite-difference and per-column-pulse
-batch runs the engine.
+The shared-pulse batches of `build_ensemble` and `build_dictionary`, and
+every T2 fit's models with their exact derivatives, are instead relaxation
+polynomials from one cached echo-loop run per sequence; every
+finite-difference and per-column-pulse batch runs the engine.
 
 A batch of tissues is a pair of float arrays (t1, t2), validated by
 `check_tissues`; an echo train is a bare (T,) array and a batch of them a
@@ -27,6 +26,7 @@ radians are used internally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -305,55 +305,105 @@ def _echo_loop(out, m, excite, e1, e2) -> None:
         out[i] = live.fplus[0]
 
 
-# r = e2/e1 is evaluated on [0, R]; the fits probe r up to 1.0025 (T2 = 2000,
-# T1 = 1000, Ts = 10 ms)
+# r = e2/e1 is evaluated on [0, R], R >= _R_MAX; the fits at their default
+# bounds probe r up to 1.0025 (T2 = 2000, T1 = 1000, Ts = 10 ms)
 _R_MAX = 1.01
 _POLY_BLOCK = 4096   # columns per block: 2 MB of Chebyshev values at T = 32
 
 
-def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
-    """`simulate_fse_ensemble(t1, t2, seq)` as relaxation polynomials.
-
-    No path relaxes toward equilibrium, so echo i is e1^(2i+2) p_i(e2/e1),
-    p_i of degree <= 2i + 2 and fixed by the pulses. The echo loop at e1 = 1
-    and P = 2T + 1 Chebyshev nodes of r = e2/e1 on [0, R] gives p_i's
-    Chebyshev coefficients by the closed-form DCT; a column block is then
-    the recurrence in r and one real GEMM, within about 1e-13 of the engine.
-    Batches of at most P columns, and columns with r outside [0, R], take
-    the engine, so a column's path never depends on its neighbours.
-    """
-    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
-    t, half, p = seq.n_echoes, seq.echo_spacing_ms / 2, 2 * seq.n_echoes + 1
-    with np.errstate(all="ignore"):
-        e1 = np.exp(-half / t1)
-        r = np.exp(-half / t2) / e1
-    rest = ~((t1 > 0) & (t2 > 0) & (r <= _R_MAX))   # NaN r included
-    if t1.size <= p or np.all(rest):
-        return simulate_fse_ensemble(t1, t2, seq)
-    r, e1 = np.where(rest, 0.0, r), np.where(rest, 0.0, e1)
+@functools.lru_cache(maxsize=32)
+def _chebyshev_bank(seq: SequenceParams, r_max: float) -> np.ndarray:
+    """Read-only real (3, 2T, P) Chebyshev coefficients (real parts, then
+    imaginary) on r in [0, r_max] of the relaxation polynomials p_i and
+    their first two derivatives in s = 2r/r_max - 1. No path relaxes toward
+    equilibrium, so echo i is e1^(2i+2) p_i(e2/e1), p_i of degree <= 2i + 2:
+    the echo loop at e1 = 1 on P = 2T + 1 nodes and the closed-form DCT give
+    the coefficients, the differentiation matrix those of p_i' and p_i''."""
+    t, p = seq.n_echoes, 2 * seq.n_echoes + 1
     theta = np.pi * (np.arange(p) + 0.5) / p
     nodes = np.empty((t, p), complex)
     _echo_loop(nodes, rf_matrix(np.asarray(seq.flips_deg)[:, None],
                                 np.asarray(seq.flip_phases_deg)[:, None]),
                rf_matrix(seq.excitation_deg, seq.excitation_phase_deg),
-               1.0, _R_MAX / 2 * (1 + np.cos(theta)))
+               1.0, r_max / 2 * (1 + np.cos(theta)))
     coef = nodes @ np.cos(np.outer(theta, np.arange(p))) * (2 / p)
     coef[:, 0] /= 2
-    coef = np.concatenate([coef.real, coef.imag])   # (2T, P) real
+    j = np.arange(p)
+    diff = np.where((j > j[:, None]) & ((j + j[:, None]) % 2 == 1), 2.0 * j,
+                    0.0).T       # coef @ diff: the series of the derivative
+    diff[:, 0] /= 2
+    bank = np.stack([coef, coef @ diff, coef @ diff @ diff])
+    bank = np.concatenate([bank.real, bank.imag], axis=1)
+    bank.flags.writeable = False
+    return bank
+
+
+def _chebyshev_sum(bank, r, r_max) -> np.ndarray:
+    """A (2n, P) bank of n complex series (real parts, then imaginary parts)
+    summed at r in [0, r_max] by the recurrence of T_j(2r/r_max - 1) and one
+    GEMM, over whole 8-column tiles: BLAS sums a trailing partial tile in
+    another kernel, so a column would otherwise round by its position."""
+    s = np.zeros(-(-r.size // 8) * 8)
+    s[:r.size] = r * (2 / r_max) - 1
+    cheb = np.empty((bank.shape[1], s.size))
+    cheb[0], cheb[1] = 1.0, s
+    s *= 2
+    prev2, prev = cheb[:2]
+    for row in cheb[2:]:
+        np.multiply(s, prev, out=row)
+        row -= prev2
+        prev2, prev = prev, row
+    vals = (bank @ cheb)[:, :r.size]
+    return vals[:len(bank) // 2] + 1j * vals[len(bank) // 2:]
+
+
+def _relaxation_model(seq: SequenceParams, t1_ms: float, t2_max_ms: float,
+                      project=None):
+    """evaluate(t2) -> m, dm/du and d2m/du2 (u = log T2), each (T|K, B), of
+    unit-density trains at one T1, compressed by a (K, T) project if given.
+
+    With e1^(2i+2) and project folded into the bank, an evaluation is one
+    recurrence and one GEMM; with s' = (2/R) r half/T2, dm/du = p'(s) s' and
+    d2m/du2 = p''(s) s'^2 + p'(s) s' (half/T2 - 1). [0, R] reaches r at
+    t2_max_ms, as extrapolating amplifies rounding (1e11 at r = 1.05).
+    """
+    t, half = seq.n_echoes, seq.echo_spacing_ms / 2
+    e1 = math.exp(-half / t1_ms)
+    r_max = max(_R_MAX, math.exp(-half / t2_max_ms) / e1)
+    bank = _chebyshev_bank(seq, r_max)
+    c = bank[:, :t] + 1j * bank[:, t:]
+    c *= e1 ** np.arange(2, 2 * t + 1, 2)[:, None]
+    c = (c if project is None else project @ c).reshape(-1, bank.shape[2])
+    c = np.concatenate([c.real, c.imag])
+
+    def evaluate(t2):
+        r = np.exp(-half / t2) / e1
+        m, dp, d2p = _chebyshev_sum(c, r, r_max).reshape(3, -1, r.size)
+        ds = (2 / r_max) * r * half / t2
+        return m, dp * ds, (d2p * ds + dp * (half / t2 - 1)) * ds
+    return evaluate
+
+
+def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
+    """`simulate_fse_ensemble(t1, t2, seq)` as relaxation polynomials with
+    a per-column e1^(2i+2), within about 1e-13 of the engine. Batches of at
+    most P = 2T + 1 columns, and columns with r outside [0, _R_MAX], take
+    the engine, so a column's path never depends on its neighbours."""
+    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
+    t, half = seq.n_echoes, seq.echo_spacing_ms / 2
+    with np.errstate(all="ignore"):
+        e1 = np.exp(-half / t1)
+        r = np.exp(-half / t2) / e1
+    rest = ~((t1 > 0) & (t2 > 0) & (r <= _R_MAX))   # NaN r included
+    if t1.size <= 2 * t + 1 or np.all(rest):
+        return simulate_fse_ensemble(t1, t2, seq)
+    r, e1 = np.where(rest, 0.0, r), np.where(rest, 0.0, e1)
+    coef = _chebyshev_bank(seq, _R_MAX)[0]
     out = np.empty((t, t1.size), complex)
     for lo in range(0, t1.size, _POLY_BLOCK):
         cols = slice(lo, lo + _POLY_BLOCK)
-        s = r[cols] * (2 / _R_MAX) - 1
-        cheb = np.empty((p, s.size))
-        cheb[0], cheb[1] = 1.0, s
-        s *= 2
-        for j in range(2, p):
-            np.multiply(s, cheb[j - 1], out=cheb[j])
-            cheb[j] -= cheb[j - 2]
-        vals = coef @ cheb
-        scale = e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None]
-        np.multiply(vals[:t], scale, out=out[:, cols].real)
-        np.multiply(vals[t:], scale, out=out[:, cols].imag)
+        out[:, cols] = (_chebyshev_sum(coef, r[cols], _R_MAX)
+                        * e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None])
     if np.any(rest):
         out[:, rest] = simulate_fse_ensemble(t1[rest], t2[rest], seq)
     return out

@@ -7,7 +7,7 @@ from spinshuffle.encoding import (Encoder, SamplingMasks, SensitivityMaps,
                                   apply_adjoint, apply_forward,
                                   apply_normal_kernel, build_normal_kernel,
                                   fft2c, materialize_forward)
-from spinshuffle.recon import _data_term
+from spinshuffle.recon import _data_term, _normal_bound
 from spinshuffle.spinsim import constant_train
 from spinshuffle.subspace import (SubspaceBasis, TissuePrior, build_ensemble,
                                   compute_basis, sample_prior)
@@ -233,13 +233,14 @@ def test_operator_identities_and_step_bound(data):
                 - np.vdot(apply_adjoint(enc, y), x)) <= 1e-11 * scale)
 
     # the shared data term: kernel (or composed) normal operator, A^H y, 0.5||y||^2
-    normal, aty, half_yy, lip = _data_term(enc, y)
+    normal, aty, half_yy, kernel = _data_term(enc, y)
     ref = apply_adjoint(enc, apply_forward(enc, x))
     assert np.max(np.abs(normal(x) - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
     assert np.array_equal(aty, apply_adjoint(enc, y))
     assert half_yy == pytest.approx(0.5 * np.linalg.norm(y) ** 2, rel=1e-12)
 
     # the step bound is never below ||A^H A||_2, and exact without coil maps
+    lip = _normal_bound(enc, kernel)
     dense = materialize_forward(enc)
     gram_norm = np.linalg.norm(dense, 2) ** 2 if dense.size else 0.0
     assert lip >= gram_norm * (1 - 1e-12)

@@ -7,10 +7,10 @@ import pytest
 from spinshuffle import qmap
 from spinshuffle.qmap import (Dictionary, build_dictionary, dictionary_match,
                               fit_map, fit_voxel_nlls, fit_voxel_subspace)
-from spinshuffle.qmap import (DEFAULT_T2_BOUNDS_MS, _model_batch, _polish,
-                              _varpro_cost)
-from spinshuffle.spinsim import (TissueParams, constant_train, simulate_fse,
-                                 simulate_fse_ensemble)
+from spinshuffle import spinsim
+from spinshuffle.qmap import DEFAULT_T2_BOUNDS_MS, _fit_columns, _varpro_cost
+from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
+                                 simulate_fse, simulate_fse_ensemble)
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
                                   sample_prior)
 
@@ -18,6 +18,13 @@ T = 32
 SEQ = constant_train(T, 180.0, 10.0)
 # fit_map's dictionary grid at the default bounds
 GRID_T2 = np.exp(np.linspace(*np.log(DEFAULT_T2_BOUNDS_MS), 1024))
+
+
+def engine(t2, seq=SEQ):
+    """Unit-density trains at T1 = 1000 ms from the phase-graph engine, the
+    oracle the fits' relaxation model is checked against."""
+    t2 = np.atleast_1d(np.asarray(t2, float))
+    return simulate_fse_ensemble(np.full(t2.size, 1000.0), t2, seq)
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +41,11 @@ def grid_oracle(signal, lo=1.0, hi=1000.0):
     """Dense grid search at 0.01 ms resolution (coarse scan, then exhaustive
     fine grid around the coarse winner)."""
     coarse = np.arange(lo, hi + 1e-9, 0.5)
-    cost, _ = _varpro_cost(_model_batch(coarse, SEQ, 1000.0),
+    cost, _ = _varpro_cost(engine(coarse),
                            np.repeat(signal[:, None], coarse.size, 1))
     center = coarse[int(np.argmin(cost))]
     fine = np.arange(max(lo, center - 1.0), min(hi, center + 1.0) + 1e-9, 0.01)
-    cost, _ = _varpro_cost(_model_batch(fine, SEQ, 1000.0),
+    cost, _ = _varpro_cost(engine(fine),
                            np.repeat(signal[:, None], fine.size, 1))
     return fine[int(np.argmin(cost))]
 
@@ -71,7 +78,7 @@ class TestFitVoxelNlls:
         rng = np.random.default_rng(1)
         noisy = clean_signal + 0.02 * rng.standard_normal(T)
         res = fit_voxel_nlls(noisy, SEQ, bounds=(1.0, 1000.0))
-        model = _model_batch([res.t2], SEQ, 1000.0)[:, 0]
+        model = engine(res.t2)[:, 0]
         resid = noisy - res.rho * model
         assert abs(np.vdot(model, resid)) < 1e-8
 
@@ -98,12 +105,10 @@ class TestFitVoxelNlls:
         # one Newton step from the coarse grid start is not yet converged
         rng = np.random.default_rng(34)
         noisy = clean_signal + 0.1 * rng.standard_normal(T)
-        start = qmap._grid_t2(noisy[:, None], SEQ, DEFAULT_T2_BOUNDS_MS,
-                              1000.0, None, 48)
-        *_, converged = _polish(noisy, SEQ, float(start[0]),
-                                DEFAULT_T2_BOUNDS_MS, 1000.0, None,
-                                max_steps=1)
-        assert converged is False
+        *_, converged = _fit_columns(noisy[:, None], SEQ,
+                                     DEFAULT_T2_BOUNDS_MS, 1000.0, None,
+                                     max_steps=1)
+        assert not converged[0]
         assert fit_voxel_nlls(noisy, SEQ).converged
 
     def test_fit_beyond_bound_returns_the_bound(self):
@@ -129,37 +134,47 @@ class TestFitVoxelNlls:
                 continue
             assert res.converged
             nearby = res.t2 * np.array([1.0, 1 - 1e-6, 1 + 1e-6])
-            cost, _ = _varpro_cost(_model_batch(nearby, SEQ, 1000.0),
+            cost, _ = _varpro_cost(engine(nearby),
                                    np.repeat(signal[:, None], 3, 1))
             assert np.all(cost[1:] >= cost[0])
 
 
-def test_voxel_fit_simulates_each_t2_once(monkeypatch, ensemble):
-    # the grid stage plus one [T2, T2+h, T2-h] batch per polish trial: no
-    # T2 is simulated twice within one fit
-    batches = []
-    original = qmap._shared_pulse_ensemble
-
-    def recorded(t1, t2, *args, **kwargs):
-        batches.append(np.array(t2, float))
-        return original(t1, t2, *args, **kwargs)
-
-    monkeypatch.setattr(qmap, "_shared_pulse_ensemble", recorded)
+def test_voxel_fits_build_coefficients_once_per_sequence(monkeypatch,
+                                                          ensemble):
+    # 16 fits of one sequence run the echo loop for its relaxation
+    # polynomials at most once; fits alternating between two sequences each
+    # recover their own engine's T2, and the cached coefficients are
+    # read-only
     basis = compute_basis(ensemble, 3)
-    rng = np.random.default_rng(6)
-    for t2 in (30.0, 100.0, 250.0):
-        clean = simulate_fse(TissueParams(t2=t2), SEQ)
-        noisy = clean + 0.02 * (rng.standard_normal(T)
-                                + 1j * rng.standard_normal(T))
-        for fit in (lambda: fit_voxel_nlls(noisy, SEQ),
-                    lambda: fit_voxel_subspace(basis.phi_k.conj().T @ noisy,
-                                               basis, SEQ)):
-            batches.clear()
-            assert fit().converged
-            assert batches[0].size == 48
-            assert all(b.size == 3 for b in batches[1:])
-            values = np.concatenate(batches)
-            assert np.unique(values).size == values.size
+    t2 = np.exp(np.linspace(np.log(20.0), np.log(400.0), 8))
+    signals = engine(t2)
+    loops = []
+    original = spinsim._echo_loop
+
+    def counted(*args):
+        loops.append(args[0].shape)
+        return original(*args)
+
+    spinsim._chebyshev_bank.cache_clear()
+    monkeypatch.setattr(spinsim, "_echo_loop", counted)
+    fits = [fit_voxel_nlls(s, SEQ) for s in signals.T]
+    fits += [fit_voxel_subspace(basis.phi_k.conj().T @ s, basis, SEQ)
+             for s in signals.T]
+    assert len(loops) <= 1
+    assert all(f.converged for f in fits)
+    assert np.max(np.abs([f.t2 for f in fits[:8]] - t2) / t2) < 1e-9
+
+    other = SequenceParams(flips_deg=tuple(np.linspace(120.0, 180.0, T)),
+                           echo_spacing_ms=8.0)
+    other_signals = engine(t2, other)
+    for i, value in enumerate(t2):
+        for seq, sig in ((SEQ, signals), (other, other_signals)):
+            res = fit_voxel_nlls(sig[:, i], seq)
+            assert abs(res.t2 - value) < 1e-9 * value
+    for r_max in (spinsim._R_MAX, 1.05):
+        coef = spinsim._chebyshev_bank(SEQ, r_max)
+        with pytest.raises(ValueError, match="read-only"):
+            coef[0, 0] = 1.0
 
 
 class TestFitVoxelSubspace:
@@ -272,7 +287,7 @@ class TestFitMap:
         basis = compute_basis(ensemble, 3)
         t2 = np.full((8, 8), 60.0)
         t2[:, 4:] = 150.0
-        sig = _model_batch(t2.ravel(), SEQ, 1000.0)
+        sig = engine(t2.ravel())
         alpha = basis.phi_k.conj().T @ sig
         maps = fit_map(alpha.reshape(3, 8, 8), SEQ, basis=basis,
                        method="subspace")
@@ -340,10 +355,9 @@ class TestFitMap:
     def test_methods_agree_on_density(self, ensemble):
         # noiseless rho * m(T2) with T2 on the dictionary grid: every method
         # recovers the complex density, in the time domain and on full-basis
-        # coefficients. Narrow bounds make the 400-point map grid fine
-        # enough for the grid fits' T2 to hold rho well within 1e-6.
-        bounds = (80.0, 125.0)
-        t2 = np.exp(np.linspace(*np.log(bounds), 1024))[[100, 300, 511, 900]]
+        # coefficients
+        bounds = DEFAULT_T2_BOUNDS_MS
+        t2 = GRID_T2[[100, 300, 511, 900]]
         rng = np.random.default_rng(11)
         rho = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         echoes = (rho * simulate_fse_ensemble(np.full(4, 1000.0), t2, SEQ)
@@ -359,6 +373,30 @@ class TestFitMap:
                            bounds=bounds)
             err = np.abs(maps.rho.ravel() - rho) / np.abs(rho)
             assert np.all(err < 1e-6), (method, use_basis is None, err)
+
+    def test_noiseless_t2_recovered_to_rounding(self, ensemble):
+        # 500 noiseless trains in 16-404 ms at the default bounds: the
+        # time-domain and full-basis maps both land on the true T2 (a grid
+        # plus parabola left up to 9.8e-5)
+        t2 = np.exp(np.linspace(np.log(16.0), np.log(404.0), 500))
+        echoes = engine(t2).reshape(T, 20, 25)
+        basis = compute_basis(ensemble, T)
+        coeffs = np.tensordot(basis.phi_k.conj().T, echoes, axes=1)
+        for maps in (fit_map(echoes, SEQ, method="nlls"),
+                     fit_map(coeffs, SEQ, basis=basis, method="subspace")):
+            assert np.max(np.abs(maps.t2.ravel() - t2) / t2) < 1e-9
+            assert np.max(np.abs(maps.rho - 1)) < 1e-9
+
+    def test_edge_voxels_return_the_bound(self):
+        # a T2 beyond either bound fits that bound exactly, in the map and in
+        # the single-voxel fit
+        lo, hi = DEFAULT_T2_BOUNDS_MS
+        signals = engine([2.0, 5000.0])
+        maps = fit_map(signals.reshape(T, 1, 2), SEQ, method="nlls")
+        assert maps.t2.ravel().tolist() == [lo, hi]
+        fits = [fit_voxel_nlls(s, SEQ) for s in signals.T]
+        assert [f.t2 for f in fits] == [lo, hi]
+        assert not any(f.converged for f in fits)
 
     def test_method_validation(self, clean_signal):
         stack = np.zeros((T, 2, 2), complex)

@@ -323,19 +323,24 @@ def test_ensemble_columns_match_isochromat_oracle(data):
         assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
 
 
+def _draw_train(draw) -> SequenceParams:
+    t = draw(st.integers(1, 32))
+    return SequenceParams(
+        flips_deg=tuple(_values(draw, t, 0.0, 180.0)),
+        echo_spacing_ms=draw(st.floats(2.0, 20.0)),
+        excitation_deg=draw(st.floats(0.0, 180.0)),
+        excitation_phase_deg=draw(st.floats(-180.0, 180.0)),
+        flip_phases_deg=tuple(_values(draw, t, -180.0, 180.0)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_relaxation_polynomials_match_engine(data):
     # every column in the polynomial interval: T1 = inf, T2 << T1 (down to
     # 1e-3 T1) and T2 > T1 up to the fits' bound of 2000 ms at T1 = 1000 ms
     draw = data.draw
-    t = draw(st.integers(1, 32))
-    seq = SequenceParams(
-        flips_deg=tuple(_values(draw, t, 0.0, 180.0)),
-        echo_spacing_ms=draw(st.floats(2.0, 20.0)),
-        excitation_deg=draw(st.floats(0.0, 180.0)),
-        excitation_phase_deg=draw(st.floats(-180.0, 180.0)),
-        flip_phases_deg=tuple(_values(draw, t, -180.0, 180.0)))
+    seq = _draw_train(draw)
+    t = seq.n_echoes
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     b = 2 * t + 2 + int(rng.integers(0, 80))
     t2 = np.exp(rng.uniform(np.log(1.0), np.log(2000.0), b))
@@ -344,6 +349,39 @@ def test_relaxation_polynomials_match_engine(data):
                   np.where(kind == 1, t2 * 10 ** rng.uniform(0, 3, b), 1000.0))
     fast = spinsim._shared_pulse_ensemble(t1, t2, seq)
     assert np.max(np.abs(fast - simulate_fse_ensemble(t1, t2, seq))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relaxation_model_derivatives_match_engine(data):
+    # m against the engine, dm/du and d2m/du2 (u = log T2) against its
+    # 5-point Richardson differences, in the time domain and compressed by a
+    # random (K, T) matrix; at T1 = 300 ms the bound T2 = 2000 ms puts
+    # r = e2/e1 above _R_MAX, so the coefficients span a wider interval
+    draw = data.draw
+    seq = _draw_train(draw)
+    t1 = draw(st.sampled_from([1000.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    project = None
+    if draw(st.booleans()):
+        k = int(rng.integers(1, seq.n_echoes + 1))
+        project = (rng.standard_normal((k, seq.n_echoes))
+                   + 1j * rng.standard_normal((k, seq.n_echoes)))
+    model = spinsim._relaxation_model(seq, t1, 2000.0, project)
+    u = rng.uniform(np.log(5.0), np.log(2000.0), 20)
+
+    def engine(u):
+        sig = simulate_fse_ensemble(np.full(u.size, t1), np.exp(u), seq)
+        return sig if project is None else project @ sig
+    m, m1, m2 = model(np.exp(u))
+    assert np.max(np.abs(m - engine(u))) < 1e-12
+    h = 3e-3
+    f = [engine(u + j * h) for j in (-2, -1, 0, 1, 2)]
+    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+    for exact, diff in ((m1, d1), (m2, d2)):   # 1e-300: subnormal trains
+        assert (np.max(np.abs(exact - diff))
+                <= 1e-8 * np.max(np.abs(diff)) + 1e-300)
 
 
 class TestRelaxationPolynomials:
