@@ -85,15 +85,15 @@ def _match(cols, dictionary: Dictionary, basis: SubspaceBasis | None = None):
     atoms a = Phi^H atom. The best atom maximizes |a^H s| (ties go to the
     lowest index); its model ||m|| a then gives the least-squares density
     a^H s / (||m|| ||a||^2) and residual (||s||^2 - |a^H s|^2 / ||a||^2) / 2.
-    Columns are scored in blocks, so no (atoms x n) matrix is held.
+    Scores are voxel-major (256 x atoms) blocks: no atoms x n matrix is held.
     """
     atoms = dictionary.atoms
     if basis is not None:
         atoms = basis.phi_k.conj().T @ atoms
     if cols.shape[0] != atoms.shape[0]:
         raise ValueError("signal length does not match the dictionary")
-    adjoint = atoms.conj().T
-    best = np.concatenate([np.abs(adjoint @ cols[:, lo:lo + 256]).argmax(0)
+    conj = atoms.conj()
+    best = np.concatenate([np.abs(cols[:, lo:lo + 256].T @ conj).argmax(1)
                            for lo in range(0, cols.shape[1], 256)])
     resid, rho = _varpro_cost(atoms[:, best] * dictionary.norms[best], cols)
     return rho, dictionary.t2[best], resid

@@ -308,7 +308,7 @@ def _echo_loop(out, m, excite, e1, e2) -> None:
 # r = e2/e1 is evaluated on [0, R], R >= _R_MAX; the fits at their default
 # bounds probe r up to 1.0025 (T2 = 2000, T1 = 1000, Ts = 10 ms)
 _R_MAX = 1.01
-_POLY_BLOCK = 4096   # columns per block: 2 MB of Chebyshev values at T = 32
+_POLY_BLOCK = 4096   # 2 MB per block of Chebyshev values or echoes at T = 32
 
 
 @functools.lru_cache(maxsize=32)

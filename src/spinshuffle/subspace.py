@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SequenceParams, _shared_pulse_ensemble, check_tissues
+from .spinsim import (_POLY_BLOCK, SequenceParams, _shared_pulse_ensemble,
+                      check_tissues)
 
 DEFAULT_T1_RANGE_MS = (500.0, 3000.0)
 DEFAULT_T2_RANGE_MS = (20.0, 400.0)
@@ -101,13 +102,18 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
 
 
 def compute_basis(x: np.ndarray, k: int) -> SubspaceBasis:
-    """Top-k left singular vectors of the (T, L) ensemble X, from the small
-    factor R^H of X = R^H Q^H (X^H = QR), the transpose of the R of X^T: no
-    conjugate copy of X and no T x L factor is formed."""
+    """Top-k left singular vectors of the (T, L) ensemble X from the small
+    R^H of X = R^H Q^H, R the QR of the stacked R factors of 4096-column views
+    of X^T (one block: X^T's own R), so X is never copied; other Rs differ by
+    a unitary diagonal, which U does not see. A non-finite X is refused."""
     t, l = x.shape
     if not 1 <= k <= min(t, l):
         raise ValueError(f"k={k} out of range for a {t}x{l} ensemble")
-    r = np.linalg.qr(x.T, mode="r")
+    r = np.vstack([np.linalg.qr(x[:, lo:lo + _POLY_BLOCK].T, mode="r")
+                   for lo in range(0, l, _POLY_BLOCK)])
+    if not np.all(np.isfinite(r)):
+        raise ValueError("ensemble is not finite")
+    r = np.linalg.qr(r, mode="r") if l > _POLY_BLOCK else r
     u, s, _ = np.linalg.svd(r.T, full_matrices=False)
     return SubspaceBasis(phi_k=_fix_column_signs(u[:, :k]), singular_values=s)
 

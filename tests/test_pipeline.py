@@ -45,6 +45,17 @@ class TestRunPipeline:
             raw_b = (out_b / f"{name}.dat").read_bytes()
             assert raw_a == raw_b, name
 
+    def test_large_prior_rerun_bit_identical(self, tmp_path):
+        # a 65536-tissue basis is factored in blocks and its dictionary fit
+        # scored in blocks; neither may make a rerun differ
+        cfg = dict(solver="cg", ensemble_size=65536, fit_method="dictionary")
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "a"), **cfg))
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "b"), **cfg))
+        for name in ("ensemble", "basis", "singular_values", "t2_map"):
+            raw_a = (tmp_path / "a" / f"{name}.dat").read_bytes()
+            raw_b = (tmp_path / "b" / f"{name}.dat").read_bytes()
+            assert raw_a == raw_b, name
+
     def test_noiseless_fully_sampled_full_basis_identity(self, tmp_path):
         # consistency chain: accel 1, K = T, no noise, plain least squares
         cfg = small_config(tmp_path, accel=1.0, subspace_k=8,

@@ -342,6 +342,29 @@ class TestFitMap:
         maps = fit_map(coeffs, SEQ, basis=basis, method="dictionary")
         assert np.array_equal(maps.t2.ravel(), t2)
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_dictionary_blocks_equal_exhaustive_argmax(self, ensemble, k):
+        # 17 x 31 = 527 noisy voxels span three 256-voxel score blocks; each
+        # keeps the atom of largest |a^H s|, a per voxel, in the time domain
+        # and against compressed atoms
+        rng = np.random.default_rng(12)
+        t2 = np.exp(rng.uniform(np.log(20.0), np.log(400.0), 527))
+        echoes = engine(t2) + 0.05 * (rng.standard_normal((T, 527))
+                                      + 1j * rng.standard_normal((T, 527)))
+        atoms = build_dictionary((np.maximum(1000.0, GRID_T2), GRID_T2),
+                                 SEQ).atoms
+        basis, stack = None, echoes
+        if k is not None:
+            basis = compute_basis(ensemble, k)
+            atoms = basis.phi_k.conj().T @ atoms
+            stack = basis.phi_k.conj().T @ echoes
+        maps = fit_map(stack.reshape(-1, 17, 31), SEQ, basis=basis,
+                       method="dictionary")
+        best = [int(np.argmax(np.abs(atoms.conj().T @ col)))
+                for col in stack.T]
+        assert np.array_equal(maps.t2.ravel(), GRID_T2[best])
+        assert len(set(best)) > 100
+
     def test_dictionary_method(self, ensemble):
         # compressed atoms: a K = 3 coefficient stack matches its own atom
         basis = compute_basis(ensemble, 3)

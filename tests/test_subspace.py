@@ -131,10 +131,12 @@ class TestComputeBasis:
         assert np.array_equal(a.phi_k, b.phi_k)
         assert np.array_equal(a.singular_values, b.singular_values)
 
-    @pytest.mark.parametrize("t, l", [(12, 5), (12, 300)])
+    @pytest.mark.parametrize("t, l", [(12, 5), (12, 300), (12, 4097),
+                                      (32, 2 * 4096 + 5), (40, 4096 + 24)])
     def test_matches_full_svd(self, t, l):
-        # random complex ensembles with distinct singular values, fewer and
-        # more signals than echoes
+        # random complex ensembles with distinct singular values spanning
+        # 2^11: fewer and more signals than echoes, one block, several blocks,
+        # and last blocks of fewer columns than echoes
         rng = np.random.default_rng(t + l)
         n = min(t, l)
 
@@ -143,12 +145,49 @@ class TestComputeBasis:
                                 + 1j * rng.standard_normal((rows, n)))
             return q
 
-        s = 2.0 ** -np.arange(n)
+        s = 2.0 ** -np.linspace(0, 11, n)
         data = (orthonormal(t) * s) @ orthonormal(l).conj().T
         basis = compute_basis(data, n)
         u, s_ref, _ = np.linalg.svd(data, full_matrices=False)
         assert np.allclose(basis.singular_values, s_ref, rtol=1e-12, atol=0)
         assert np.max(np.abs(basis.phi_k - _fix_column_signs(u))) < 1e-12
+
+    @pytest.mark.parametrize("l", [300, 4096])
+    def test_one_block_is_the_one_shot_factor(self, l):
+        # up to one block the R is that of X^T itself, so bases (and the
+        # golden run built on them) are bit-identical to a one-shot QR
+        rng = np.random.default_rng(l)
+        x = rng.standard_normal((32, l)) + 1j * rng.standard_normal((32, l))
+        u, s, _ = np.linalg.svd(np.linalg.qr(x.T, mode="r").T,
+                                full_matrices=False)
+        basis = compute_basis(x, 4)
+        assert np.array_equal(basis.singular_values, s)
+        assert np.array_equal(basis.phi_k, _fix_column_signs(u[:, :4]))
+
+    def test_peak_memory_one_block_not_one_ensemble(self):
+        # a 33.5 MB ensemble is factored one 2 MB block at a time; a one-shot
+        # QR held a 33.6 MB factor
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((32, 65536)) + 1j * rng.standard_normal(
+            (32, 65536))
+        tracemalloc.start()
+        try:
+            compute_basis(x, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [5000, 2 * 4096 + 4])
+    def test_non_finite_ensemble_rejected(self, bad, col):
+        # a non-finite entry past the first block, in a full block and in
+        # the short last one, names the cause instead of failing the SVD
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((8, 2 * 4096 + 5)) + 0j
+        x[3, col] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            compute_basis(x, 2)
 
     def test_sign_convention(self, default_ensemble):
         basis = compute_basis(default_ensemble, 5)
