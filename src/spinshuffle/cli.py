@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Each subcommand runs one pipeline stage through the same functions
-`run_pipeline` calls and writes its arrays with the same writer, so
-intermediate arrays can be produced, inspected and consumed independently;
-`pipeline` runs the whole chain. Exit codes: 0 success, 1 usage error,
-2 runtime failure, reported with the failing stage: the subcommand, or the
-`run_pipeline` stage for `pipeline`.
+Array subcommands run their stages of `pipeline.STAGES` (`sim`: `masks`,
+then `simulate`) through `run_pipeline`'s runner on arrays read from and
+written to <out>/<name>; `fit` also writes `fit_summary.csv` and fails if
+every voxel failed. Exit codes: 0 success, 1 usage error, 2 runtime failure,
+named by the subcommand, or by the `run_pipeline` stage for `pipeline`.
 """
 
 from __future__ import annotations
@@ -20,14 +19,10 @@ import numpy as np
 
 from .arrayio import read_array, write_csv
 from .config import PipelineConfig, load_config
-from .encoding import SamplingMasks
-from .phantom import contrast_images, default_phantom, simulate_acquisition
-from .pipeline import (PipelineError, build_basis, build_masks, fit_maps,
-                       reconstruct, run_pipeline, sequence_from_config,
-                       write_arrays)
+from .pipeline import (PipelineError, _run_stages, run_pipeline,
+                       sequence_from_config, write_arrays)
 from .seqopt import PowerBudget, crlb_t2_sweep, optimize_flips
 from .spinsim import TissueParams
-from .subspace import SubspaceBasis, back_project
 
 log = logging.getLogger("spinshuffle")
 
@@ -68,76 +63,33 @@ def _load(args) -> PipelineConfig:
     return cfg
 
 
-def _cmd_phantom(cfg: PipelineConfig) -> None:
-    ph = default_phantom((cfg.nx, cfg.ny))
-    write_arrays(cfg.output_dir, labels=ph.labels, rho_true=ph.rho_map(),
-                 t2_true=ph.t2_map())
-    log.info("phantom written to %s", cfg.output_dir)
+_STAGES_OF = {"phantom": ["phantom"], "basis": ["basis"], "mask": ["masks"],
+              "sim": ["masks", "simulate"], "recon": ["reconstruct"],
+              "fit": ["fit"]}
 
 
-def _cmd_basis(cfg: PipelineConfig) -> None:
-    ensemble, basis = build_basis(cfg, sequence_from_config(cfg))
-    write_arrays(cfg.output_dir, ensemble=ensemble, basis=basis.phi_k,
-                 singular_values=basis.singular_values)
-    log.info("basis written to %s", cfg.output_dir)
+class _Stored(dict):
+    """Stage arrays; a missing one is read from <out>/<name>, not kept."""
+
+    def __init__(self, out: str):
+        super().__init__()
+        self.out = out
+
+    def __missing__(self, name: str) -> np.ndarray:
+        return read_array(os.path.join(self.out, name)).astype(complex)
 
 
-def _cmd_mask(cfg: PipelineConfig) -> None:
-    masks = build_masks(cfg)
-    write_arrays(cfg.output_dir, masks=masks.masks)
-    log.info("%d masks with %d total samples written to %s",
-             masks.n_echoes, masks.total_samples, cfg.output_dir)
-
-
-def _cmd_sim(cfg: PipelineConfig) -> None:
-    seq = sequence_from_config(cfg)
-    ph = default_phantom((cfg.nx, cfg.ny))
-    masks = build_masks(cfg)
-    truth = contrast_images(ph, seq)
-    y = simulate_acquisition(truth, masks, cfg.noise_sigma, cfg.noise_seed)
-    write_arrays(cfg.output_dir, masks=masks.masks, kspace=y,
-                 truth_images=truth)
-    log.info("k-space (%d samples) written to %s", y.size, cfg.output_dir)
-
-
-def _read_basis(out: str) -> SubspaceBasis:
-    phi = read_array(os.path.join(out, "basis")).astype(complex)
-    sv = read_array(os.path.join(out, "singular_values")).astype(complex)
-    return SubspaceBasis(phi_k=phi, singular_values=sv.real)
-
-
-def _cmd_recon(cfg: PipelineConfig) -> None:
-    out = cfg.output_dir
-    masks = SamplingMasks(read_array(os.path.join(out, "masks")).real > 0.5)
-    basis = _read_basis(out)
-    y = read_array(os.path.join(out, "kspace")).astype(complex)
-    result = reconstruct(cfg, masks, basis, y)
-    write_arrays(out, coefficients=result.images,
-                 images=back_project(basis, result.images))
-    write_csv(os.path.join(out, "objective_trace.csv"),
-              ("iteration", "objective"),
-              list(enumerate(result.objective_trace)))
-    log.info("reconstruction finished after %d iterations", result.iterations)
-
-
-def _cmd_fit(cfg: PipelineConfig) -> None:
-    out = cfg.output_dir
-    seq = sequence_from_config(cfg)
-    basis = _read_basis(out)
-    coeffs = read_array(os.path.join(out, "coefficients")).astype(complex)
-    maps = fit_maps(cfg, seq, basis, coeffs)
-    ok = np.isfinite(maps.t2)
+def _fit_summary(out: str, t2: np.ndarray) -> None:
+    """Refuse a fit in which every voxel failed, else summarize it."""
+    ok = np.isfinite(t2)
     if not ok.any():
         raise ValueError(
             f"every voxel failed the fit ({ok.size} of {ok.size})")
-    write_arrays(out, t2_map=maps.t2, rho_map=maps.rho)
-    write_csv(os.path.join(out, "fit_summary.csv"),
-              ("metric", "value"),
+    write_csv(os.path.join(out, "fit_summary.csv"), ("metric", "value"),
               [("fitted_voxels", int(ok.sum())),
                ("failed_voxels", int((~ok).sum())),
-               ("t2_mean_ms", float(np.mean(maps.t2[ok]))),
-               ("t2_std_ms", float(np.std(maps.t2[ok])))])
-    log.info("parameter maps written to %s", out)
+               ("t2_mean_ms", float(np.mean(t2[ok]))),
+               ("t2_std_ms", float(np.std(t2[ok])))])
 
 
 def _cmd_crlb(cfg: PipelineConfig) -> None:
@@ -165,17 +117,6 @@ def _cmd_crlb(cfg: PipelineConfig) -> None:
              len(opt.objective_trace) - 1, 100 * better)
 
 
-_COMMANDS = {
-    "phantom": _cmd_phantom,
-    "sim": _cmd_sim,
-    "basis": _cmd_basis,
-    "mask": _cmd_mask,
-    "recon": _cmd_recon,
-    "fit": _cmd_fit,
-    "crlb": _cmd_crlb,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -194,12 +135,19 @@ def main(argv=None) -> int:
             for rid, t2t, mean, bias, std in report.region_stats:
                 print(f"region {rid}: T2 true {t2t:.1f} ms, "
                       f"mean {mean:.2f} ms, bias {bias:+.2f}%, std {std:.2f}")
+        elif args.command == "crlb":
+            _cmd_crlb(cfg)
         else:
-            _COMMANDS[args.command](cfg)
+            arrays = _Stored(cfg.output_dir)
+            _run_stages(cfg, _STAGES_OF[args.command], arrays)
+            if args.command == "fit":
+                _fit_summary(cfg.output_dir, arrays["t2_map"])
+            write_arrays(cfg.output_dir, **arrays)
         return 0
     except Exception as exc:  # runtime failure -> exit code 2
-        if not isinstance(exc, PipelineError):
-            exc = PipelineError(args.command, exc)
+        # a subcommand names itself; `pipeline` names its failing stage
+        if args.command != "pipeline" or not isinstance(exc, PipelineError):
+            exc = PipelineError(args.command, getattr(exc, "cause", exc))
         print(f"spinshuffle: error: {exc}", file=sys.stderr)
         if getattr(args, "verbose", False):
             raise

@@ -10,9 +10,10 @@ exact derivatives from relaxation polynomials built once per sequence.
 Dictionary matching is the grid-search counterpart (matched filtering): it
 keeps the best atom's T2 with the same closed-form density and residual.
 `fit_map` is the one place that knows the fit method; whatever the method, a
-basis means the stack holds subspace coefficients. Single-voxel fits and
-matches refuse non-finite signals and fail an all-zero one; `fit_map` flags
-such voxels failed.
+basis means the stack holds subspace coefficients. Every fit refuses T2
+bounds other than finite 0 < lower < upper; single-voxel fits and matches
+refuse non-finite signals and fail an all-zero one, and `fit_map` flags such
+voxels failed.
 """
 
 from __future__ import annotations
@@ -186,10 +187,16 @@ def _fit_columns(cols, seq, bounds, t1_ms, basis, max_steps=20):
             converged & ~edge.any(axis=0))
 
 
+def _check_bounds(bounds) -> None:
+    if not 0 < bounds[0] < bounds[1] < math.inf:
+        raise ValueError(f"T2 bounds {bounds} need 0 < lower < upper < inf")
+
+
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
                    bounds=DEFAULT_T2_BOUNDS_MS,
                    t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Voxel-wise nonlinear least squares over (complex density, T2)."""
+    _check_bounds(bounds)
     signal = np.asarray(signal, complex).ravel()
     if signal.size != seq.n_echoes:
         raise ValueError("signal length does not match the echo train")
@@ -208,6 +215,7 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
                        t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Fit directly in coefficient space: min ||alpha - Phi^H rho f(T2)||."""
     alpha = np.asarray(alpha, complex).ravel()
+    _check_bounds(bounds)
     _check_echoes(basis, seq)
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
@@ -231,6 +239,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     """
     if method not in ("subspace", "nlls", "dictionary"):
         raise ValueError(f"unknown fit method {method!r}")
+    _check_bounds(bounds)
     stack = np.asarray(stack, complex)
     if basis is not None:
         _check_echoes(basis, seq)
@@ -255,8 +264,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     if np.any(alive):
         cols = signals[:, alive]
         if method == "dictionary":
-            grid = np.exp(np.linspace(np.log(bounds[0]), np.log(bounds[1]),
-                                      1024))
+            grid = np.exp(np.linspace(*np.log(bounds), 1024))
             dictionary = build_dictionary((np.maximum(t1_ms, grid), grid), seq)
             rho[alive], t2[alive], residual[alive] = _match(cols, dictionary,
                                                             basis)

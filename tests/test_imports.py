@@ -71,6 +71,18 @@ def test_public_parameters_are_counted():
     assert total == PUBLIC_PARAMETERS
 
 
+# Lines in src/spinshuffle/*.py. Raise it only with a reason in CHANGES.md:
+# code that speeds something up or adds a check should delete what it makes
+# redundant.
+SOURCE_LINE_BUDGET = 2935
+
+
+def test_source_line_budget():
+    total = sum(len(p.read_text().splitlines())
+                for p in PACKAGE.glob("*.py"))
+    assert total <= SOURCE_LINE_BUDGET
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}

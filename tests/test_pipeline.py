@@ -15,6 +15,12 @@ SMALL = dict(nx=32, ny=32, n_echoes=8, ensemble_size=64, subspace_k=2,
              max_iters=40, accel=3.0)
 
 
+# The arrays run_pipeline writes, one per output of its stages.
+PIPELINE_ARRAYS = ("labels", "rho_true", "t2_true", "ensemble", "basis",
+                   "singular_values", "masks", "truth_images", "kspace",
+                   "coefficients", "images", "t2_map", "rho_map")
+
+
 def small_config(tmp_path, **kw):
     args = dict(SMALL)
     args.update(kw)
@@ -40,7 +46,12 @@ class TestRunPipeline:
         out_b = tmp_path / "b"
         run_pipeline(small_config(out_a))
         run_pipeline(small_config(out_b))
-        for name in ("kspace", "coefficients", "images", "t2_map", "masks"):
+        # every array of the stage table, and nothing else, is written
+        assert sorted(p.name for p in out_a.iterdir()) == sorted(
+            [f"{name}.{ext}" for name in PIPELINE_ARRAYS
+             for ext in ("hdr", "dat")]
+            + ["metrics.csv", "objective_trace.csv", "resolved_config.ini"])
+        for name in PIPELINE_ARRAYS:
             raw_a = (out_a / f"{name}.dat").read_bytes()
             raw_b = (out_b / f"{name}.dat").read_bytes()
             assert raw_a == raw_b, name
@@ -78,6 +89,16 @@ class TestRunPipeline:
         cfg = small_config(tmp_path, solver="does-not-exist")
         with pytest.raises(PipelineError, match="reconstruct"):
             run_pipeline(cfg)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 2000.0), (2000.0, 5.0)])
+    def test_invalid_fit_bounds_report_fit_stage(self, tmp_path, bounds):
+        # zero gave all-NaN maps caught only at 'metrics'; reversed bounds
+        # finished with region means of 670-1557 ms
+        lo, hi = bounds
+        cfg = small_config(tmp_path, fit_t2_min_ms=lo, fit_t2_max_ms=hi)
+        with pytest.raises(PipelineError, match="T2 bounds") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "fit"
 
     def test_all_failed_region_reports_metrics_stage(self, tmp_path,
                                                      monkeypatch):

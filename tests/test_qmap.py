@@ -440,6 +440,28 @@ class TestFitMap:
         with pytest.raises(ValueError, match="16.*32"):
             fit_voxel_subspace(stack[:, 0, 0], basis, SEQ)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 2000.0), (-5.0, 100.0),
+                                        (5.0, math.inf), (5.0, math.nan),
+                                        (math.nan, 100.0), (2000.0, 5.0),
+                                        (50.0, 50.0)])
+    def test_invalid_t2_bounds_rejected(self, clean_signal, ensemble,
+                                        bounds):
+        # such bounds gave all-NaN maps flagged as fitted, a misleading
+        # dictionary error, or (reversed) maps far from any true T2
+        basis = compute_basis(ensemble, 3)
+        alpha = basis.phi_k.conj().T @ clean_signal
+        stack = np.repeat(alpha[:, None, None], 2, axis=2)
+        for method in ("subspace", "nlls", "dictionary"):
+            with pytest.raises(ValueError, match="T2 bounds"):
+                fit_map(stack, SEQ, basis=basis, method=method,
+                        bounds=bounds)
+        with pytest.raises(ValueError, match="T2 bounds"):
+            fit_map(stack * 0, SEQ, basis=basis, bounds=bounds)
+        with pytest.raises(ValueError, match="T2 bounds"):
+            fit_voxel_nlls(clean_signal, SEQ, bounds=bounds)
+        with pytest.raises(ValueError, match="T2 bounds"):
+            fit_voxel_subspace(alpha, basis, SEQ, bounds=bounds)
+
     def test_dictionary_holds_no_atoms_by_voxels_matrix(self, ensemble):
         # 1024 atoms against 48 x 48 voxels: the scores alone would be
         # 1024 * 2304 * 16 B = 37.7 MB, their modulus 18.9 MB
