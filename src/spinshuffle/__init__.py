@@ -28,7 +28,7 @@ from .seqopt import (AsymptoticDesign, FisherInfo, FlipOptimization,
                      optimal_te, optimize_flips, train_power)
 from .spinsim import (EpgState, SequenceParams, TissueParams,
                       bloch_isochromat_train, constant_train, rf_matrix,
-                      signal_jacobian, simulate_fse, simulate_fse_ensemble)
+                      simulate_fse, simulate_fse_ensemble)
 from .subspace import (SubspaceBasis, TissuePrior, back_project,
                        build_ensemble, compute_basis, projection_error,
                        sample_prior)

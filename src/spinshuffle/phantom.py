@@ -123,8 +123,8 @@ def contrast_images(phantom: Phantom, seq: SequenceParams) -> np.ndarray:
 
 def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Complex white Gaussian noise, per-sample standard deviation sigma."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return y.copy()
     rng = np.random.default_rng(seed)

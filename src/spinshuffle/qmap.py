@@ -187,16 +187,18 @@ def _fit_columns(cols, seq, bounds, t1_ms, basis, max_steps=20):
             converged & ~edge.any(axis=0))
 
 
-def _check_bounds(bounds) -> None:
+def _check_bounds(bounds, t1_ms) -> None:
     if not 0 < bounds[0] < bounds[1] < math.inf:
         raise ValueError(f"T2 bounds {bounds} need 0 < lower < upper < inf")
+    if not t1_ms > 0:    # inf is no T1 recovery
+        raise ValueError(f"t1_ms must be positive, got {t1_ms}")
 
 
 def fit_voxel_nlls(signal: np.ndarray, seq: SequenceParams,
                    bounds=DEFAULT_T2_BOUNDS_MS,
                    t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Voxel-wise nonlinear least squares over (complex density, T2)."""
-    _check_bounds(bounds)
+    _check_bounds(bounds, t1_ms)
     signal = np.asarray(signal, complex).ravel()
     if signal.size != seq.n_echoes:
         raise ValueError("signal length does not match the echo train")
@@ -215,7 +217,7 @@ def fit_voxel_subspace(alpha: np.ndarray, basis: SubspaceBasis,
                        t1_ms: float = DEFAULT_T1_MS) -> FitResult:
     """Fit directly in coefficient space: min ||alpha - Phi^H rho f(T2)||."""
     alpha = np.asarray(alpha, complex).ravel()
-    _check_bounds(bounds)
+    _check_bounds(bounds, t1_ms)
     _check_echoes(basis, seq)
     if alpha.size != basis.k:
         raise ValueError("coefficient length does not match the basis")
@@ -239,7 +241,7 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     """
     if method not in ("subspace", "nlls", "dictionary"):
         raise ValueError(f"unknown fit method {method!r}")
-    _check_bounds(bounds)
+    _check_bounds(bounds, t1_ms)
     stack = np.asarray(stack, complex)
     if basis is not None:
         _check_echoes(basis, seq)

@@ -1,6 +1,7 @@
 """Scan-parameter selection.
 
 Fisher information and Cramer-Rao bounds for the echo-train experiment,
+from one batched central difference of the echo trains (`_jacobian`),
 flip-angle optimization under an RF power budget, min-max selection over a
 tissue grid, the closed-form optimal contrast time for two species, and a
 prospective flip design that steers the echo amplitudes onto a target level.
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
-                      required_max_order, rf_matrix, signal_jacobian,
-                      simulate_fse_ensemble)
+                      required_max_order, rf_matrix, simulate_fse_ensemble)
 from .utils import NonIdentifiableError
 
 
@@ -56,7 +56,9 @@ def fisher_info(tissue: TissueParams, seq: SequenceParams, sigma: float,
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    j = signal_jacobian(tissue, seq, wrt=params)
+    j = _jacobian(tissue.t1, tissue.t2, tissue.eta,
+                  np.asarray(seq.flips_deg)[:, None], seq, params)[0].T
+    j[:, [p != "rho" for p in params]] *= tissue.rho
     info = (2.0 / sigma ** 2) * (j.conj().T @ j).real
     info = 0.5 * (info + info.T)
     return FisherInfo(matrix=info, param_order=tuple(params), sigma=sigma)
@@ -75,19 +77,47 @@ def crlb(info: FisherInfo, param: str) -> float:
     return float(np.linalg.inv(m)[idx, idx])
 
 
+def _jacobian(t1, t2, eta, flips_deg: np.ndarray, seq: SequenceParams,
+              wrt) -> np.ndarray:
+    """(B, P, T) central-difference sensitivities of unit-density trains:
+    column b is the tissue (t1, t2, eta)[b] (scalars broadcast) under the
+    flips flips_deg[:, b], and wrt names P of 'rho' (the train itself, as the
+    signal is linear in rho), 't1', 't2', 'eta' (step 1e-4 of the value) and
+    'rf_1'..'rf_T' (per degree, step 1e-4 rad). One engine batch: the base
+    trains if 'rho' is named, then each other parameter's +h and -h blocks.
+    """
+    t, b = flips_deg.shape
+    names = ["t1", "t2", "eta"] + [f"rf_{i}" for i in range(1, t + 1)]
+    moved = [name for name in wrt if name != "rho"]
+    if not set(moved) <= set(names):
+        raise ValueError(f"unknown parameters {sorted(set(moved) - set(names))}"
+                         f" (rho, t1, t2, eta or rf_1..rf_{t})")
+    x = np.empty((3 + t, b))     # one column per train: t1, t2, eta, flips
+    x[0], x[1], x[2], x[3:] = t1, t2, eta, flips_deg
+    rows = [names.index(name) for name in moved]
+    h = 1e-4 * np.abs(x[rows])
+    h[np.array(rows) >= 3] = math.degrees(1e-4)     # a flip: 1e-4 rad
+    blocks = [x] if "rho" in wrt else []
+    for row, step in zip(rows, h):
+        blocks += [x.copy(), x.copy()]
+        blocks[-2][row] += step
+        blocks[-1][row] -= step
+    x = np.hstack(blocks)
+    sig = simulate_fse_ensemble(x[0], x[1], seq, eta=x[2],
+                                flips_deg=x[3:]).reshape(t, -1, b)
+    k = int("rho" in wrt)
+    diff = (sig[:, k::2] - sig[:, k + 1::2]) / (2 * h)
+    # one contiguous row per column, so a column's sums do not depend on b
+    cols = dict(zip(moved, diff.transpose(1, 2, 0)), rho=sig[:, 0].T)
+    return np.ascontiguousarray(np.stack([cols[name] for name in wrt], axis=1))
+
+
 def _t2_information(flips_deg: np.ndarray, t1, t2, eta,
                     seq: SequenceParams) -> np.ndarray:
     """||df/dT2||^2 for a batch of flip schedules (columns), sigma-free;
-    t1 and t2 are scalars or per-column arrays."""
-    b = flips_deg.shape[1]
-    t1 = np.broadcast_to(np.asarray(t1, float), (b,))
-    h = 1e-4 * np.broadcast_to(np.asarray(t2, float), (b,))
-    t2 = np.concatenate([t2 + h, t2 - h])
-    sig = simulate_fse_ensemble(np.tile(t1, 2), t2, seq, eta=eta,
-                                flips_deg=np.tile(flips_deg, 2))
-    # one contiguous row per column, so a column's sum does not depend on b
-    dsig = np.ascontiguousarray(((sig[:, :b] - sig[:, b:]) / (2 * h)).T)
-    return np.sum(np.abs(dsig) ** 2, axis=1)
+    t1, t2 and eta are scalars or per-column arrays."""
+    j = _jacobian(t1, t2, eta, flips_deg, seq, ("t2",))[:, 0]
+    return np.sum(np.abs(j) ** 2, axis=1)
 
 
 def _project(flips_rad: np.ndarray, limit: float, min_rad: float,
@@ -153,6 +183,8 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     trace holds the start value and the value after each accepted step, so
     it strictly increases and has one entry more than there were iterations.
     """
+    if not 0 <= min_flip_deg <= 180:
+        raise ValueError("min_flip_deg must lie in [0, 180] degrees")
     t = seq_template.n_echoes
     const_rad = min(math.sqrt(budget.limit / t), math.pi)
     min_rad = math.radians(min_flip_deg)
@@ -309,8 +341,8 @@ def minmax_grid_search(tissue_grid, candidate_schedules,
 
 def optimal_te(t2a: float, t2b: float) -> float:
     """Echo time maximizing the signal difference of two decaying species."""
-    if t2a <= 0 or t2b <= 0:
-        raise ValueError("time constants must be positive")
+    if not (0 < t2a < math.inf and 0 < t2b < math.inf):
+        raise ValueError("t2a and t2b must be finite and positive")
     if t2a == t2b:
         raise ValueError("species must differ in T2")
     return -math.log(t2a / t2b) / (1.0 / t2a - 1.0 / t2b)
@@ -338,8 +370,10 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     After the approach plus n_constant echoes at the target, the remaining
     flips ramp linearly up to alpha_max.
     """
-    if alpha_max_deg > 180.0:
-        raise ValueError("alpha_max cannot exceed 180 degrees")
+    if not 0 <= alpha_max_deg <= 180:
+        raise ValueError("alpha_max_deg must lie in [0, 180] degrees")
+    if not n_constant >= 0:
+        raise ValueError("n_constant must be nonnegative")
     t = seq_template.n_echoes
     half = seq_template.echo_spacing_ms / 2
     phases = seq_template.flip_phases_deg

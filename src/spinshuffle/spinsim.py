@@ -15,8 +15,8 @@ oracle; the two agree to near machine precision.
 
 The shared-pulse batches of `build_ensemble` and `build_dictionary`, and
 every T2 fit's models with their exact derivatives, are instead relaxation
-polynomials from one cached echo-loop run per sequence; every
-finite-difference and per-column-pulse batch runs the engine.
+polynomials from one cached echo-loop run per sequence; `seqopt`'s finite
+differences and every per-column-pulse batch run the engine.
 
 A batch of tissues is a pair of float arrays (t1, t2), validated by
 `check_tissues`; an echo train is a bare (T,) array and a batch of them a
@@ -88,8 +88,10 @@ class SequenceParams:
             raise ValueError("need at least one refocusing pulse")
         if not self.echo_spacing_ms > 0:
             raise ValueError("echo_spacing_ms must be positive")
-        if any(a < 0 or a > 180 for a in flips):
-            raise ValueError("flip angles must lie in [0, 180] degrees")
+        if not all(0 <= a <= 180 for a in flips):
+            raise ValueError("flips_deg must lie in [0, 180] degrees")
+        if not 0 <= self.excitation_deg <= 180:
+            raise ValueError("excitation_deg must lie in [0, 180] degrees")
         if self.flip_phases_deg is None:
             object.__setattr__(self, "flip_phases_deg", (0.0,) * len(flips))
         else:
@@ -97,6 +99,9 @@ class SequenceParams:
             if len(phases) != len(flips):
                 raise ValueError("flip_phases_deg length must match flips_deg")
             object.__setattr__(self, "flip_phases_deg", phases)
+        for name in ("excitation_phase_deg", "flip_phases_deg"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n_echoes(self) -> int:
@@ -466,46 +471,3 @@ def bloch_isochromat_train(tissue: TissueParams, seq: SequenceParams,
         samples[i] = tissue.rho * np.mean(m[0] + 1j * m[1])
     return samples
 
-
-_FD_REL_STEP = 1e-4          # relative step for T1/T2/eta
-_FD_ANGLE_STEP_DEG = math.degrees(1e-4)  # absolute step for flip angles
-
-
-def signal_jacobian(tissue: TissueParams, seq: SequenceParams,
-                    wrt=("t2",)) -> np.ndarray:
-    """Central-difference sensitivities of the echo train.
-
-    wrt selects columns among 'rho', 't1', 't2', 'eta', 'rf_1'..'rf_T'.
-    The density column is exact (the signal is linear in rho); the others use
-    central differences with a relative step for relaxation parameters and a
-    fixed small angular step for flips. The base train and every +/-h pair
-    run as one batch.
-    """
-    wrt = tuple(wrt)
-    n = 1 + 2 * len(wrt)
-    values = {name: np.full(n, float(getattr(tissue, name)))
-              for name in ("t1", "t2", "eta")}
-    flips = np.repeat(np.asarray(seq.flips_deg, float)[:, None], n, axis=1)
-    steps = []
-    for col, name in enumerate(wrt, start=1):
-        plus, minus = 2 * col - 1, 2 * col
-        if name == "rho":
-            h = None
-        elif name in values:
-            h = _FD_REL_STEP * abs(values[name][0])
-            values[name][[plus, minus]] += (h, -h)
-        elif name.startswith("rf_"):
-            idx = int(name[3:]) - 1
-            if not 0 <= idx < seq.n_echoes:
-                raise ValueError(f"no refocusing pulse {name!r}")
-            h = _FD_ANGLE_STEP_DEG
-            flips[idx, [plus, minus]] += (h, -h)
-        else:
-            raise ValueError(f"unknown parameter {name!r}")
-        steps.append(h)
-    sig = tissue.rho * simulate_fse_ensemble(
-        values["t1"], values["t2"], seq, eta=values["eta"], flips_deg=flips)
-    cols = [sig[:, 0] / tissue.rho if h is None
-            else (sig[:, 2 * c - 1] - sig[:, 2 * c]) / (2 * h)
-            for c, h in enumerate(steps, start=1)]
-    return np.stack(cols, axis=1)

@@ -37,6 +37,20 @@ class TestExitCodes:
         # the failure names its stage, not only the missing file
         assert "'recon'" in err and "masks.hdr" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("excitation_deg", float("nan")), ("excitation_deg", 720.0),
+        ("flips_deg", (float("nan"),))])
+    def test_bad_sequence_angle_fails_at_basis(self, tmp_path, capsys, field,
+                                               value):
+        # NaN failed as "ensemble is not finite"; 720 deg exited 0 with an
+        # NRMSE of 8.7e12
+        path = str(tmp_path / "cfg.ini")
+        save_config(replace(SMALL, **{field: value}), path)
+        assert main(["basis", "--config", path,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "'basis'" in err and field in err
+
     def test_success_is_zero(self, tmp_path, cfg_path):
         assert main(["phantom", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0

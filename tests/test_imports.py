@@ -46,7 +46,7 @@ PUBLIC_API = (
     "load_config", "make_phantom", "minmax_grid_search", "mocco_solve",
     "monte_carlo_mask", "optimal_te", "optimize_flips", "projection_error",
     "read_array", "rf_matrix", "run_pipeline", "sample_prior", "save_config",
-    "signal_jacobian", "simulate_acquisition", "simulate_fse",
+    "simulate_acquisition", "simulate_fse",
     "simulate_fse_ensemble", "sparsity_crb", "to_ini", "tpsf_peak",
     "train_power", "write_array", "write_csv",
 )
@@ -61,7 +61,7 @@ def test_public_api_is_pinned():
 
 # Total of the signature parameters of every exported callable, a class
 # counted by its constructor. A new knob shows here as a changed total.
-PUBLIC_PARAMETERS = 259
+PUBLIC_PARAMETERS = 256
 
 
 def test_public_parameters_are_counted():
@@ -74,7 +74,7 @@ def test_public_parameters_are_counted():
 # Lines in src/spinshuffle/*.py. Raise it only with a reason in CHANGES.md:
 # code that speeds something up or adds a check should delete what it makes
 # redundant.
-SOURCE_LINE_BUDGET = 2935
+SOURCE_LINE_BUDGET = 2933
 
 
 def test_source_line_budget():

@@ -101,3 +101,9 @@ class TestSimulateAcquisition:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(4, complex), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN or inf sigma returned NaN or inf samples
+        with pytest.raises(ValueError, match="sigma"):
+            add_noise(np.zeros(4, complex), sigma, 0)

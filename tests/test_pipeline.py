@@ -100,6 +100,19 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert info.value.stage == "fit"
 
+    @pytest.mark.parametrize("field, value, stage, named", [
+        ("fit_t1_nominal_ms", -1.0, "fit", "t1_ms"),
+        ("noise_sigma", float("nan"), "simulate", "sigma"),
+        ("excitation_deg", float("nan"), "basis", "excitation_deg")])
+    def test_invalid_value_fails_at_its_stage(self, tmp_path, field, value,
+                                              stage, named):
+        # t1 -1 finished with region means near 8.5 ms; a NaN sigma failed
+        # only at 'metrics', a NaN excitation at 'basis' without naming it
+        cfg = small_config(tmp_path, **{field: value})
+        with pytest.raises(PipelineError, match=named) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+
     def test_all_failed_region_reports_metrics_stage(self, tmp_path,
                                                      monkeypatch):
         def all_failed(stack, *args, **kwargs):

@@ -462,6 +462,27 @@ class TestFitMap:
         with pytest.raises(ValueError, match="T2 bounds"):
             fit_voxel_subspace(alpha, basis, SEQ, bounds=bounds)
 
+    @pytest.mark.parametrize("t1_ms", [-1.0, 0.0, math.nan, -math.inf])
+    def test_invalid_t1_rejected(self, clean_signal, ensemble, t1_ms):
+        # -1 fitted T2 8.72 ms for a true 100, NaN the 5 ms bound with a
+        # RuntimeWarning, and 0 raised ZeroDivisionError
+        basis = compute_basis(ensemble, 3)
+        alpha = basis.phi_k.conj().T @ clean_signal
+        stack = np.repeat(alpha[:, None, None], 2, axis=2)
+        for method in ("subspace", "nlls", "dictionary"):
+            with pytest.raises(ValueError, match="t1_ms"):
+                fit_map(stack, SEQ, basis=basis, method=method, t1_ms=t1_ms)
+        with pytest.raises(ValueError, match="t1_ms"):
+            fit_voxel_nlls(clean_signal, SEQ, t1_ms=t1_ms)
+        with pytest.raises(ValueError, match="t1_ms"):
+            fit_voxel_subspace(alpha, basis, SEQ, t1_ms=t1_ms)
+
+    def test_infinite_t1_fits_exactly(self):
+        # T1 = inf is no recovery, a valid model
+        signal = simulate_fse(TissueParams(t1=math.inf, t2=100.0), SEQ)
+        res = fit_voxel_nlls(signal, SEQ, t1_ms=math.inf)
+        assert abs(res.t2 - 100.0) < 1e-6 and res.converged
+
     def test_dictionary_holds_no_atoms_by_voxels_matrix(self, ensemble):
         # 1024 atoms against 48 x 48 voxels: the scores alone would be
         # 1024 * 2304 * 16 B = 37.7 MB, their modulus 18.9 MB

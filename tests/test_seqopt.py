@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 fisher_info, minmax_grid_search, optimal_te,
                                 optimize_flips, train_power)
 from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
-                                 simulate_fse)
+                                 simulate_fse, simulate_fse_ensemble)
 
 TISSUE = TissueParams(t1=1000.0, t2=100.0)
 
@@ -37,7 +38,6 @@ class TestFisherInfo:
                              echo_spacing_ms=9.0)
         info = fisher_info(TISSUE, seq, 0.7, params=("rho", "t2"))
 
-        from dataclasses import replace
         h = 5e-5 * TISSUE.t2
         fp = simulate_fse(replace(TISSUE, t2=TISSUE.t2 + h), seq)
         fm = simulate_fse(replace(TISSUE, t2=TISSUE.t2 - h), seq)
@@ -52,6 +52,106 @@ class TestFisherInfo:
         m = info.matrix
         assert np.array_equal(m, m.T)
         assert np.linalg.eigvalsh(m).min() > -1e-10 * np.abs(m).max()
+
+
+def jacobian(tissue, seq, wrt):
+    """(T, P) sensitivities of one tissue's unit-density train."""
+    flips = np.asarray(seq.flips_deg)[:, None]
+    return seqopt._jacobian(tissue.t1, tissue.t2, tissue.eta, flips, seq,
+                            wrt)[0].T
+
+
+def count_batches(monkeypatch):
+    """The column counts of every engine call seqopt makes from now on."""
+    sizes = []
+    original = seqopt.simulate_fse_ensemble
+
+    def counted(t1, *args, **kwargs):
+        sizes.append(np.size(t1))
+        return original(t1, *args, **kwargs)
+
+    monkeypatch.setattr(seqopt, "simulate_fse_ensemble", counted)
+    return sizes
+
+
+class TestJacobian:
+    def test_density_column_exact(self, ramp16):
+        tis = TissueParams(rho=2.0 + 1j, t1=900.0, t2=80.0)
+        j = jacobian(tis, ramp16, ("rho",))
+        f = simulate_fse_ensemble(tis.t1, tis.t2, ramp16, eta=tis.eta)
+        assert np.array_equal(j[:, 0], f[:, 0])
+
+    def test_cpmg_t2_derivative_analytic(self, cpmg32, tissue):
+        j = jacobian(tissue, cpmg32, ("t2",))
+        t = np.arange(1, 33) * 10.0
+        expected = (t / 100.0 ** 2) * np.exp(-t / 100.0)
+        assert np.max(np.abs(j[:, 0] - expected)) < 1e-8
+
+    def test_richardson_extrapolation_agreement(self, ramp16, tissue):
+        # two-step-size central differences with Richardson combination
+        def fd(param, h):
+            value = getattr(tissue, param)
+            fp = simulate_fse(replace(tissue, **{param: value + h}), ramp16)
+            fm = simulate_fse(replace(tissue, **{param: value - h}), ramp16)
+            return (fp - fm) / (2 * h)
+
+        j = jacobian(tissue, ramp16, ("t2",))[:, 0]
+        h = 1e-3 * tissue.t2
+        richardson = (4 * fd("t2", h / 2) - fd("t2", h)) / 3
+        rel = np.linalg.norm(j - richardson) / np.linalg.norm(richardson)
+        assert rel < 1e-6
+
+    def test_directional_derivative_consistency(self, ramp16, tissue):
+        rng = np.random.default_rng(5)
+        params = ("t1", "t2", "eta")
+        j = jacobian(tissue, ramp16, params)
+        for _ in range(3):
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            h = 1e-4
+            scale = np.array([tissue.t1, tissue.t2, tissue.eta])
+            step = dict(zip(params, h * d * scale))
+            tp = replace(tissue, **{k: getattr(tissue, k) + v
+                                    for k, v in step.items()})
+            tm = replace(tissue, **{k: getattr(tissue, k) - v
+                                    for k, v in step.items()})
+            fd = (simulate_fse(tp, ramp16)
+                  - simulate_fse(tm, ramp16)) / (2 * h)
+            jd = j @ (d * scale)
+            assert np.linalg.norm(jd - fd) / np.linalg.norm(fd) < 1e-5
+
+    def test_flip_columns(self, ramp16, tissue):
+        j = jacobian(tissue, ramp16, ("rf_1", "rf_16"))
+        assert j.shape == (16, 2)
+        # perturbing the last refocusing pulse cannot change earlier echoes
+        assert np.max(np.abs(j[:15, 1])) < 1e-12
+        for name in ("rf_0", "rf_x", "rf_17", "t3"):
+            with pytest.raises(ValueError, match=name):
+                jacobian(tissue, ramp16, ("t2", name))
+
+    def test_batch_columns_match_single_calls(self, ramp16):
+        rng = np.random.default_rng(7)
+        t2 = rng.uniform(40.0, 200.0, 5)
+        t1 = t2 + rng.uniform(300.0, 1500.0, 5)
+        eta = rng.uniform(0.8, 1.2, 5)
+        flips = rng.uniform(60.0, 160.0, (16, 5))
+        wrt = ("rho", "t1", "t2", "eta", "rf_3", "rf_16")
+        batch = seqopt._jacobian(t1, t2, eta, flips, ramp16, wrt)
+        assert batch.shape == (5, 6, 16)
+        for b in range(5):
+            one = seqopt._jacobian(t1[b], t2[b], eta[b], flips[:, b:b + 1],
+                                   ramp16, wrt)[0]
+            scale = np.max(np.abs(one), axis=1, keepdims=True)
+            assert np.all(np.abs(batch[b] - one) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("params", [("rho", "t2", "t1", "rf_2"),
+                                        ("t2", "eta")])
+    def test_fisher_info_is_one_engine_batch(self, monkeypatch, params):
+        # the base train only with rho, then a +/-h block per parameter
+        sizes = count_batches(monkeypatch)
+        fisher_info(TISSUE, constant_train(8, 140.0, 10.0), 1.0, params)
+        p = len(params)
+        assert sizes == [1 + 2 * (p - 1) if "rho" in params else 2 * p]
 
 
 class TestCrlb:
@@ -116,6 +216,14 @@ class TestOptimizeFlips:
         b_const = crlb_t2_sweep(const, seq, [100.0])[0]
         b_opt = crlb_t2_sweep(opt.flips_deg, seq, [100.0])[0]
         assert b_opt < b_const
+
+    @pytest.mark.parametrize("min_flip", [math.nan, -1.0, 181.0])
+    def test_min_flip_validated(self, min_flip):
+        # NaN raised ZeroDivisionError
+        seq = constant_train(8, 60.0, 10.0)
+        with pytest.raises(ValueError, match="min_flip_deg"):
+            optimize_flips(TISSUE, seq, PowerBudget.from_constant_flip(60.0, 8),
+                           min_flip_deg=min_flip)
 
     def test_infeasible_budget_rejected(self):
         seq = constant_train(8, 60.0, 10.0)
@@ -218,25 +326,13 @@ class TestBatchedDesign:
         with pytest.raises(ValueError):
             crlb_t2_sweep(np.full(32, 120.0), self.seq, [50.0, 0.0])
 
-    @staticmethod
-    def _count_batches(monkeypatch):
-        sizes = []
-        original = seqopt.simulate_fse_ensemble
-
-        def counted(t1, *args, **kwargs):
-            sizes.append(np.size(t1))
-            return original(t1, *args, **kwargs)
-
-        monkeypatch.setattr(seqopt, "simulate_fse_ensemble", counted)
-        return sizes
-
     def test_sweep_is_one_batch(self, monkeypatch):
-        sizes = self._count_batches(monkeypatch)
+        sizes = count_batches(monkeypatch)
         crlb_t2_sweep(np.full(32, 120.0), self.seq, np.geomspace(20, 400, 64))
         assert sizes == [128]
 
     def test_one_fused_batch_per_trial(self, monkeypatch):
-        sizes = self._count_batches(monkeypatch)
+        sizes = count_batches(monkeypatch)
         values = []
         original = seqopt._t2_information
 
@@ -334,6 +430,14 @@ class TestOptimalTe:
         with pytest.raises(ValueError):
             optimal_te(80.0, 80.0)
 
+    @pytest.mark.parametrize("pair", [(math.nan, 50.0), (math.inf, 50.0),
+                                      (50.0, math.nan), (0.0, 50.0),
+                                      (50.0, -1.0)])
+    def test_non_finite_or_nonpositive_rejected(self, pair):
+        # NaN returned NaN and inf returned inf
+        with pytest.raises(ValueError, match="t2a and t2b"):
+            optimal_te(*pair)
+
 
 class TestAsymptoticDesign:
     seq = constant_train(32, 180.0, 10.0)
@@ -372,6 +476,16 @@ class TestAsymptoticDesign:
         with pytest.raises(ValueError, match="echo 2"):
             design_asymptotic_flips(tissue, self.seq, s_target=0.98 * s1max,
                                     n_constant=4)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(alpha_max_deg=math.nan), "alpha_max_deg"),
+        (dict(alpha_max_deg=190.0), "alpha_max_deg"),
+        (dict(alpha_max_deg=-1.0), "alpha_max_deg"),
+        (dict(n_constant=-3), "n_constant")])
+    def test_design_arguments_validated(self, kwargs, named):
+        # NaN alpha_max gave NaN flips, n_constant = -3 an IndexError
+        with pytest.raises(ValueError, match=named):
+            design_asymptotic_flips(TISSUE, self.seq, s_target=0.3, **kwargs)
 
     def test_target_range_validated(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from spinshuffle import spinsim
 from spinshuffle.spinsim import (EpgState, SequenceParams, TissueParams,
                                  advance_echo, apply_rf,
                                  bloch_isochromat_train, constant_train,
-                                 rf_matrix, signal_jacobian, simulate_fse,
+                                 rf_matrix, simulate_fse,
                                  simulate_fse_ensemble)
 
 
@@ -429,62 +429,6 @@ class TestRelaxationPolynomials:
         assert np.max(np.abs(moved - fast[:, perm])) <= 1e-15
 
 
-class TestJacobian:
-    def test_density_column_exact(self, ramp16):
-        tis = TissueParams(rho=2.0 + 1j, t1=900.0, t2=80.0)
-        j = signal_jacobian(tis, ramp16, wrt=("rho",))
-        f = simulate_fse(tis, ramp16)
-        assert np.array_equal(j[:, 0], f / tis.rho)
-
-    def test_cpmg_t2_derivative_analytic(self, cpmg32, tissue):
-        j = signal_jacobian(tissue, cpmg32, wrt=("t2",))
-        t = np.arange(1, 33) * 10.0
-        expected = (t / 100.0 ** 2) * np.exp(-t / 100.0)
-        assert np.max(np.abs(j[:, 0] - expected)) < 1e-8
-
-    def test_richardson_extrapolation_agreement(self, ramp16, tissue):
-        # two-step-size central differences with Richardson combination
-        def fd(param, h):
-            from dataclasses import replace
-            fp = simulate_fse(replace(tissue, **{param: getattr(tissue, param) + h}), ramp16)
-            fm = simulate_fse(replace(tissue, **{param: getattr(tissue, param) - h}), ramp16)
-            return (fp - fm) / (2 * h)
-
-        j = signal_jacobian(tissue, ramp16, wrt=("t2",))[:, 0]
-        h = 1e-3 * tissue.t2
-        richardson = (4 * fd("t2", h / 2) - fd("t2", h)) / 3
-        rel = np.linalg.norm(j - richardson) / np.linalg.norm(richardson)
-        assert rel < 1e-6
-
-    def test_directional_derivative_consistency(self, ramp16, tissue):
-        from dataclasses import replace
-        rng = np.random.default_rng(5)
-        params = ("t1", "t2", "eta")
-        j = signal_jacobian(tissue, ramp16, wrt=params)
-        for _ in range(3):
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            h = 1e-4
-            scale = np.array([tissue.t1, tissue.t2, tissue.eta])
-            step = dict(zip(params, h * d * scale))
-            tp = replace(tissue, **{k: getattr(tissue, k) + v
-                                    for k, v in step.items()})
-            tm = replace(tissue, **{k: getattr(tissue, k) - v
-                                    for k, v in step.items()})
-            fd = (simulate_fse(tp, ramp16)
-                  - simulate_fse(tm, ramp16)) / (2 * h)
-            jd = j @ (d * scale)
-            assert np.linalg.norm(jd - fd) / np.linalg.norm(fd) < 1e-5
-
-    def test_flip_columns(self, ramp16, tissue):
-        j = signal_jacobian(tissue, ramp16, wrt=("rf_1", "rf_16"))
-        assert j.shape == (16, 2)
-        # perturbing the last refocusing pulse cannot change earlier echoes
-        assert np.max(np.abs(j[:15, 1])) < 1e-12
-        with pytest.raises(ValueError):
-            signal_jacobian(tissue, ramp16, wrt=("rf_17",))
-
-
 class TestStateInvariants:
     def test_conjugate_symmetry_after_evolution(self):
         # after every period the public steps hold exactly the full-lattice
@@ -518,3 +462,15 @@ class TestStateInvariants:
             SequenceParams(flips_deg=(90.0,), echo_spacing_ms=0.0)
         with pytest.raises(ValueError):
             SequenceParams(flips_deg=(90.0, 90.0), flip_phases_deg=(0.0,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("flips_deg", (90.0, np.nan)), ("flips_deg", (-1.0, 90.0)),
+        ("excitation_deg", np.nan), ("excitation_deg", 720.0),
+        ("excitation_deg", -90.0), ("excitation_phase_deg", np.nan),
+        ("excitation_phase_deg", np.inf), ("flip_phases_deg", (0.0, np.nan))])
+    def test_angles_checked_by_field(self, field, value):
+        # the [0, 180] check let NaN through and nothing checked the
+        # excitation angle or the phases
+        with pytest.raises(ValueError, match=field):
+            SequenceParams(**dict(dict(flips_deg=(90.0, 90.0)),
+                                  **{field: value}))
