@@ -17,8 +17,7 @@ from .pipeline import PipelineReport, run_pipeline
 from .qmap import (Dictionary, FitMaps, FitResult, build_dictionary,
                    dictionary_match, fit_map, fit_voxel_nlls,
                    fit_voxel_subspace)
-from .recon import (ReconResult, SolverConfig, cg_solve, fista_solve,
-                    mocco_solve)
+from .recon import ReconResult, SolverConfig, cg_solve, fista_solve
 from .sampling import (DensityProfile, MaskSearchResult, SparsityModel,
                        assign_echoes, draw_mask, monte_carlo_mask,
                        sparsity_crb, tpsf_peak)

@@ -15,24 +15,24 @@ import os
 import numpy as np
 
 _TOKEN = "complex64"
+_SLAB = 1 << 17   # values per write: 1 MB of complex64
 
 
 def write_array(path: str, array: np.ndarray) -> None:
-    """Write an array as a <path>.hdr / <path>.dat pair."""
+    """Write an array as a <path>.hdr / <path>.dat pair: the .dat holds the
+    C-order values of array.T as <c8, cast and written _SLAB at a time."""
     base = _strip_extension(path)
     arr = np.asarray(array)
-    data = np.ascontiguousarray(arr.astype(np.complex64, copy=False))
     dims = arr.shape if arr.ndim else (1,)
     with open(base + ".hdr", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(dims)}\n")
         fh.write(" ".join(str(d) for d in dims) + "\n")
         fh.write(_TOKEN + "\n")
-    interleaved = np.empty(2 * data.size, dtype="<f4")
-    flat = data.reshape(dims, copy=False).ravel(order="F")
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
     with open(base + ".dat", "wb") as fh:
-        interleaved.tofile(fh)
+        for slab in np.nditer(arr.T, ["external_loop", "buffered",
+                                      "zerosize_ok"], op_dtypes="<c8",
+                              casting="unsafe", order="C", buffersize=_SLAB):
+            slab.tofile(fh)
 
 
 def read_array(path: str) -> np.ndarray:

@@ -4,7 +4,7 @@
 the arrays made so far (by name) to the arrays it makes:
 
     phantom      -> labels, rho_true, t2_true
-    basis        -> ensemble, basis, singular_values
+    basis        -> ensemble (complex64), basis, singular_values
     masks        -> masks
     simulate     masks -> truth_images, kspace
     reconstruct  masks, basis, singular_values, kspace -> coefficients,
@@ -31,9 +31,9 @@ from .phantom import contrast_images, default_phantom, simulate_acquisition
 from .qmap import fit_map
 from .recon import SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
-from .spinsim import SequenceParams
-from .subspace import (SubspaceBasis, TissuePrior, back_project,
-                       build_ensemble, compute_basis, sample_prior)
+from .spinsim import SequenceParams, _shared_pulse_blocks
+from .subspace import (SubspaceBasis, TissuePrior, _basis_from_blocks,
+                       back_project, sample_prior)
 
 log = logging.getLogger(__name__)
 
@@ -111,9 +111,16 @@ def _phantom(cfg: PipelineConfig, arrays) -> dict:
 
 
 def _basis(cfg: PipelineConfig, arrays) -> dict:
-    tissues = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
-    ensemble = build_ensemble(tissues, sequence_from_config(cfg))
-    basis = compute_basis(ensemble, cfg.subspace_k)
+    """`compute_basis(build_ensemble(...))`, blocks kept only in complex64."""
+    t1, t2 = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
+    seq = sequence_from_config(cfg)
+    ensemble = np.empty((seq.n_echoes, t1.size), np.complex64)
+
+    def blocks():
+        for cols, block in _shared_pulse_blocks(t1, t2, seq):
+            ensemble[:, cols] = block
+            yield block
+    basis = _basis_from_blocks(blocks(), ensemble.shape, cfg.subspace_k)
     return dict(ensemble=ensemble, basis=basis.phi_k,
                 singular_values=basis.singular_values)
 

@@ -1,13 +1,12 @@
 """Iterative image reconstruction.
 
-Least-squares conjugate gradient, proximal gradient with l1 regularization
-in an orthonormal transform, and a soft subspace-penalty solver that keeps
-the full echo series all share one data term: the normal operator A^H A
-(through the per-frequency subspace kernel when the encoder has a temporal
-basis) and A^H y, so no iteration forms the measurements; the proximal
-step takes a proven bound on ||A^H A||. Conjugate gradient is exact for a
-basis and one all-ones coil (plain CG otherwise). Each solver warns once if
-it stops unconverged.
+Least-squares conjugate gradient and proximal gradient with l1
+regularization in an orthonormal transform share one data term: the normal
+operator A^H A (through the per-frequency subspace kernel when the encoder
+has a temporal basis) and A^H y, so no iteration forms the measurements;
+the proximal step takes a proven bound on ||A^H A||. Conjugate gradient is
+exact for a basis and one all-ones coil (plain CG otherwise). Each solver
+warns once if it stops unconverged.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from .encoding import (Encoder, NormalKernel, apply_adjoint, apply_forward,
                        apply_normal_kernel, build_normal_kernel)
-from .subspace import SubspaceBasis
 from .transforms import HaarTransform, IdentityTransform
 
 log = logging.getLogger(__name__)
@@ -35,13 +33,14 @@ class SolverConfig:
     max_iters: int = 200
     tolerance: float = 1e-8
     lam: float = 0.0          # l2 or l1 weight, depending on solver
-    mu: float = 0.0           # subspace-penalty weight
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not self.lam >= 0:
+            raise ValueError("lam must be nonnegative")
 
 
 @dataclass
@@ -236,27 +235,3 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     return _warn_unconverged("fista", ReconResult(
         images=x, objective_trace=np.asarray(trace), iterations=it,
         converged=converged), cfg)
-
-
-def mocco_solve(enc: Encoder, basis: SubspaceBasis, y: np.ndarray,
-                cfg: SolverConfig = SolverConfig()) -> ReconResult:
-    """Soft subspace modeling: 0.5||Ax-y||^2 + (mu/2)||x - Phi Phi^H x||^2.
-
-    The encoder must not carry a basis; the solution is the full echo-image
-    stack, pulled toward (but not restricted to) the temporal subspace.
-    """
-    if enc.basis is not None:
-        raise ValueError("mocco_solve expects an encoder without a basis")
-    if basis.n_echoes != enc.n_echoes:
-        raise ValueError("basis echo count does not match encoder")
-    phi = basis.phi_k
-    data_normal, aty, half_yy, _ = _data_term(enc, y)
-
-    def project_out(x):
-        coeff = np.tensordot(phi.conj().T, x, axes=1)
-        return x - np.tensordot(phi, coeff, axes=1)
-
-    def normal(x):
-        out = data_normal(x)
-        return out + cfg.mu * project_out(x) if cfg.mu else out
-    return _warn_unconverged("mocco", _cg(normal, aty, half_yy, cfg), cfg)

@@ -33,8 +33,8 @@ class DensityProfile:
     def __post_init__(self):
         if self.shape not in ("polynomial", "gaussian"):
             raise ValueError(f"unknown profile shape {self.shape!r}")
-        if self.accel < 1:
-            raise ValueError("acceleration must be >= 1")
+        if not self.accel >= 1:
+            raise ValueError("accel must be >= 1")
 
     def density(self, r: np.ndarray) -> np.ndarray:
         """Unnormalized density at the radii `r` of `_radius_grid`, 1 on the

@@ -56,6 +56,8 @@ def fisher_info(tissue: TissueParams, seq: SequenceParams, sigma: float,
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    if not params:
+        raise ValueError("params must name at least one parameter")
     j = _jacobian(tissue.t1, tissue.t2, tissue.eta,
                   np.asarray(seq.flips_deg)[:, None], seq, params)[0].T
     j[:, [p != "rho" for p in params]] *= tissue.rho
@@ -296,8 +298,8 @@ def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
         raise ValueError("sigma must be positive")
     seq = seq_template.with_flips(flips_deg)
     t2 = np.asarray(t2_grid_ms, float)
-    if not np.all(t2 > 0):
-        raise ValueError("T2 values must be positive")
+    if not np.all(np.isfinite(t2) & (t2 > 0)):
+        raise ValueError("t2_grid_ms must be finite and positive")
     flips = np.repeat(np.asarray(seq.flips_deg)[:, None], t2.size, axis=1)
     info = (2.0 / sigma ** 2) * _t2_information(flips, np.maximum(1000.0, t2),
                                                 t2, 1.0, seq)
@@ -374,6 +376,8 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         raise ValueError("alpha_max_deg must lie in [0, 180] degrees")
     if not n_constant >= 0:
         raise ValueError("n_constant must be nonnegative")
+    if not approach_tol > 0:
+        raise ValueError("approach_tol must be positive")
     t = seq_template.n_echoes
     half = seq_template.echo_spacing_ms / 2
     phases = seq_template.flip_phases_deg

@@ -13,10 +13,10 @@ length-1 column axis, when all columns share them). A brute-force
 isochromat integrator, kept apart from the engine, is its independent
 oracle; the two agree to near machine precision.
 
-The shared-pulse batches of `build_ensemble` and `build_dictionary`, and
-every T2 fit's models with their exact derivatives, are instead relaxation
-polynomials from one cached echo-loop run per sequence; `seqopt`'s finite
-differences and every per-column-pulse batch run the engine.
+Shared-pulse batches (`build_ensemble`, `build_dictionary`, the pipeline's
+basis), in 4096-column blocks a caller may use one at a time, and every T2
+fit's models with exact derivatives are relaxation polynomials from one
+cached echo-loop run per sequence; per-column pulses take the engine.
 
 A batch of tissues is a pair of float arrays (t1, t2), validated by
 `check_tissues`; an echo train is a bare (T,) array and a batch of them a
@@ -389,11 +389,12 @@ def _relaxation_model(seq: SequenceParams, t1_ms: float, t2_max_ms: float,
     return evaluate
 
 
-def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
-    """`simulate_fse_ensemble(t1, t2, seq)` as relaxation polynomials with
-    a per-column e1^(2i+2), within about 1e-13 of the engine. Batches of at
-    most P = 2T + 1 columns, and columns with r outside [0, _R_MAX], take
-    the engine, so a column's path never depends on its neighbours."""
+def _shared_pulse_blocks(t1, t2, seq: SequenceParams):
+    """`simulate_fse_ensemble(t1, t2, seq)` as (cols, (T, b) block) pairs of
+    _POLY_BLOCK columns of relaxation polynomials with a per-column e1^(2i+2),
+    within about 1e-13 of the engine. At most P = 2T + 1 columns, or all
+    with r outside [0, _R_MAX], are one engine block; else such columns take
+    the engine in their block, so no column's path depends on another's."""
     t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
     t, half = seq.n_echoes, seq.echo_spacing_ms / 2
     with np.errstate(all="ignore"):
@@ -401,16 +402,25 @@ def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
         r = np.exp(-half / t2) / e1
     rest = ~((t1 > 0) & (t2 > 0) & (r <= _R_MAX))   # NaN r included
     if t1.size <= 2 * t + 1 or np.all(rest):
-        return simulate_fse_ensemble(t1, t2, seq)
+        yield slice(None), simulate_fse_ensemble(t1, t2, seq)
+        return
     r, e1 = np.where(rest, 0.0, r), np.where(rest, 0.0, e1)
     coef = _chebyshev_bank(seq, _R_MAX)[0]
-    out = np.empty((t, t1.size), complex)
     for lo in range(0, t1.size, _POLY_BLOCK):
         cols = slice(lo, lo + _POLY_BLOCK)
-        out[:, cols] = (_chebyshev_sum(coef, r[cols], _R_MAX)
-                        * e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None])
-    if np.any(rest):
-        out[:, rest] = simulate_fse_ensemble(t1[rest], t2[rest], seq)
+        block = (_chebyshev_sum(coef, r[cols], _R_MAX)
+                 * e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None])
+        if np.any(far := rest[cols]):
+            block[:, far] = simulate_fse_ensemble(t1[cols][far],
+                                                  t2[cols][far], seq)
+        yield cols, block
+
+
+def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
+    """The (T, B) array of `_shared_pulse_blocks`."""
+    out = np.empty((seq.n_echoes, np.size(t1)), complex)
+    for cols, block in _shared_pulse_blocks(t1, t2, seq):
+        out[:, cols] = block
     return out
 
 

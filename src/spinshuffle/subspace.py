@@ -102,15 +102,20 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
 
 
 def compute_basis(x: np.ndarray, k: int) -> SubspaceBasis:
-    """Top-k left singular vectors of the (T, L) ensemble X from the small
-    R^H of X = R^H Q^H, R the QR of the stacked R factors of 4096-column views
-    of X^T (one block: X^T's own R), so X is never copied; other Rs differ by
-    a unitary diagonal, which U does not see. A non-finite X is refused."""
-    t, l = x.shape
+    """Top-k left singular vectors of the finite (T, L) ensemble X."""
+    return _basis_from_blocks([x], x.shape, k)
+
+
+def _basis_from_blocks(blocks, shape, k: int) -> SubspaceBasis:
+    """`compute_basis` of the (T, L) ensemble its column blocks make, read
+    in 4096-column views: U is from the small R^H of X = R^H Q^H, R the QR
+    of the views' stacked R factors (one view: its own R); other Rs differ
+    by a unitary diagonal, which U does not see."""
+    t, l = shape
     if not 1 <= k <= min(t, l):
         raise ValueError(f"k={k} out of range for a {t}x{l} ensemble")
-    r = np.vstack([np.linalg.qr(x[:, lo:lo + _POLY_BLOCK].T, mode="r")
-                   for lo in range(0, l, _POLY_BLOCK)])
+    r = np.vstack([np.linalg.qr(b[:, j:j + _POLY_BLOCK].T, mode="r")
+                   for b in blocks for j in range(0, b.shape[1], _POLY_BLOCK)])
     if not np.all(np.isfinite(r)):
         raise ValueError("ensemble is not finite")
     r = np.linalg.qr(r, mode="r") if l > _POLY_BLOCK else r

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinshuffle import arrayio
 from spinshuffle.arrayio import read_array, write_array, write_csv
 from spinshuffle.config import (PipelineConfig, from_ini, load_config,
                                 save_config, to_ini)
@@ -28,7 +30,57 @@ def standalone_reader(base):
     return out
 
 
+def interleaved_payload(array) -> bytes:
+    """The .dat bytes of the former writer, kept as the byte oracle: three
+    full-size copies (complex64, F-order ravel, interleaved floats)."""
+    arr = np.asarray(array)
+    data = np.ascontiguousarray(arr.astype(np.complex64, copy=False))
+    dims = arr.shape if arr.ndim else (1,)
+    interleaved = np.empty(2 * data.size, dtype="<f4")
+    flat = data.reshape(dims, copy=False).ravel(order="F")
+    interleaved[0::2] = flat.real
+    interleaved[1::2] = flat.imag
+    return interleaved.tobytes()
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
+    cases = {"0-d": np.array(2.5 - 1j), "1-d": z[:, 0, 0],
+             "C": z, "F": np.asfortranarray(z), "strided": z[::2, ::-1, 1:],
+             "transposed": z.transpose(1, 2, 0), "empty": np.zeros((3, 0)),
+             # one full default slab of 2**17 values and a partial one
+             "two-slabs": rng.standard_normal((3, 50001))}
+    for dtype in (bool, np.int64, np.float32, np.float64, np.complex64):
+        cases[np.dtype(dtype).name] = (z.real * 3).astype(dtype)
+    return cases
+
+
 class TestArrayFormat:
+    @pytest.mark.parametrize("slab", [7, arrayio._SLAB])
+    @pytest.mark.parametrize("name", sorted(_oracle_inputs()))
+    def test_matches_interleaving_oracle(self, tmp_path, monkeypatch, slab,
+                                         name):
+        # slabs of 7 values leave most inputs here a partial last slab
+        monkeypatch.setattr(arrayio, "_SLAB", slab)
+        arr = _oracle_inputs()[name]
+        write_array(str(tmp_path / "a"), arr)
+        assert (tmp_path / "a.dat").read_bytes() == interleaved_payload(arr)
+        assert read_array(str(tmp_path / "a")).shape == (arr.shape or (1,))
+
+    def test_writer_makes_no_full_size_copy(self, tmp_path):
+        # a (32, 65536) complex128 ensemble is 33.5 MB; the interleaving
+        # writer peaked at 50 MB of copies
+        rng = np.random.default_rng(13)
+        arr = rng.standard_normal((32, 65536)) + 0j
+        tracemalloc.start()
+        try:
+            write_array(str(tmp_path / "big"), arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     @pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 4, 2), (2, 3, 2, 2)])
     def test_round_trip_bit_exact(self, tmp_path, shape):
         rng = np.random.default_rng(sum(shape))

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from spinshuffle.arrayio import read_array
 from spinshuffle import pipeline
 from spinshuffle.config import PipelineConfig, load_config
 from spinshuffle.pipeline import (PipelineError, build_masks,
-                                  profile_from_config, run_pipeline)
+                                  prior_from_config, profile_from_config,
+                                  run_pipeline, sequence_from_config)
 from spinshuffle.qmap import FitMaps
 from spinshuffle.sampling import draw_mask
+from spinshuffle.subspace import build_ensemble, compute_basis, sample_prior
 
 SMALL = dict(nx=32, ny=32, n_echoes=8, ensemble_size=64, subspace_k=2,
              max_iters=40, accel=3.0)
@@ -103,11 +106,15 @@ class TestRunPipeline:
     @pytest.mark.parametrize("field, value, stage, named", [
         ("fit_t1_nominal_ms", -1.0, "fit", "t1_ms"),
         ("noise_sigma", float("nan"), "simulate", "sigma"),
-        ("excitation_deg", float("nan"), "basis", "excitation_deg")])
+        ("excitation_deg", float("nan"), "basis", "excitation_deg"),
+        ("max_iters", 0, "reconstruct", "max_iters"),
+        ("tolerance", float("nan"), "reconstruct", "tolerance"),
+        ("accel", float("nan"), "masks", "accel")])
     def test_invalid_value_fails_at_its_stage(self, tmp_path, field, value,
                                               stage, named):
-        # t1 -1 finished with region means near 8.5 ms; a NaN sigma failed
-        # only at 'metrics', a NaN excitation at 'basis' without naming it
+        # t1 -1 finished with region means near 8.5 ms; a NaN sigma and
+        # max_iters 0 failed only at 'metrics', a NaN excitation at 'basis'
+        # without naming it; a NaN tolerance or accel finished
         cfg = small_config(tmp_path, **{field: value})
         with pytest.raises(PipelineError, match=named) as info:
             run_pipeline(cfg)
@@ -135,6 +142,36 @@ class TestRunPipeline:
         run_pipeline(cfg)
         masks = read_array(str(tmp_path / "masks"))
         assert masks.shape == (cfg.n_echoes, cfg.nx, cfg.ny)
+
+
+class TestBasisStage:
+    # 65536 tissues are 16 polynomial blocks, 2 * 4096 + 77 end in a partial
+    # block, and 40 <= 2T + 1 take the engine whole
+    @pytest.mark.parametrize("size", [65536, 2 * 4096 + 77, 40])
+    def test_equals_build_ensemble_and_compute_basis(self, size):
+        cfg = PipelineConfig(ensemble_size=size)
+        arrays = pipeline._basis(cfg, {})
+        ensemble = build_ensemble(sample_prior(prior_from_config(cfg), size),
+                                  sequence_from_config(cfg))
+        basis = compute_basis(ensemble, cfg.subspace_k)
+        assert arrays["ensemble"].dtype == np.complex64
+        assert np.array_equal(arrays["ensemble"],
+                              ensemble.astype(np.complex64))
+        assert np.array_equal(arrays["basis"], basis.phi_k)
+        assert np.array_equal(arrays["singular_values"],
+                              basis.singular_values)
+
+    def test_traced_peak_is_one_complex64_ensemble(self):
+        # the complex128 ensemble and its copies peaked at 43 MB; blocks of
+        # 4096 columns leave the 16.8 MB complex64 ensemble plus temporaries
+        cfg = PipelineConfig(ensemble_size=65536)
+        tracemalloc.start()
+        try:
+            pipeline._basis(cfg, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_echoes * cfg.ensemble_size * 8 + 14e6
 
 
 def test_randomized_masks_equal_per_echo_draws():

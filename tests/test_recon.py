@@ -9,8 +9,7 @@ from spinshuffle import recon
 from spinshuffle.encoding import (Encoder, SamplingMasks, SensitivityMaps,
                                   apply_adjoint, apply_forward,
                                   materialize_forward)
-from spinshuffle.recon import (SolverConfig, cg_solve, fista_solve,
-                               mocco_solve)
+from spinshuffle.recon import SolverConfig, cg_solve, fista_solve
 from spinshuffle.sampling import DensityProfile, assign_echoes, draw_mask
 from spinshuffle.spinsim import constant_train
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
@@ -60,9 +59,9 @@ def coil_problem(basis, masks):
     return enc, apply_forward(enc, alpha)
 
 
-def _warns_unconverged(caplog, solve, **cfg_fields):
+def _warns_unconverged(caplog, solve):
     with caplog.at_level(logging.WARNING, logger="spinshuffle.recon"):
-        res = solve(SolverConfig(max_iters=2, **cfg_fields))
+        res = solve(SolverConfig(max_iters=2))
     assert not res.converged and res.iterations == 2
     assert "max_iters=2" in caplog.text
     assert f"{res.objective_trace[-1]:.6e}" in caplog.text
@@ -71,6 +70,16 @@ def _warns_unconverged(caplog, solve, **cfg_fields):
 def _monotone(trace, slack=1e-10):
     trace = np.asarray(trace)
     return np.all(np.diff(trace) <= slack * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", float("nan")), ("tolerance", 0.0), ("max_iters", 0),
+    ("max_iters", -1), ("lam", float("nan")), ("lam", -1.0)])
+def test_solver_config_names_bad_field(field, value):
+    # a NaN tolerance was accepted; max_iters = 0 failed only at the fit
+    # with "every voxel failed the fit"
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 class TestCg:
@@ -338,65 +347,3 @@ class TestFista:
     def test_warns_when_unconverged(self, problem, caplog):
         enc, y = problem
         _warns_unconverged(caplog, lambda cfg: fista_solve(enc, y, cfg=cfg))
-
-
-class TestMocco:
-    def test_zero_weight_equals_plain_least_squares(self, basis, masks):
-        enc = Encoder(masks)
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(enc.domain_shape) + 1j * rng.standard_normal(enc.domain_shape)
-        y = apply_forward(enc, x)
-        cfg = SolverConfig(max_iters=200, tolerance=1e-10)
-        res_m = mocco_solve(enc, basis, y, cfg)
-        res_c = cg_solve(enc, y, cfg)
-        assert np.array_equal(res_m.images, res_c.images)
-
-    def test_infinite_weight_pins_to_subspace(self, basis, masks):
-        enc = Encoder(masks)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(enc.domain_shape) + 1j * rng.standard_normal(enc.domain_shape)
-        y = apply_forward(enc, x)
-        res = mocco_solve(enc, basis, y,
-                          SolverConfig(max_iters=600, tolerance=1e-12, mu=1e8))
-        phi = basis.phi_k
-        off = res.images - np.tensordot(phi, np.tensordot(phi.conj().T,
-                                                          res.images, axes=1),
-                                        axes=1)
-        assert np.linalg.norm(off) / np.linalg.norm(res.images) < 1e-3
-
-    def test_penalty_beats_backprojected_hard_constraint(self, basis, masks):
-        enc = Encoder(masks)
-        enc_b = Encoder(masks, basis=basis)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(enc.domain_shape) + 1j * rng.standard_normal(enc.domain_shape)
-        y = apply_forward(enc, x)
-        mu = 5.0
-        cfg = SolverConfig(max_iters=400, tolerance=1e-12, mu=mu)
-        soft = mocco_solve(enc, basis, y, cfg)
-        hard = cg_solve(enc_b, y, SolverConfig(max_iters=400, tolerance=1e-12))
-        x_hard = np.tensordot(basis.phi_k, hard.images, axes=1)
-
-        def objective(v):
-            resid = apply_forward(enc, v) - y
-            phi = basis.phi_k
-            off = v - np.tensordot(phi, np.tensordot(phi.conj().T, v, axes=1),
-                                   axes=1)
-            return (0.5 * np.vdot(resid, resid).real
-                    + 0.5 * mu * np.vdot(off, off).real)
-
-        assert objective(soft.images) <= objective(x_hard) + 1e-10
-
-    def test_rejects_basis_encoder(self, basis, masks):
-        enc = Encoder(masks, basis=basis)
-        with pytest.raises(ValueError):
-            mocco_solve(enc, basis, np.zeros(enc.n_measurements, complex))
-
-    def test_warns_when_unconverged(self, basis, masks, caplog):
-        enc = Encoder(masks)
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(enc.domain_shape) + 1j * rng.standard_normal(enc.domain_shape)
-        y = apply_forward(enc, x)
-        # without a basis A^H A is a projector, so only the penalty keeps
-        # two iterations short of convergence
-        _warns_unconverged(caplog, lambda cfg: mocco_solve(enc, basis, y, cfg),
-                           mu=5.0)

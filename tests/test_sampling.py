@@ -9,6 +9,13 @@ from spinshuffle.sampling import (DensityProfile, NonIdentifiableError,
 from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 
+@pytest.mark.parametrize("accel", [float("nan"), 0.5])
+def test_density_profile_names_bad_accel(accel):
+    # the accel < 1 check let NaN through, and a NaN accel drew masks
+    with pytest.raises(ValueError, match="accel"):
+        DensityProfile(accel=accel)
+
+
 class TestDrawMask:
     def test_unit_acceleration_full_mask(self):
         mask = draw_mask(DensityProfile(accel=1.0), (16, 16), 0)

@@ -46,6 +46,11 @@ class TestFisherInfo:
         oracle = (2.0 / 0.7 ** 2) * (j.conj().T @ j).real
         assert np.max(np.abs(info.matrix - oracle)) / np.max(np.abs(oracle)) < 1e-5
 
+    def test_empty_params_named(self):
+        # failed inside np.concatenate
+        with pytest.raises(ValueError, match="params"):
+            fisher_info(TISSUE, constant_train(8), 1.0, params=())
+
     def test_symmetric_psd(self):
         seq = SequenceParams(flips_deg=tuple(np.linspace(50, 150, 10)))
         info = fisher_info(TISSUE, seq, 1.0, params=("rho", "t2", "t1"))
@@ -326,6 +331,12 @@ class TestBatchedDesign:
         with pytest.raises(ValueError):
             crlb_t2_sweep(np.full(32, 120.0), self.seq, [50.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_sweep_names_bad_grid(self, bad):
+        # inf failed in the engine: "relaxation times must be positive"
+        with pytest.raises(ValueError, match="t2_grid_ms"):
+            crlb_t2_sweep(np.full(32, 120.0), self.seq, [50.0, bad])
+
     def test_sweep_is_one_batch(self, monkeypatch):
         sizes = count_batches(monkeypatch)
         crlb_t2_sweep(np.full(32, 120.0), self.seq, np.geomspace(20, 400, 64))
@@ -481,9 +492,12 @@ class TestAsymptoticDesign:
         (dict(alpha_max_deg=math.nan), "alpha_max_deg"),
         (dict(alpha_max_deg=190.0), "alpha_max_deg"),
         (dict(alpha_max_deg=-1.0), "alpha_max_deg"),
-        (dict(n_constant=-3), "n_constant")])
+        (dict(n_constant=-3), "n_constant"),
+        (dict(approach_tol=math.nan), "approach_tol"),
+        (dict(approach_tol=-1.0), "approach_tol")])
     def test_design_arguments_validated(self, kwargs, named):
-        # NaN alpha_max gave NaN flips, n_constant = -3 an IndexError
+        # NaN alpha_max gave NaN flips, n_constant = -3 an IndexError, and
+        # a NaN or negative approach_tol ran silently
         with pytest.raises(ValueError, match=named):
             design_asymptotic_flips(TISSUE, self.seq, s_target=0.3, **kwargs)
 
