@@ -35,6 +35,11 @@ class DensityProfile:
             raise ValueError(f"unknown profile shape {self.shape!r}")
         if not self.accel >= 1:
             raise ValueError("accel must be >= 1")
+        for name in ("decay_power", "fully_sampled_radius"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and positive")
 
     def density(self, r: np.ndarray) -> np.ndarray:
         """Unnormalized density at the radii `r` of `_radius_grid`, 1 on the

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import (EpgState, SequenceParams, TissueParams, advance_echo,
-                      required_max_order, rf_matrix, simulate_fse_ensemble)
+from .spinsim import (EpgState, SequenceParams, TissueParams, _pulses,
+                      advance_echo, required_max_order, simulate_fse_ensemble)
 from .utils import NonIdentifiableError
 
 
@@ -380,20 +380,19 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         raise ValueError("approach_tol must be positive")
     t = seq_template.n_echoes
     half = seq_template.echo_spacing_ms / 2
-    phases = seq_template.flip_phases_deg
     e1, e2 = np.exp(-half / tissue.t1), np.exp(-half / tissue.t2)
 
     # one ensemble on a batch axis of length 1
-    excite = rf_matrix(tissue.eta * seq_template.excitation_deg,
-                       seq_template.excitation_phase_deg)
-    state = EpgState.excited(required_max_order(t), excite, (1,))
+    state = EpgState.excited(required_max_order(t), _pulses(
+        seq_template, seq_template.excitation_deg, tissue.eta, None), (1,))
 
     def trial(flips_deg, i):
         """The current state advanced through echo i, one column per flip."""
         flips_deg = np.atleast_1d(flips_deg)
         out = EpgState(*(np.repeat(a, flips_deg.size, axis=1)
                          for a in (state.fplus, state.fminus, state.z)))
-        advance_echo(out, rf_matrix(tissue.eta * flips_deg, phases[i]), e1, e2)
+        advance_echo(out, _pulses(seq_template, flips_deg, tissue.eta, i),
+                     e1, e2)
         return out
 
     s1_max = abs(trial(180.0, 0).fplus[0, 0])

@@ -17,6 +17,9 @@ Shared-pulse batches (`build_ensemble`, `build_dictionary`, the pipeline's
 basis), in 4096-column blocks a caller may use one at a time, and every T2
 fit's models with exact derivatives are relaxation polynomials from one
 cached echo-loop run per sequence; per-column pulses take the engine.
+A CPMG-phased sequence (refocusing phases 0, excitation 90, mod 180 deg)
+keeps its states real in (F+, F-, -iZ): its matrices, states and polynomials
+are float64, and its echoes complex with zero imaginary parts.
 
 A batch of tissues is a pair of float arrays (t1, t2), validated by
 `check_tissues`; an echo train is a bare (T,) array and a batch of them a
@@ -86,8 +89,8 @@ class SequenceParams:
         object.__setattr__(self, "flips_deg", flips)
         if len(flips) < 1:
             raise ValueError("need at least one refocusing pulse")
-        if not self.echo_spacing_ms > 0:
-            raise ValueError("echo_spacing_ms must be positive")
+        if not 0 < self.echo_spacing_ms < math.inf:
+            raise ValueError("echo_spacing_ms must be finite and positive")
         if not all(0 <= a <= 180 for a in flips):
             raise ValueError("flips_deg must lie in [0, 180] degrees")
         if not 0 <= self.excitation_deg <= 180:
@@ -137,12 +140,12 @@ class EpgState:
 
     @classmethod
     def excited(cls, max_order: int, excite, batch_shape=()) -> "EpgState":
-        """The excitation `excite` (an `rf_matrix`) tipping Z(0) = 1 into
-        F+/-(0), with the transverse orders up to max_order kept."""
+        """The excitation `excite` tipping Z(0) = 1 into F+(0) = excite[0, 2]
+        and its mirror F-(0), orders up to max_order kept, in its dtype."""
         shape = (max_order // 2 + 1, *batch_shape)
-        state = cls(*(np.zeros(shape, complex) for _ in range(3)))
+        state = cls(*(np.zeros(shape, excite.dtype) for _ in range(3)))
         state.fplus[0] = excite[0, 2]
-        state.fminus[0] = excite[1, 2]
+        state.fminus[0] = np.conj(state.fplus[0])
         return state
 
 
@@ -165,6 +168,31 @@ def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:
     m[1, 2] = np.conj(m[0, 2])
     m[2, 0] = -0.5j * np.conj(eip) * sa
     m[2, 1] = np.conj(m[2, 0])
+    m[2, 2] = np.cos(a)
+    return m
+
+
+def _pulses(seq: SequenceParams, flips_deg, eta=1.0, echo=slice(None)):
+    """Mixing matrices (3, 3, *shape) of eta * flips_deg at the phases of
+    seq's echoes `echo` (an index, or all T on flips' first axis), or at its
+    excitation phase (echo None): `rf_matrix`'s, unless seq is CPMG-phased
+    (refocusing phases 0, excitation phase 90, mod 180 deg). Then states stay
+    real in (F+, F-, -iZ) under the real D^-1 M D, D = diag(1, 1, i), with
+    cos phi = +/-1; the excitation, at its phase less 90 deg, has rf_matrix's
+    F+(0) at [0, 2]. Only the phases decide, never the data."""
+    phases = np.asarray(seq.flip_phases_deg)
+    real = np.all(phases % 180 == 0) and seq.excitation_phase_deg % 180 == 90
+    phases = (seq.excitation_phase_deg - 90 * real if echo is None
+              else phases[echo, None])
+    if not real:
+        return rf_matrix(eta * flips_deg, phases)
+    a = np.radians(eta * flips_deg)
+    sa = np.where(phases % 360 == 0, 1.0, -1.0) * np.sin(a)
+    m = np.empty((3, 3) + sa.shape)
+    m[0, 0] = m[1, 1] = np.cos(a / 2) ** 2
+    m[0, 1] = m[1, 0] = np.sin(a / 2) ** 2
+    m[0, 2], m[1, 2] = sa, -sa
+    m[2, 0], m[2, 1] = -0.5 * sa, 0.5 * sa
     m[2, 2] = np.cos(a)
     return m
 
@@ -274,12 +302,10 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
             raise ValueError("flips_deg must be finite")
 
     half = seq.echo_spacing_ms / 2
-    phases = np.asarray(seq.flip_phases_deg, float)[:, None]
 
     def pulses(cols):  # refocusing (3, 3, T, cols) and excitation matrices
-        return (rf_matrix(eta[cols] * flips[:, cols], phases),
-                rf_matrix(eta[cols] * seq.excitation_deg,
-                          seq.excitation_phase_deg))
+        return (_pulses(seq, flips[:, cols], eta[cols]),
+                _pulses(seq, seq.excitation_deg, eta[cols], None))
 
     shared_rf = np.all(eta == eta[0]) and np.all(flips == flips[:, :1])
     shared_e1 = np.all(t1 == t1[0])
@@ -318,19 +344,18 @@ _POLY_BLOCK = 4096   # 2 MB per block of Chebyshev values or echoes at T = 32
 
 @functools.lru_cache(maxsize=32)
 def _chebyshev_bank(seq: SequenceParams, r_max: float) -> np.ndarray:
-    """Read-only real (3, 2T, P) Chebyshev coefficients (real parts, then
-    imaginary) on r in [0, r_max] of the relaxation polynomials p_i and
-    their first two derivatives in s = 2r/r_max - 1. No path relaxes toward
+    """Read-only (3, T, P) Chebyshev coefficients, real for a CPMG-phased
+    seq (see `_pulses`), on r in [0, r_max] of the relaxation polynomials p_i
+    and their first two derivatives in s = 2r/r_max - 1. No path relaxes toward
     equilibrium, so echo i is e1^(2i+2) p_i(e2/e1), p_i of degree <= 2i + 2:
     the echo loop at e1 = 1 on P = 2T + 1 nodes and the closed-form DCT give
     the coefficients, the differentiation matrix those of p_i' and p_i''."""
     t, p = seq.n_echoes, 2 * seq.n_echoes + 1
     theta = np.pi * (np.arange(p) + 0.5) / p
-    nodes = np.empty((t, p), complex)
-    _echo_loop(nodes, rf_matrix(np.asarray(seq.flips_deg)[:, None],
-                                np.asarray(seq.flip_phases_deg)[:, None]),
-               rf_matrix(seq.excitation_deg, seq.excitation_phase_deg),
-               1.0, r_max / 2 * (1 + np.cos(theta)))
+    excite = _pulses(seq, seq.excitation_deg, echo=None)
+    nodes = np.empty((t, p), excite.dtype)
+    _echo_loop(nodes, _pulses(seq, np.asarray(seq.flips_deg)[:, None]),
+               excite, 1.0, r_max / 2 * (1 + np.cos(theta)))
     coef = nodes @ np.cos(np.outer(theta, np.arange(p))) * (2 / p)
     coef[:, 0] /= 2
     j = np.arange(p)
@@ -338,19 +363,18 @@ def _chebyshev_bank(seq: SequenceParams, r_max: float) -> np.ndarray:
                     0.0).T       # coef @ diff: the series of the derivative
     diff[:, 0] /= 2
     bank = np.stack([coef, coef @ diff, coef @ diff @ diff])
-    bank = np.concatenate([bank.real, bank.imag], axis=1)
     bank.flags.writeable = False
     return bank
 
 
-def _chebyshev_sum(bank, r, r_max) -> np.ndarray:
-    """A (2n, P) bank of n complex series (real parts, then imaginary parts)
-    summed at r in [0, r_max] by the recurrence of T_j(2r/r_max - 1) and one
-    GEMM, over whole 8-column tiles: BLAS sums a trailing partial tile in
-    another kernel, so a column would otherwise round by its position."""
+def _chebyshev_sum(coef, r, r_max) -> np.ndarray:
+    """The (n, P) series coef summed at r in [0, r_max] by the recurrence of
+    T_j(2r/r_max - 1) and one real GEMM (a complex coef as real rows, then
+    imaginary), over whole 8-column tiles: BLAS sums a trailing partial tile
+    in another kernel, so a column would otherwise round by its position."""
     s = np.zeros(-(-r.size // 8) * 8)
     s[:r.size] = r * (2 / r_max) - 1
-    cheb = np.empty((bank.shape[1], s.size))
+    cheb = np.empty((coef.shape[1], s.size))
     cheb[0], cheb[1] = 1.0, s
     s *= 2
     prev2, prev = cheb[:2]
@@ -358,8 +382,10 @@ def _chebyshev_sum(bank, r, r_max) -> np.ndarray:
         np.multiply(s, prev, out=row)
         row -= prev2
         prev2, prev = prev, row
-    vals = (bank @ cheb)[:, :r.size]
-    return vals[:len(bank) // 2] + 1j * vals[len(bank) // 2:]
+    if coef.dtype.kind == "f":
+        return (coef @ cheb)[:, :r.size]
+    vals = (np.concatenate([coef.real, coef.imag]) @ cheb)[:, :r.size]
+    return vals[:len(coef)] + 1j * vals[len(coef):]
 
 
 def _relaxation_model(seq: SequenceParams, t1_ms: float, t2_max_ms: float,
@@ -376,10 +402,8 @@ def _relaxation_model(seq: SequenceParams, t1_ms: float, t2_max_ms: float,
     e1 = math.exp(-half / t1_ms)
     r_max = max(_R_MAX, math.exp(-half / t2_max_ms) / e1)
     bank = _chebyshev_bank(seq, r_max)
-    c = bank[:, :t] + 1j * bank[:, t:]
-    c *= e1 ** np.arange(2, 2 * t + 1, 2)[:, None]
+    c = bank * e1 ** np.arange(2, 2 * t + 1, 2)[:, None]
     c = (c if project is None else project @ c).reshape(-1, bank.shape[2])
-    c = np.concatenate([c.real, c.imag])
 
     def evaluate(t2):
         r = np.exp(-half / t2) / e1
@@ -408,8 +432,10 @@ def _shared_pulse_blocks(t1, t2, seq: SequenceParams):
     coef = _chebyshev_bank(seq, _R_MAX)[0]
     for lo in range(0, t1.size, _POLY_BLOCK):
         cols = slice(lo, lo + _POLY_BLOCK)
-        block = (_chebyshev_sum(coef, r[cols], _R_MAX)
-                 * e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None])
+        vals = _chebyshev_sum(coef, r[cols], _R_MAX)
+        block = np.zeros(vals.shape, complex)   # real sums fill its real part
+        np.multiply(vals, e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None],
+                    out=block if vals.dtype.kind == "c" else block.real)
         if np.any(far := rest[cols]):
             block[:, far] = simulate_fse_ensemble(t1[cols][far],
                                                   t2[cols][far], seq)

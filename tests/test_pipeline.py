@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinshuffle.arrayio import read_array
-from spinshuffle import pipeline
+from spinshuffle import pipeline, spinsim
 from spinshuffle.config import PipelineConfig, load_config
 from spinshuffle.pipeline import (PipelineError, build_masks,
                                   prior_from_config, profile_from_config,
@@ -109,12 +109,23 @@ class TestRunPipeline:
         ("excitation_deg", float("nan"), "basis", "excitation_deg"),
         ("max_iters", 0, "reconstruct", "max_iters"),
         ("tolerance", float("nan"), "reconstruct", "tolerance"),
-        ("accel", float("nan"), "masks", "accel")])
+        ("accel", float("nan"), "masks", "accel"),
+        ("decay_power", -3.0, "masks", "decay_power"),
+        ("decay_power", float("nan"), "masks", "decay_power"),
+        ("fully_sampled_radius", float("nan"), "masks",
+         "fully_sampled_radius"),
+        ("fully_sampled_radius", -1.0, "masks", "fully_sampled_radius"),
+        ("profile_sigma", float("nan"), "masks", "sigma"),
+        ("profile_sigma", 0.0, "masks", "sigma"),
+        ("echo_spacing_ms", float("inf"), "basis", "echo_spacing_ms")])
     def test_invalid_value_fails_at_its_stage(self, tmp_path, field, value,
                                               stage, named):
         # t1 -1 finished with region means near 8.5 ms; a NaN sigma and
         # max_iters 0 failed only at 'metrics', a NaN excitation at 'basis'
-        # without naming it; a NaN tolerance or accel finished
+        # without naming it; a NaN tolerance or accel finished. Decay power
+        # -3, a NaN or negative radius and a NaN or zero profile sigma
+        # finished; a NaN decay power failed at 'masks' without naming it and
+        # an infinite echo spacing at 'fit' with a ZeroDivisionError
         cfg = small_config(tmp_path, **{field: value})
         with pytest.raises(PipelineError, match=named) as info:
             run_pipeline(cfg)
@@ -160,6 +171,32 @@ class TestBasisStage:
         assert np.array_equal(arrays["basis"], basis.phi_k)
         assert np.array_equal(arrays["singular_values"],
                               basis.singular_values)
+
+    @pytest.mark.parametrize("size", [65536, 40])
+    def test_real_path_matches_complex_path(self, monkeypatch, size):
+        # Tolerances fixed before any timing: the CPMG-phased default
+        # sequence's real path against the same stage with every pulse built
+        # by rf_matrix, basis within 1e-12 and singular values within
+        # 1e-13 sigma_1; its ensemble has no imaginary part
+        cfg = PipelineConfig(ensemble_size=size)
+        real = pipeline._basis(cfg, {})
+
+        def complex_pulses(seq, flips_deg, eta=1.0, echo=slice(None)):
+            phases = (seq.excitation_phase_deg if echo is None
+                      else np.asarray(seq.flip_phases_deg)[echo, None])
+            return spinsim.rf_matrix(eta * flips_deg, phases)
+
+        monkeypatch.setattr(spinsim, "_pulses", complex_pulses)
+        spinsim._chebyshev_bank.cache_clear()
+        try:
+            reference = pipeline._basis(cfg, {})
+        finally:
+            spinsim._chebyshev_bank.cache_clear()
+        assert not np.any(real["ensemble"].imag)
+        assert np.any(reference["ensemble"].imag)
+        assert np.max(np.abs(real["basis"] - reference["basis"])) <= 1e-12
+        s = reference["singular_values"]
+        assert np.max(np.abs(real["singular_values"] - s)) <= 1e-13 * s[0]
 
     def test_traced_peak_is_one_complex64_ensemble(self):
         # the complex128 ensemble and its copies peaked at 43 MB; blocks of

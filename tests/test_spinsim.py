@@ -48,6 +48,56 @@ class TestRfMatrix:
         assert np.allclose(rf_matrix(73.0, 28.0), ref, atol=1e-14)
 
 
+# D = diag(1, 1, i): a CPMG-phased train's states are real in D^-1 (F+, F-, Z)
+_D = np.array([1.0, 1.0, 1j])
+
+
+class TestRealPulses:
+    # Tolerances fixed before any timing. rf_matrix rounds e^(i phi): its
+    # D^-1 M D has imaginary parts up to 2|sin(fl(phi))| (two factors of
+    # e^(i phi)) and its F+(0) one of |cos(fl(phi_e))|, so the real matrices
+    # must match within 1e-16 beyond those.
+    @pytest.mark.parametrize("phase", [0.0, 180.0, -180.0])
+    @pytest.mark.parametrize("exc_phase", [90.0, -90.0, 270.0])
+    @pytest.mark.parametrize("eta", [1.0, 0.83])
+    def test_real_matrices_are_rf_matrix_in_the_real_basis(self, phase,
+                                                           exc_phase, eta):
+        alphas = np.array([0.0, 17.5, 60.0, 90.0, 123.4, 179.9, 180.0])
+        seq = SequenceParams(flips_deg=tuple(alphas),
+                             flip_phases_deg=(phase,) * alphas.size,
+                             excitation_phase_deg=exc_phase)
+        m = spinsim._pulses(seq, alphas[:, None], eta)
+        ref = (rf_matrix(eta * alphas[:, None], phase)
+               * (_D[None, :] / _D[:, None])[:, :, None, None])
+        assert m.dtype == np.float64 and m.shape == ref.shape
+        assert np.max(np.abs(m - ref)) <= (
+            1e-16 + 2 * abs(np.sin(np.radians(phase))))
+        excite = spinsim._pulses(seq, seq.excitation_deg, eta, None)
+        ref = rf_matrix(eta * seq.excitation_deg, exc_phase)
+        assert excite.dtype == np.float64
+        assert abs(excite[0, 2] - ref[0, 2]) <= (
+            1e-16 + abs(np.cos(np.radians(exc_phase))))
+
+    @pytest.mark.parametrize("field, value", [
+        ("flip_phases_deg", (0.0, 1e-6, 180.0)),
+        ("excitation_phase_deg", 90.0 + 1e-6)])
+    def test_phases_off_cpmg_keep_the_complex_path(self, field, value):
+        # 1e-6 deg off CPMG takes rf_matrix, bit for bit the full-lattice
+        # reference, with the imaginary parts the phases put there
+        rng = np.random.default_rng(23)
+        seq = SequenceParams(flips_deg=tuple(rng.uniform(0, 180, 3)),
+                             echo_spacing_ms=7.0, **{field: value})
+        t2 = rng.uniform(5.0, 400.0, 9)
+        t1, eta = t2 + rng.uniform(0.0, 3000.0, 9), rng.uniform(0.5, 1.3, 9)
+        flips = rng.uniform(0.0, 180.0, (3, 9))
+        assert np.array_equal(
+            spinsim._pulses(seq, flips, eta),
+            rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None]))
+        out = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
+        assert np.any(out.imag)
+        assert np.array_equal(out, _all_orders_train(t1, t2, seq, eta, flips))
+
+
 class TestSimulateFse:
     def test_cpmg_pure_exponential(self, cpmg32, tissue):
         ev = simulate_fse(tissue, cpmg32)
@@ -249,6 +299,25 @@ class TestBlockedKernel:
         calls.clear()
         simulate_fse_ensemble(t1, t2, seq, eta=eta[0])
         assert len(calls) == 2
+        # a CPMG-phased batch builds its real matrices as often, through the
+        # one builder, and no complex ones
+        built = []
+        builder = spinsim._pulses
+
+        def counted_builder(*args):
+            m = builder(*args)
+            built.append(m.dtype)
+            return m
+
+        monkeypatch.setattr(spinsim, "_pulses", counted_builder)
+        calls.clear()
+        cpmg = SequenceParams(flips_deg=seq.flips_deg, flip_phases_deg=(
+            180.0, 0.0) * 6, excitation_phase_deg=-90.0)
+        simulate_fse_ensemble(t1, t2, cpmg, eta=eta)
+        assert built == [np.float64] * (2 * n_blocks) and not calls
+        built.clear()
+        simulate_fse_ensemble(t1, t2, cpmg, eta=eta[0])
+        assert built == [np.float64] * 2 and not calls
 
     @pytest.mark.parametrize("shared_t1", [True, False],
                              ids=["shared-t1", "per-column-t1"])
@@ -321,6 +390,40 @@ def test_ensemble_columns_match_isochromat_oracle(data):
         oracle = bloch_isochromat_train(tissue, seq.with_flips(flips[:, j]),
                                         2 * (t + 1))
         assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(data):
+    # Tolerance fixed before any timing: 1e-15 absolute against the complex
+    # full-lattice reference, imaginary parts exactly 0. Per-column flips and
+    # eta, shared flips with per-column eta, and the length-1 shared-pulse
+    # path, over two column blocks. Phases stay in [-180, 180] deg like the
+    # other draws: rf_matrix's rounding of e^(i phi) grows with |phi|, and at
+    # 540 deg alone puts 7e-16 into the reference's matrices
+    draw = data.draw
+    t = draw(st.integers(1, 32))
+    seq = SequenceParams(
+        flips_deg=tuple(_values(draw, t, 0.0, 180.0)),
+        echo_spacing_ms=draw(st.floats(2.0, 20.0)),
+        excitation_deg=draw(st.floats(0.0, 180.0)),
+        excitation_phase_deg=draw(st.sampled_from([90.0, -90.0, 270.0])),
+        flip_phases_deg=draw(st.lists(st.sampled_from([-180.0, 0.0, 180.0]),
+                                      min_size=t, max_size=t)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = spinsim._BLOCK + 3
+    t2 = rng.uniform(5.0, 400.0, b)
+    t1, eta = t2 + rng.uniform(0.0, 3000.0, b), rng.uniform(0.5, 1.3, b)
+    shared = np.repeat(np.asarray(seq.flips_deg)[:, None], b, axis=1)
+    per_column = rng.uniform(0.0, 180.0, (t, b))
+    for flips, eta_arg, oracle_flips, oracle_eta in (
+            (per_column, eta, per_column, eta), (None, eta, shared, eta),
+            (None, 0.85, shared, np.full(b, 0.85))):
+        fast = simulate_fse_ensemble(t1, t2, seq, eta=eta_arg,
+                                     flips_deg=flips)
+        assert fast.dtype == np.complex128 and not np.any(fast.imag)
+        oracle = _all_orders_train(t1, t2, seq, oracle_eta, oracle_flips)
+        assert np.max(np.abs(fast - oracle)) <= 1e-15
 
 
 def _draw_train(draw) -> SequenceParams:
@@ -467,7 +570,8 @@ class TestStateInvariants:
         ("flips_deg", (90.0, np.nan)), ("flips_deg", (-1.0, 90.0)),
         ("excitation_deg", np.nan), ("excitation_deg", 720.0),
         ("excitation_deg", -90.0), ("excitation_phase_deg", np.nan),
-        ("excitation_phase_deg", np.inf), ("flip_phases_deg", (0.0, np.nan))])
+        ("excitation_phase_deg", np.inf), ("flip_phases_deg", (0.0, np.nan)),
+        ("echo_spacing_ms", np.inf)])
     def test_angles_checked_by_field(self, field, value):
         # the [0, 180] check let NaN through and nothing checked the
         # excitation angle or the phases
