@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .subspace import SubspaceBasis
+from .subspace import SubspaceBasis, back_project
 
 
 def fft2c(image: np.ndarray) -> np.ndarray:
@@ -122,15 +122,9 @@ class Encoder:
     def n_measurements(self) -> int:
         return self.masks.total_samples * self.n_coils
 
-    def to_time_images(self, x: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            return x
-        return np.tensordot(self.basis.phi_k, x, axes=1)
-
-    def from_time_images(self, images: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            return images
-        return np.tensordot(self.basis.phi_k.conj().T, images, axes=1)
+    @cached_property
+    def _uniform_coil(self) -> bool:   # one coil whose map is all ones
+        return self.n_coils == 1 and bool(np.all(self.maps.maps == 1))
 
 
 def _coil_masks(enc: Encoder) -> np.ndarray:
@@ -145,8 +139,9 @@ def apply_forward(enc: Encoder, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, complex)
     if x.shape != enc.domain_shape:
         raise ValueError(f"expected domain shape {enc.domain_shape}, got {x.shape}")
-    images = enc.to_time_images(x)                       # (T, nx, ny)
-    k = fft2c(enc.maps.maps * images[:, None])           # (T, C, nx, ny)
+    k = fft2c(enc.maps.maps * x[:, None])                # (K|T, C, nx, ny)
+    if enc.basis is not None:   # Phi mixes echoes: K C FFTs, not T C
+        k = back_project(enc.basis, k)                   # (T, C, nx, ny)
     return k[_coil_masks(enc)]
 
 
@@ -157,8 +152,9 @@ def apply_adjoint(enc: Encoder, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {enc.n_measurements} samples, got {y.size}")
     k = np.zeros((enc.n_echoes, enc.n_coils, *enc.dims), complex)
     k[_coil_masks(enc)] = y.ravel()
-    images = np.sum(np.conj(enc.maps.maps) * ifft2c(k), axis=1)
-    return enc.from_time_images(images)
+    if enc.basis is not None:
+        k = np.tensordot(enc.basis.phi_k.conj().T, k, axes=1)
+    return np.sum(np.conj(enc.maps.maps) * ifft2c(k), axis=1)
 
 
 @dataclass(frozen=True)
@@ -200,16 +196,17 @@ def apply_normal_kernel(enc: Encoder, kernel: NormalKernel,
     x = np.asarray(x, complex)
     if x.shape != enc.domain_shape:
         raise ValueError(f"expected domain shape {enc.domain_shape}, got {x.shape}")
-    smaps = enc.maps.maps
     psi = kernel._uncentered                              # (K, K, nx, ny)
-    out = np.zeros_like(x)
-    for j in range(enc.n_coils):
-        ks = np.fft.fft2(smaps[j] * x, norm="ortho")      # (K, nx, ny)
+
+    def mix(images):
+        ks = np.fft.fft2(images, norm="ortho")            # (K, nx, ny)
         mixed = psi[:, 0] * ks[0]
         for col in range(1, len(ks)):
             mixed += psi[:, col] * ks[col]
-        out += np.conj(smaps[j]) * np.fft.ifft2(mixed, norm="ortho")
-    return out
+        return np.fft.ifft2(mixed, norm="ortho")
+    if enc._uniform_coil:      # a product with 1 + 0j is exact
+        return mix(x)
+    return sum(np.conj(smap) * mix(smap * x) for smap in enc.maps.maps)
 
 
 def materialize_forward(enc: Encoder) -> np.ndarray:

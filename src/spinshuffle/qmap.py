@@ -58,10 +58,9 @@ class Dictionary:
     def __post_init__(self):
         if self.atoms.shape[1] < 1:
             raise ValueError("dictionary needs at least one atom")
-        if np.shape(self.t2) != self.atoms.shape[1:]:
-            raise ValueError("dictionary needs one T2 per atom")
-        if np.shape(self.norms) != self.atoms.shape[1:]:
-            raise ValueError("dictionary needs one norm per atom")
+        for name, what in (("t2", "T2"), ("norms", "norm")):
+            if np.shape(getattr(self, name)) != self.atoms.shape[1:]:
+                raise ValueError(f"dictionary needs one {what} per atom")
         norms = np.linalg.norm(self.atoms, axis=0)
         if np.max(np.abs(norms - 1)) > 1e-12:
             raise ValueError("atoms must have unit 2-norm")

@@ -2,11 +2,11 @@
 
 Least-squares conjugate gradient and proximal gradient with l1
 regularization in an orthonormal transform share one data term: the normal
-operator A^H A (through the per-frequency subspace kernel when the encoder
-has a temporal basis) and A^H y, so no iteration forms the measurements;
-the proximal step takes a proven bound on ||A^H A||. Conjugate gradient is
-exact for a basis and one all-ones coil (plain CG otherwise). Each solver
-warns once if it stops unconverged.
+operator A^H A (through the per-frequency subspace kernel with a temporal
+basis) and A^H y, so no iteration forms the measurements. The proximal step
+takes a proven bound L on ||A^H A|| and carries its momentum on
+g = x - N x / L, one N per step. CG is exact for a basis and one all-ones
+coil (plain CG otherwise). Each solver warns once if it stops unconverged.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class ReconResult:
     converged: bool
 
 
-def _vdot(a, b) -> complex:
-    return np.vdot(a.ravel(), b.ravel())
-
-
 def _data_term(enc: Encoder, y: np.ndarray):
     """Normal operator N = A^H A, A^H y, 0.5||y||^2 and, given a basis, the
     per-frequency kernel that N runs through (None without one)."""
@@ -65,7 +61,7 @@ def _data_term(enc: Encoder, y: np.ndarray):
     else:
         def normal(x):
             return apply_adjoint(enc, apply_forward(enc, x))
-    return normal, apply_adjoint(enc, y), 0.5 * _vdot(y, y).real, kernel
+    return normal, apply_adjoint(enc, y), 0.5 * np.vdot(y, y).real, kernel
 
 
 def _normal_bound(enc: Encoder, kernel) -> float:
@@ -89,23 +85,23 @@ def _cg(normal_op, rhs, half_yy, cfg: SolverConfig,
     """
     x, r = np.zeros_like(rhs), rhs.copy()
     p = precond(r) if precond else r
-    rz = _vdot(r, p).real
+    rz = np.vdot(r, p).real
     b_norm = np.linalg.norm(rhs)
     trace = [half_yy]
     converged = b_norm == 0
     grow_streak = it = 0
-    prev_res = np.sqrt(_vdot(r, r).real)
+    prev_res = np.sqrt(np.vdot(r, r).real)
     while not converged and it < cfg.max_iters:
         it += 1
         ap = normal_op(p)
-        denom = _vdot(p, ap).real
+        denom = np.vdot(p, ap).real
         if denom <= 0:
             break
         alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = _vdot(r, r).real
-        trace.append(half_yy - 0.5 * _vdot(x, rhs + r).real)
+        rs_new = np.vdot(r, r).real
+        trace.append(half_yy - 0.5 * np.vdot(x, rhs + r).real)
         res = np.sqrt(rs_new)
         grow_streak = grow_streak + 1 if res > prev_res else 0
         if grow_streak >= 10:
@@ -115,7 +111,7 @@ def _cg(normal_op, rhs, half_yy, cfg: SolverConfig,
         prev_res = res
         converged = res <= cfg.tolerance * b_norm
         z = precond(r) if precond and not converged else r
-        rz_new = _vdot(r, z).real if precond else rs_new
+        rz_new = np.vdot(r, z).real if precond else rs_new
         p = z + (rz_new / rz) * p
         rz = rz_new
     return ReconResult(images=x, objective_trace=np.asarray(trace),
@@ -145,8 +141,7 @@ def cg_solve(enc: Encoder, y: np.ndarray,
     """
     data_normal, aty, half_yy, kernel = _data_term(enc, y)
     precond = None
-    if (kernel is not None and enc.n_coils == 1
-            and np.all(enc.maps.maps == 1)):
+    if kernel is not None and enc._uniform_coil:
         w, v = np.linalg.eigh(kernel.psi_k)
         keep = w > w.max() * w.shape[-1] * enc.n_echoes * np.finfo(float).eps
         inv = np.divide(1.0, w + cfg.lam, out=np.zeros_like(w), where=keep)
@@ -160,13 +155,14 @@ def cg_solve(enc: Encoder, y: np.ndarray,
                              _cg(normal, aty, half_yy, cfg, precond), cfg)
 
 
-def _soft(values, thresh):
-    mag = np.abs(values)
-    scale = np.maximum(mag - thresh, 0.0)
-    inv = 1.0 / np.where(mag > 0, mag, 1.0)  # as complex division, faster
-    with np.errstate(invalid="ignore"):
-        out = np.where(mag > 0, values * inv * scale, 0.0)
-    return out
+def _soft(v, thresh) -> float:
+    """Soft-threshold v in place; return the l1 norm of the result. fmax
+    takes the 0/0 of a zero entry at thresh = 0 to scale 0, not NaN."""
+    mag = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.fmax(1.0 - thresh / mag, 0.0)
+    v *= scale
+    return float((mag * scale).sum())
 
 
 def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
@@ -177,13 +173,14 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     orthonormal Haar wavelet, applied to the whole image stack at once.
     Gradient and objective run through the shared data term (N x - A^H y and
     0.5 Re x^H (N x - 2 A^H y) + 0.5||y||^2), with step 1/L for its proven
-    bound L. Without coil maps L is exactly ||A^H A||; with them it is an
-    upper bound (1.4-1.8x ||A^H A|| on random complex Gaussian 3-coil maps),
-    so multi-coil solves take shorter steps. No pipeline or CLI path passes
-    coil maps. Momentum restarts whenever the objective would increase, so
-    the recorded trace is nonincreasing. Each proximal step applies N once:
-    N z follows from N x of the last two iterates by linearity, and the
-    penalty reads the thresholded coefficients since T is orthonormal.
+    bound L: exactly ||A^H A|| without coil maps, an upper bound with them
+    (1.4-1.8x on random complex Gaussian 3-coil maps; no pipeline or CLI path
+    passes coil maps). Momentum restarts whenever the objective would
+    increase, so the recorded trace is nonincreasing. Each proximal step
+    applies N once: momentum rides on g = x - step N x, since by linearity
+    the gradient step from z = x + beta (x - x_prev) is g + beta (g - g_prev)
+    + step A^H y (a restart steps from g + step A^H y). T, the threshold and
+    T^H act on it in place; the penalty is the l1 norm the threshold returns.
     """
     if regularizer == "l1-identity":
         transform = IdentityTransform()
@@ -196,36 +193,37 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
     if lip <= 0:
         raise ValueError("encoder acquires no signal: the step bound is 0")
     step = 1.0 / lip
+    step_aty = step * aty
+    work = np.empty(enc.domain_shape, complex)     # the transform's levels
+    g = g_prev = np.zeros_like(work)   # x - step N x at the last two iterates
 
-    def prox_step(z, nz):
-        """x = prox(z - step (N z - A^H y)), N x and the objective at x."""
-        w = z - step * (nz - aty)
-        coeffs = _soft(transform.forward(w), cfg.lam * step)
-        x_new = transform.adjoint(coeffs)
-        nx_new = normal(x_new)
-        f_new = (0.5 * _vdot(x_new, nx_new - 2 * aty).real + half_yy
-                 + cfg.lam * np.abs(coeffs).sum())
-        return x_new, nx_new, f_new
+    def prox_step(w):
+        """Overwrite w with x = prox(w); return N x and the objective at x."""
+        transform._forward_levels(w, work)
+        l1 = _soft(w, cfg.lam * step)
+        transform._adjoint_levels(w, work)
+        nx = normal(w)
+        return nx, (0.5 * (np.vdot(w, nx).real - 2 * np.vdot(w, aty).real)
+                    + half_yy + cfg.lam * l1)
 
-    x = np.zeros(enc.domain_shape, complex)
-    nx = np.zeros_like(x)
-    z, nz = x, nx
-    t_mom = 1.0
+    t_mom, beta = 1.0, 0.0
     trace = [half_yy]
-    converged = False
-    it = 0
+    converged, it = False, 0
     for it in range(1, cfg.max_iters + 1):
-        x_new, nx_new, f_new = prox_step(z, nz)
+        w = np.subtract(g, g_prev)
+        w *= beta
+        w += g
+        w += step_aty
+        nx, f_new = prox_step(w)
         if f_new > trace[-1] + 1e-14 * max(1.0, abs(trace[-1])):
             # restart momentum and take a plain descent step from x
             t_mom = 1.0
-            x_new, nx_new, f_new = prox_step(x, nx)
+            w = g + step_aty
+            nx, f_new = prox_step(w)
         t_next = 0.5 * (1 + np.sqrt(1 + 4 * t_mom ** 2))
-        beta = (t_mom - 1) / t_next
-        z = x_new + beta * (x_new - x)
-        nz = nx_new + beta * (nx_new - nx)
-        x, nx = x_new, nx_new
-        t_mom = t_next
+        t_mom, beta = t_next, (t_mom - 1) / t_next
+        x, g_prev, g = w, g, np.multiply(nx, -step, out=nx)
+        g += x
         prev = trace[-1]
         trace.append(f_new)
         denom = max(abs(prev), 1e-300)

@@ -87,10 +87,7 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:   # no float left between: lo, hi are final
             break
-        if expected(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if expected(mid) < target else (lo, mid)
     prob = np.minimum(1.0, hi * density)
     prob[disc] = 1.0
     return prob
@@ -215,8 +212,7 @@ def assign_echoes(mask: np.ndarray, n_echoes: int, ordering: str = "randomized",
         raise ValueError(f"unknown ordering {ordering!r}")
     out = np.zeros((n_echoes, nx, ny), bool)
     for i, chunk in enumerate(np.array_split(locs, n_echoes)):
-        flat = out[i].ravel()
-        flat[chunk] = True
+        out.reshape(n_echoes, -1)[i, chunk] = True
     return SamplingMasks(out)
 
 

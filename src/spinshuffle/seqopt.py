@@ -409,8 +409,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     n_controlled = min(n_approach + n_constant, t)
 
     targets = np.full(n_controlled, s_target)
-    for i in range(n_approach):
-        targets[i] = s_target + gap * 0.5 ** (i + 1)
+    targets[:n_approach] += gap * 0.5 ** np.arange(1, n_approach + 1)
 
     # The next-echo amplitude is not monotone in the flip (the stored
     # longitudinal reserve contributes through sin(alpha), which vanishes at

@@ -278,8 +278,7 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
     eta * RF_i, dephase, relax Ts/2, then record F+(0). Returns a (T, B)
     complex array of unit-density evolutions; scale by rho externally.
     """
-    t1 = np.atleast_1d(np.asarray(t1, float))
-    t2 = np.atleast_1d(np.asarray(t2, float))
+    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
     if t1.shape != t2.shape:
         raise ValueError("t1 and t2 must have the same length")
     # t2 <= t1 is enforced by check_tissues; fitting may probe beyond it.

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -14,7 +15,7 @@ from spinshuffle.sampling import DensityProfile, assign_echoes, draw_mask
 from spinshuffle.spinsim import constant_train
 from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
                                   sample_prior)
-from spinshuffle.transforms import HaarTransform
+from spinshuffle.transforms import HaarTransform, IdentityTransform
 
 DIMS = (16, 16)
 T, K = 8, 2
@@ -279,7 +280,8 @@ class TestFista:
     def test_one_normal_and_analysis_per_proximal_step(self, problem,
                                                        monkeypatch):
         # each iteration takes one proximal step, plus one per restart; every
-        # step thresholds once and must apply N and the analysis once each
+        # step thresholds once (in place) and must apply N and the in-place
+        # analysis once each
         calls = {"normal": 0, "soft": 0, "haar": 0}
 
         def counted(key, func):
@@ -290,8 +292,8 @@ class TestFista:
         monkeypatch.setattr(recon, "apply_normal_kernel",
                             counted("normal", recon.apply_normal_kernel))
         monkeypatch.setattr(recon, "_soft", counted("soft", recon._soft))
-        monkeypatch.setattr(HaarTransform, "forward",
-                            counted("haar", HaarTransform.forward))
+        monkeypatch.setattr(HaarTransform, "_forward_levels",
+                            counted("haar", HaarTransform._forward_levels))
         enc, y = problem
         res = fista_solve(enc, y, "l1-wavelet",
                           SolverConfig(max_iters=200, tolerance=1e-14,
@@ -300,6 +302,19 @@ class TestFista:
         assert steps > res.iterations        # some restarts were taken
         assert calls["normal"] == steps
         assert calls["haar"] == steps     # one analysis of the whole stack
+
+    def test_zero_threshold_keeps_zero_coefficients(self, problem):
+        # at lam = 0 the threshold's thresh / |v| is 0 / 0 at a zero entry
+        v = np.zeros((2, 8, 8), complex)
+        v[0, :4, 2:] = 1 - 2j
+        expected = v.copy()
+        assert recon._soft(v, 0.0) == np.abs(expected).sum()
+        assert np.array_equal(v, expected)
+        enc, y = problem        # zero data: every coefficient stays zero
+        res = fista_solve(enc, np.zeros_like(y),
+                          cfg=SolverConfig(max_iters=3, lam=0.0))
+        assert np.all(res.images == 0)
+        assert np.all(np.isfinite(res.objective_trace))
 
     def test_sparse_recovery_on_1d_toy(self):
         # 3-sparse complex signal on a 32-point line, half the DFT measured
@@ -347,3 +362,76 @@ class TestFista:
     def test_warns_when_unconverged(self, problem, caplog):
         enc, y = problem
         _warns_unconverged(caplog, lambda cfg: fista_solve(enc, y, cfg=cfg))
+
+
+def _textbook_fista(enc, y, transform, lam, iters):
+    """Beck & Teboulle's FISTA on (z, N z), N z applied at every momentum
+    point, with fista_solve's restart rule; returns x, the objective trace
+    and the number of restarts."""
+    normal, aty, half_yy, kernel = recon._data_term(enc, y)
+    step = 1.0 / recon._normal_bound(enc, kernel)
+
+    def prox_step(z):
+        c = transform.forward(z - step * (normal(z) - aty))
+        mag = np.abs(c)
+        c = np.where(mag > lam * step,
+                     c * (mag - lam * step) / np.where(mag > 0, mag, 1.0), 0)
+        x = transform.adjoint(c)
+        return x, (0.5 * np.vdot(x, normal(x) - 2 * aty).real + half_yy
+                   + lam * np.abs(c).sum())
+
+    x = z = np.zeros(enc.domain_shape, complex)
+    t, trace, restarts = 1.0, [half_yy], 0
+    for _ in range(iters):
+        x_new, f = prox_step(z)
+        if f > trace[-1] + 1e-14 * max(1.0, abs(trace[-1])):
+            t, restarts = 1.0, restarts + 1
+            x_new, f = prox_step(x)
+        t_next = 0.5 * (1 + np.sqrt(1 + 4 * t * t))
+        z = x_new + (t - 1) / t_next * (x_new - x)
+        x, t = x_new, t_next
+        trace.append(f)
+    return x, np.asarray(trace), restarts
+
+
+def test_fista_matches_textbook_oracle(basis, monkeypatch):
+    # Tolerances, set from float64 rounding rather than from a measured gap:
+    # images within 1e-12 relative, every objective within 1e-10 relative
+    # (it subtracts terms up to 300x its value) and the same restarts, with
+    # one all-ones coil and with 3 random coil maps. 40 iterations on 70 % Bernoulli masks keep every step's
+    # relative objective change above 2e-7, so no restart is a rounding tie;
+    # the two cases with a basis and one all-ones coil restart once each.
+    rng = np.random.default_rng(2)
+    masks = SamplingMasks(rng.random((T, *DIMS)) < 0.7)
+    coils = SensitivityMaps(rng.standard_normal((3, *DIMS))
+                            + 1j * rng.standard_normal((3, *DIMS)))
+    soft, steps, restarts = recon._soft, [], []
+
+    def counted(*args):       # one threshold per proximal step
+        steps.append(1)
+        return soft(*args)
+    monkeypatch.setattr(recon, "_soft", counted)
+    for regularizer, transform in (("l1-wavelet", HaarTransform(levels=3)),
+                                   ("l1-identity", IdentityTransform())):
+        for b, maps in itertools.product((None, basis), (None, coils)):
+            enc = Encoder(masks, maps, b)
+            data = np.random.default_rng(1)
+            x_true = (data.standard_normal(enc.domain_shape)
+                      + 1j * data.standard_normal(enc.domain_shape))
+            y = apply_forward(enc, x_true)
+            y += 0.1 * (data.standard_normal(y.shape)
+                        + 1j * data.standard_normal(y.shape))
+            steps.clear()
+            res = fista_solve(enc, y, regularizer,
+                              SolverConfig(max_iters=40, tolerance=1e-300,
+                                           lam=1e-3))
+            x, trace, oracle_restarts = _textbook_fista(enc, y, transform,
+                                                        1e-3, 40)
+            case = (regularizer, b is not None, maps is not None)
+            assert res.iterations == 40, case
+            assert len(steps) - 40 == oracle_restarts, case
+            assert _rel(res.images, x) < 1e-12, case
+            assert np.max(np.abs(res.objective_trace - trace)
+                          / np.abs(trace)) < 1e-10, case
+            restarts.append(oracle_restarts)
+    assert sum(restarts) > 0

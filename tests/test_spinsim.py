@@ -1,8 +1,9 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tissue, random_train
@@ -392,16 +393,8 @@ def test_ensemble_columns_match_isochromat_oracle(data):
         assert np.max(np.abs(batch[:, j] - oracle)) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(data):
-    # Tolerance fixed before any timing: 1e-15 absolute against the complex
-    # full-lattice reference, imaginary parts exactly 0. Per-column flips and
-    # eta, shared flips with per-column eta, and the length-1 shared-pulse
-    # path, over two column blocks. Phases stay in [-180, 180] deg like the
-    # other draws: rf_matrix's rounding of e^(i phi) grows with |phi|, and at
-    # 540 deg alone puts 7e-16 into the reference's matrices
-    draw = data.draw
+@st.composite
+def _cpmg_phased_case(draw):
     t = draw(st.integers(1, 32))
     seq = SequenceParams(
         flips_deg=tuple(_values(draw, t, 0.0, 180.0)),
@@ -410,7 +403,35 @@ def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(data):
         excitation_phase_deg=draw(st.sampled_from([90.0, -90.0, 270.0])),
         flip_phases_deg=draw(st.lists(st.sampled_from([-180.0, 0.0, 180.0]),
                                       min_size=t, max_size=t)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return seq, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _half_turns_at_phase_0(seq, flips):
+    # a pulse at phase +/-180 deg is the same rotation as the negated flip at
+    # phase 0; building it that way keeps rf_matrix's rounding of e^(+/-i pi),
+    # up to 9.5e-16 in the echoes, out of the reference
+    half = np.abs(np.asarray(seq.flip_phases_deg)) == 180.0
+    phases = tuple(np.where(half, 0.0, seq.flip_phases_deg))
+    return (replace(seq, flip_phases_deg=phases),
+            np.where(half[:, None], -flips, flips))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cpmg_phased_case())
+@example((SequenceParams(flips_deg=(0.0,) * 5, echo_spacing_ms=2.0,
+                         excitation_deg=53.0,
+                         flip_phases_deg=(-180.0, 180.0) * 2 + (-180.0,)), 0))
+def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(case):
+    # Tolerance fixed before any timing: 1e-15 absolute against the complex
+    # full-lattice reference, imaginary parts exactly 0. Per-column flips and
+    # eta, shared flips with per-column eta, and the length-1 shared-pulse
+    # path, over two column blocks. Phases stay in [-180, 180] deg like the
+    # other draws: rf_matrix's rounding of e^(i phi) grows with |phi|, and at
+    # 540 deg alone puts 7e-16 into the reference's matrices. The example
+    # read 1.0016e-15 with the reference's half turns built at +/-180 deg
+    seq, seed = case
+    t = seq.n_echoes
+    rng = np.random.default_rng(seed)
     b = spinsim._BLOCK + 3
     t2 = rng.uniform(5.0, 400.0, b)
     t1, eta = t2 + rng.uniform(0.0, 3000.0, b), rng.uniform(0.5, 1.3, b)
@@ -422,7 +443,9 @@ def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(data):
         fast = simulate_fse_ensemble(t1, t2, seq, eta=eta_arg,
                                      flips_deg=flips)
         assert fast.dtype == np.complex128 and not np.any(fast.imag)
-        oracle = _all_orders_train(t1, t2, seq, oracle_eta, oracle_flips)
+        oracle_seq, oracle_flips = _half_turns_at_phase_0(seq, oracle_flips)
+        oracle = _all_orders_train(t1, t2, oracle_seq, oracle_eta,
+                                   oracle_flips)
         assert np.max(np.abs(fast - oracle)) <= 1e-15
 
 
