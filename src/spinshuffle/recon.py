@@ -39,8 +39,8 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
 
 
 @dataclass

@@ -33,8 +33,8 @@ class DensityProfile:
     def __post_init__(self):
         if self.shape not in ("polynomial", "gaussian"):
             raise ValueError(f"unknown profile shape {self.shape!r}")
-        if not self.accel >= 1:
-            raise ValueError("accel must be >= 1")
+        if not 1 <= self.accel < np.inf:
+            raise ValueError("accel must be finite and >= 1")
         for name in ("decay_power", "fully_sampled_radius"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")

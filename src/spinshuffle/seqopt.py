@@ -1,10 +1,10 @@
 """Scan-parameter selection.
 
-Fisher information and Cramer-Rao bounds for the echo-train experiment,
-from one batched central difference of the echo trains (`_jacobian`),
-flip-angle optimization under an RF power budget, min-max selection over a
-tissue grid, the closed-form optimal contrast time for two species, and a
-prospective flip design that steers the echo amplitudes onto a target level.
+Every Cramer-Rao quantity (Fisher matrix, bound, CRLB sweep, the flip
+objective under an RF power budget, min-max schedule choice over a tissue
+grid) runs on one batched (B, P, P) information builder and one batched
+inverse. Also the optimal contrast time of two species and a prospective
+flip design that steers the echo amplitudes onto a target level.
 """
 
 from __future__ import annotations
@@ -48,47 +48,58 @@ def train_power(flips_deg) -> float:
 
 def fisher_info(tissue: TissueParams, seq: SequenceParams, sigma: float,
                 params=("rho", "t2")) -> FisherInfo:
-    """Fisher information I = (2/sigma^2) Re(J^H J) for circular Gaussian noise.
-
-    J holds the signal sensitivities to the selected parameters. The factor
-    of two follows the complex circularly-symmetric noise convention with
-    total per-sample variance sigma^2.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not params:
-        raise ValueError("params must name at least one parameter")
-    j = _jacobian(tissue.t1, tissue.t2, tissue.eta,
-                  np.asarray(seq.flips_deg)[:, None], seq, params)[0].T
-    j[:, [p != "rho" for p in params]] *= tissue.rho
-    info = (2.0 / sigma ** 2) * (j.conj().T @ j).real
-    info = 0.5 * (info + info.T)
-    return FisherInfo(matrix=info, param_order=tuple(params), sigma=sigma)
+    """Fisher information I = (2/sigma^2) Re(J^H J) of the sensitivities J to
+    the selected parameters, for circularly-symmetric complex Gaussian noise
+    of total per-sample variance sigma^2 (hence the factor of two)."""
+    info = _information(tissue.t1, tissue.t2, tissue.eta, tissue.rho,
+                        np.asarray(seq.flips_deg)[:, None], seq, params, sigma)
+    return FisherInfo(matrix=info[0], param_order=tuple(params), sigma=sigma)
 
 
 def crlb(info: FisherInfo, param: str) -> float:
     """Variance lower bound [I^{-1}]_pp for one parameter."""
     if param not in info.param_order:
         raise ValueError(f"{param!r} not among {info.param_order}")
-    idx = info.param_order.index(param)
-    m = info.matrix
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise NonIdentifiableError(
-            f"information matrix is singular for {info.param_order}")
-    return float(np.linalg.inv(m)[idx, idx])
+    bound = _bounds(info.matrix[None], info.param_order.index(param))[0]
+    if bound < math.inf:
+        return float(bound)
+    raise NonIdentifiableError(f"singular information for {info.param_order}")
+
+
+def _information(t1, t2, eta, rho, flips_deg: np.ndarray, seq: SequenceParams,
+                 params, sigma=None) -> np.ndarray:
+    """(B, P, P) Re(J^H J) of tissue (t1, t2, eta, rho)[b] under the flips
+    flips_deg[:, b], broadcast as in the one `_jacobian` batch, times
+    2/sigma^2 given sigma; entry pq sums Re(conj(j_p) j_q) over the echoes."""
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
+    if not params:
+        raise ValueError("params must name at least one parameter")
+    j = _jacobian(t1, t2, eta, flips_deg, seq, params)
+    j[:, [p != "rho" for p in params]] *= np.reshape(rho, (-1, 1, 1))
+    info = (j.conj()[:, :, None] * j[:, None]).real.sum(axis=-1)
+    info = 0.5 * (info + info.transpose(0, 2, 1))
+    return info if sigma is None else (2.0 / sigma ** 2) * info
+
+
+def _bounds(info: np.ndarray, idx: int) -> np.ndarray:
+    """[I^{-1}]_ii of each (P, P) matrix in the batch, inf where a matrix is
+    singular: its condition number is not finite or above 1e14."""
+    singular = ~(np.linalg.cond(info) <= 1e14)
+    safe = np.where(singular[:, None, None], np.eye(info.shape[-1]), info)
+    return np.where(singular, math.inf, np.linalg.inv(safe)[:, idx, idx])
 
 
 def _jacobian(t1, t2, eta, flips_deg: np.ndarray, seq: SequenceParams,
               wrt) -> np.ndarray:
-    """(B, P, T) central-difference sensitivities of unit-density trains:
-    column b is the tissue (t1, t2, eta)[b] (scalars broadcast) under the
-    flips flips_deg[:, b], and wrt names P of 'rho' (the train itself, as the
-    signal is linear in rho), 't1', 't2', 'eta' (step 1e-4 of the value) and
-    'rf_1'..'rf_T' (per degree, step 1e-4 rad). One engine batch: the base
-    trains if 'rho' is named, then each other parameter's +h and -h blocks.
-    """
-    t, b = flips_deg.shape
+    """(B, P, T) central-difference sensitivities of unit-density trains, the
+    one derivative path under `_information`: column b is tissue
+    (t1, t2, eta)[b] under flips flips_deg[:, b] (scalars and one flip column
+    broadcast); wrt names P of 'rho' (the train itself: the signal is linear
+    in rho), 't1', 't2', 'eta' (step 1e-4 of the value) and 'rf_1'..'rf_T'
+    (per degree, step 1e-4 rad). One engine batch: the base trains if 'rho'
+    is named, then each other parameter's +h and -h blocks."""
+    t, b = len(flips_deg), np.broadcast(t1, t2, eta, flips_deg[0]).size
     names = ["t1", "t2", "eta"] + [f"rf_{i}" for i in range(1, t + 1)]
     moved = [name for name in wrt if name != "rho"]
     if not set(moved) <= set(names):
@@ -112,14 +123,6 @@ def _jacobian(t1, t2, eta, flips_deg: np.ndarray, seq: SequenceParams,
     # one contiguous row per column, so a column's sums do not depend on b
     cols = dict(zip(moved, diff.transpose(1, 2, 0)), rho=sig[:, 0].T)
     return np.ascontiguousarray(np.stack([cols[name] for name in wrt], axis=1))
-
-
-def _t2_information(flips_deg: np.ndarray, t1, t2, eta,
-                    seq: SequenceParams) -> np.ndarray:
-    """||df/dT2||^2 for a batch of flip schedules (columns), sigma-free;
-    t1, t2 and eta are scalars or per-column arrays."""
-    j = _jacobian(t1, t2, eta, flips_deg, seq, ("t2",))[:, 0]
-    return np.sum(np.abs(j) ** 2, axis=1)
 
 
 def _project(flips_rad: np.ndarray, limit: float, min_rad: float,
@@ -198,8 +201,9 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
 
     def evaluate(x):
         """Objective and its central-difference gradient at x, one batch."""
-        vals = _t2_information(np.degrees(x[:, None] + offsets), tissue.t1,
-                               tissue.t2, tissue.eta, seq_template)
+        vals = _information(tissue.t1, tissue.t2, tissue.eta, 1.0,
+                            np.degrees(x[:, None] + offsets), seq_template,
+                            ("t2",))[:, 0, 0]
         return float(vals[0]), (vals[1:t + 1] - vals[t + 1:]) / (2 * h)
 
     def direction(grad, pairs):
@@ -294,18 +298,16 @@ def crlb_t2_sweep(flips_deg, seq_template: SequenceParams, t2_grid_ms,
                   sigma: float = 1.0) -> np.ndarray:
     """CRLB(T2) of one schedule across a T2 grid (single-parameter bound),
     with T1 = max(1000 ms, T2); the whole grid runs as one batch."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     seq = seq_template.with_flips(flips_deg)
     t2 = np.asarray(t2_grid_ms, float)
     if not np.all(np.isfinite(t2) & (t2 > 0)):
         raise ValueError("t2_grid_ms must be finite and positive")
-    flips = np.repeat(np.asarray(seq.flips_deg)[:, None], t2.size, axis=1)
-    info = (2.0 / sigma ** 2) * _t2_information(flips, np.maximum(1000.0, t2),
-                                                t2, 1.0, seq)
-    if not np.all(np.isfinite(info) & (info > 0)):
+    bounds = _bounds(_information(np.maximum(1000.0, t2), t2, 1.0, 1.0,
+                                  np.asarray(seq.flips_deg)[:, None], seq,
+                                  ("t2",), sigma), 0)
+    if np.any(bounds == math.inf):
         raise NonIdentifiableError("T2 information is zero or non-finite")
-    return 1.0 / info
+    return bounds
 
 
 def minmax_grid_search(tissue_grid, candidate_schedules,
@@ -313,27 +315,24 @@ def minmax_grid_search(tissue_grid, candidate_schedules,
                        sigma: float = 1.0, params=None) -> tuple:
     """Pick the schedule whose worst-case CRLB over the tissue grid is lowest.
 
-    Singular information marks that (schedule, tissue) pair with an infinite
-    cost; ties resolve to the lowest schedule index. Returns (index,
-    schedule, worst_case_cost).
+    One information batch per schedule (their lengths may differ), with the
+    tissues as columns. Singular information marks that (schedule, tissue)
+    pair with an infinite cost; ties resolve to the lowest schedule index.
+    Returns (index, schedule, worst_case_cost).
     """
     tissue_grid = list(tissue_grid)
     candidate_schedules = [np.asarray(s, float) for s in candidate_schedules]
     if not tissue_grid or not candidate_schedules:
         raise ValueError("need at least one tissue and one schedule")
     params = (target_param,) if params is None else tuple(params)
+    if target_param not in params:
+        raise ValueError(f"{target_param!r} not among {params}")
+    tissues = tuple(zip(*[(t.t1, t.t2, t.eta, t.rho) for t in tissue_grid]))
     best_idx, best_cost = -1, math.inf
     for idx, flips in enumerate(candidate_schedules):
         seq = seq_template.with_flips(flips)
-        worst = 0.0
-        for tissue in tissue_grid:
-            try:
-                worst = max(worst, crlb(fisher_info(tissue, seq, sigma,
-                                                    params=params),
-                                        target_param))
-            except NonIdentifiableError:
-                worst = math.inf
-                break
+        info = _information(*tissues, flips[:, None], seq, params, sigma)
+        worst = float(_bounds(info, params.index(target_param)).max())
         if worst < best_cost:
             best_idx, best_cost = idx, worst
     if best_idx < 0:

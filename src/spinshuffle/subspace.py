@@ -32,9 +32,10 @@ class TissuePrior:
     def __post_init__(self):
         if self.sampling not in ("log-uniform", "uniform"):
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        for lo, hi in (self.t1_range_ms, self.t2_range_ms):
-            if not (0 < lo <= hi):
-                raise ValueError("ranges must be positive with min <= max")
+        for name in ("t1_range_ms", "t2_range_ms"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < np.inf:
+                raise ValueError(f"{name} must be finite with 0 < min <= max")
 
 
 def sample_prior(prior: TissuePrior, n: int) -> tuple:

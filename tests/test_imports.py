@@ -22,8 +22,10 @@ import spinshuffle
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinshuffle"
 
-# Reached by no workload, kept as the min-max CRB flip design.
-KEPT_UNREACHED = ("minmax_grid_search",)
+# Reached by no workload, kept as the min-max CRB flip design, and the
+# public single-tissue Fisher matrix and bound, which run on the same batched
+# `seqopt._information` and `_bounds` as the design and the CRLB sweep.
+KEPT_UNREACHED = ("minmax_grid_search", "fisher_info", "crlb")
 
 # The public API. A name is added here only when another is removed, so the
 # API does not grow.

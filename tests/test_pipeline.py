@@ -117,7 +117,12 @@ class TestRunPipeline:
         ("fully_sampled_radius", -1.0, "masks", "fully_sampled_radius"),
         ("profile_sigma", float("nan"), "masks", "sigma"),
         ("profile_sigma", 0.0, "masks", "sigma"),
-        ("echo_spacing_ms", float("inf"), "basis", "echo_spacing_ms")])
+        ("echo_spacing_ms", float("inf"), "basis", "echo_spacing_ms"),
+        ("lam", float("inf"), "reconstruct", "lam"),
+        ("accel", float("inf"), "masks", "accel"),
+        ("t1_max_ms", float("inf"), "basis", "t1_range_ms"),
+        ("t2_max_ms", float("inf"), "basis", "t2_range_ms"),
+        ("t1_min_ms", float("nan"), "basis", "t1_range_ms")])
     def test_invalid_value_fails_at_its_stage(self, tmp_path, field, value,
                                               stage, named):
         # t1 -1 finished with region means near 8.5 ms; a NaN sigma and
@@ -125,7 +130,10 @@ class TestRunPipeline:
         # without naming it; a NaN tolerance or accel finished. Decay power
         # -3, a NaN or negative radius and a NaN or zero profile sigma
         # finished; a NaN decay power failed at 'masks' without naming it and
-        # an infinite echo spacing at 'fit' with a ZeroDivisionError
+        # an infinite echo spacing at 'fit' with a ZeroDivisionError. An
+        # infinite lam failed at 'metrics' and an infinite accel finished; an
+        # infinite T1 or T2 maximum failed at 'basis' with an OverflowError
+        # and a NaN T1 minimum there without naming the range
         cfg = small_config(tmp_path, **{field: value})
         with pytest.raises(PipelineError, match=named) as info:
             run_pipeline(cfg)

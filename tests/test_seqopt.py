@@ -281,9 +281,10 @@ class TestFlipConvergence:
         return optimize_flips(self.tissue, self.seq, self.budget)
 
     def _information(self, flips_rad):
-        return seqopt._t2_information(np.degrees(flips_rad), self.tissue.t1,
-                                      self.tissue.t2, self.tissue.eta,
-                                      self.seq)
+        return seqopt._information(self.tissue.t1, self.tissue.t2,
+                                   self.tissue.eta, 1.0,
+                                   np.degrees(flips_rad), self.seq,
+                                   ("t2",))[:, 0, 0]
 
     def test_converges_beyond_the_constant_schedule(self, opt):
         assert opt.converged and opt.stop_reason == "tolerance"
@@ -345,14 +346,14 @@ class TestBatchedDesign:
     def test_one_fused_batch_per_trial(self, monkeypatch):
         sizes = count_batches(monkeypatch)
         values = []
-        original = seqopt._t2_information
+        original = seqopt._information
 
         def recorded(*args):
             out = original(*args)
-            values.append(float(out[0]))
+            values.append(float(out[0, 0, 0]))
             return out
 
-        monkeypatch.setattr(seqopt, "_t2_information", recorded)
+        monkeypatch.setattr(seqopt, "_information", recorded)
         opt = optimize_flips(TISSUE, self.seq, self.budget, max_iters=60)
         iters = len(opt.objective_trace) - 1
         # every call is one trial schedule plus its 2T +/-h neighbours, each
@@ -381,23 +382,61 @@ class TestMinmaxGridSearch:
         assert cost == pytest.approx(min(singles))
 
     def test_matches_brute_force_double_loop(self):
-        tissues = [TissueParams(t1=1000, t2=v) for v in (50.0, 100.0, 200.0,
-                                                         300.0)]
         rng = np.random.default_rng(2)
+        tissues = [TissueParams(t1=1000, t2=v, eta=e,
+                                rho=r * np.exp(1j * rng.uniform(0, 6)))
+                   for v, e, r in zip((50.0, 100.0, 200.0, 300.0),
+                                      rng.uniform(0.7, 1.2, 4),
+                                      rng.uniform(0.3, 2.0, 4))]
         cands = [rng.uniform(50, 170, 16) for _ in range(3)]
-        idx, _, cost = minmax_grid_search(tissues, cands, self.seq)
-        worst = []
-        for c in cands:
-            seq = self.seq.with_flips(c)
-            worst.append(max(crlb(fisher_info(t, seq, 1.0, params=("t2",)),
-                                  "t2") for t in tissues))
-        assert idx == int(np.argmin(worst))
-        assert cost == pytest.approx(min(worst))
-        assert all(cost <= w for w in worst)
+        for params in (("t2",), ("rho", "t2")):
+            idx, _, cost = minmax_grid_search(tissues, cands, self.seq,
+                                              params=params)
+            worst = []
+            for c in cands:
+                seq = self.seq.with_flips(c)
+                worst.append(max(crlb(fisher_info(t, seq, 1.0, params=params),
+                                      "t2") for t in tissues))
+            assert idx == int(np.argmin(worst))
+            assert cost == pytest.approx(min(worst), rel=1e-12)
+            assert all(cost <= w for w in worst)
+
+    def test_singular_schedule_costs_infinity(self):
+        # zero refocusing flips leave no echoes, so no information at all
+        good = np.full(16, 120.0)
+        _, _, alone = minmax_grid_search([TISSUE], [good], self.seq)
+        idx, flips, cost = minmax_grid_search([TISSUE], [np.zeros(16), good],
+                                              self.seq)
+        assert idx == 1 and np.array_equal(flips, good) and cost == alone
+        with pytest.raises(NonIdentifiableError,
+                           match="every candidate schedule was singular"):
+            minmax_grid_search([TISSUE], [np.zeros(16), np.zeros(8)],
+                               self.seq)
+
+    def test_one_engine_batch_per_schedule(self, monkeypatch):
+        sizes = count_batches(monkeypatch)
+        tissues = [TissueParams(t1=1000, t2=v) for v in (50.0, 100.0, 200.0)]
+        cands = [np.full(16, f) for f in (90.0, 120.0, 150.0, 180.0)]
+        minmax_grid_search(tissues, cands, self.seq, params=("rho", "t2"))
+        # the base trains, then the +/-dT2 block, of the three tissues
+        assert sizes == [3 * 3] * 4
 
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
             minmax_grid_search([], [np.full(16, 90.0)], self.seq)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: crlb_t2_sweep(np.full(16, 120.0), constant_train(16), [50.0],
+                          sigma=math.inf),
+    lambda: crlb(fisher_info(TISSUE, constant_train(16), math.inf), "t2"),
+    lambda: minmax_grid_search([TISSUE], [np.full(16, 120.0)],
+                               constant_train(16), sigma=math.inf)],
+    ids=["crlb_t2_sweep", "crlb", "minmax_grid_search"])
+def test_infinite_sigma_named(call):
+    # each raised NonIdentifiableError on an all-zero information matrix
+    with pytest.raises(ValueError, match="sigma"):
+        call()
 
 
 class TestOptimalTe:
