@@ -26,8 +26,8 @@ from .seqopt import (AsymptoticDesign, FisherInfo, FlipOptimization,
                      design_asymptotic_flips, fisher_info, minmax_grid_search,
                      optimal_te, optimize_flips, train_power)
 from .spinsim import (EpgState, SequenceParams, TissueParams,
-                      bloch_isochromat_train, constant_train, rf_matrix,
-                      simulate_fse, simulate_fse_ensemble)
+                      bloch_isochromat_train, constant_train, simulate_fse,
+                      simulate_fse_ensemble)
 from .subspace import (SubspaceBasis, TissuePrior, back_project,
                        build_ensemble, compute_basis, projection_error,
                        sample_prior)

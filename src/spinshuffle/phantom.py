@@ -94,6 +94,8 @@ DEFAULT_REGION_TISSUES = {
 def default_phantom(dims=(64, 64)) -> Phantom:
     """Four-region desk scene bracketing typical relaxation values."""
     nx, ny = dims
+    if not (nx > 0 and ny > 0):
+        raise ValueError(f"dims must be positive, got {dims}")
     cx, cy = nx / 2 - 0.5, ny / 2 - 0.5
     ellipses = [
         EllipseSpec((cx, cy), (0.42 * nx, 0.42 * ny), 0.0, 1),

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import (EpgState, SequenceParams, TissueParams, _pulses,
-                      advance_echo, required_max_order, simulate_fse_ensemble)
+from .spinsim import (EpgState, SequenceParams, TissueParams, _frames,
+                      _pulses, advance_echo, required_max_order,
+                      simulate_fse_ensemble)
 from .utils import NonIdentifiableError
 
 
@@ -381,9 +382,9 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     half = seq_template.echo_spacing_ms / 2
     e1, e2 = np.exp(-half / tissue.t1), np.exp(-half / tissue.t2)
 
-    # one ensemble on a batch axis of length 1
-    state = EpgState.excited(required_max_order(t), _pulses(
-        seq_template, seq_template.excitation_deg, tissue.eta, None), (1,))
+    # one ensemble on a batch axis of length 1; amplitudes ignore the frames
+    state = EpgState.excited(required_max_order(t), seq_template, tissue.eta,
+                             (1,))
 
     def trial(flips_deg, i):
         """The current state advanced through echo i, one column per flip."""
@@ -391,7 +392,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         out = EpgState(*(np.repeat(a, flips_deg.size, axis=1)
                          for a in (state.fplus, state.fminus, state.z)))
         advance_echo(out, _pulses(seq_template, flips_deg, tissue.eta, i),
-                     e1, e2)
+                     e1, e2, _frames(seq_template)[1][i])
         return out
 
     s1_max = abs(trial(180.0, 0).fplus[0, 0])

@@ -5,10 +5,14 @@ ensembles (tissues, trial flips) on an `EpgState`'s trailing axes through
 one `advance_echo` step. Each period dephases twice around its refocusing
 pulse, so only F+/- at even orders and Z at odd orders (at an echo) can
 reach an echo; the state holds that family alone, in about T/2 rows, and
-Z(0), its T1 recovery and all it feeds are never computed.
+Z(0), its T1 recovery and all it feeds are never computed. In its phase
+frame, with Z kept as -iZ, a pulse turns ((F+ - F-)/2, -iZ) in their plane;
+other phases turn the frame between echoes. Only the phases decide, never
+the data: CPMG-phased sequences (refocusing phases 0, excitation 90, mod
+180 deg) keep float64 states and relaxation polynomials.
 `simulate_fse_ensemble` advances cache-sized column blocks over each echo's
 live rows, bit-identical to a full run over every order, with the decay
-factors and pulse matrices built outside the echo loop (once per call, on a
+factors and pulses built outside the echo loop (once per call, on a
 length-1 column axis, when all columns share them). A brute-force
 isochromat integrator, kept apart from the engine, is its independent
 oracle; the two agree to near machine precision.
@@ -17,9 +21,6 @@ Shared-pulse batches (`build_ensemble`, `build_dictionary`, the pipeline's
 basis), in 4096-column blocks a caller may use one at a time, and every T2
 fit's models with exact derivatives are relaxation polynomials from one
 cached echo-loop run per sequence; per-column pulses take the engine.
-A CPMG-phased sequence (refocusing phases 0, excitation 90, mod 180 deg)
-keeps its states real in (F+, F-, -iZ): its matrices, states and polynomials
-are float64, and its echoes complex with zero imaginary parts.
 
 A batch of tissues is a pair of float arrays (t1, t2), validated by
 `check_tissues`; an echo train is a bare (T,) array and a batch of them a
@@ -128,10 +129,10 @@ class EpgState:
     """Echo-reachable configuration states of a batch of spin ensembles.
 
     At an echo fplus[j], fminus[j] hold the transverse (+/- helicity) states
-    at dephasing order 2j and z[j] the longitudinal one at 2j + 1, with
-    fplus[0] and fminus[0] conjugate mirrors; between a period's two
-    dephasings row j holds order 2j + 1. Trailing axes index independent
-    ensembles, so one state advances a whole batch at once.
+    at dephasing order 2j and z[j] the longitudinal one (as -iZ) at 2j + 1,
+    in the last pulse's frame, with fplus[0] and fminus[0] conjugate mirrors;
+    between a period's two dephasings row j holds order 2j + 1. Trailing
+    axes index independent ensembles, so one state advances a whole batch.
     """
 
     fplus: np.ndarray
@@ -139,79 +140,76 @@ class EpgState:
     z: np.ndarray
 
     @classmethod
-    def excited(cls, max_order: int, excite, batch_shape=()) -> "EpgState":
-        """The excitation `excite` tipping Z(0) = 1 into F+(0) = excite[0, 2]
-        and its mirror F-(0), orders up to max_order kept, in its dtype."""
-        shape = (max_order // 2 + 1, *batch_shape)
-        state = cls(*(np.zeros(shape, excite.dtype) for _ in range(3)))
-        state.fplus[0] = excite[0, 2]
+    def excited(cls, max_order: int, seq, eta=1.0, batch_shape=()):
+        """F+(0) = excite sin a of `_frames` for seq's excitation a (times
+        eta), and its mirror F-(0): float64 if real, max_order kept."""
+        excite = _frames(seq)[3] * np.sin(np.radians(eta * seq.excitation_deg))
+        state = cls(*np.zeros((3, max_order // 2 + 1, *batch_shape),
+                              np.result_type(excite)))
+        state.fplus[0] = excite
         state.fminus[0] = np.conj(state.fplus[0])
         return state
 
 
-def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:
-    """3x3 mixing matrix of an RF pulse acting on (F+, F-, Z) per order.
-
-    alpha is the flip angle and phi the pulse phase (rotation axis azimuth),
-    both in degrees. Array arguments give one matrix per batch element, with
-    their broadcast shape as trailing axes: (3, 3, *batch). The same matrix
-    applies at every dephasing order.
-    """
-    a = np.radians(alpha_deg)
-    eip = np.exp(1j * np.radians(phi_deg))
-    sa = np.sin(a)
-    m = np.empty((3, 3) + np.broadcast(a, eip).shape, complex)
-    m[0, 0] = m[1, 1] = np.cos(a / 2) ** 2
-    m[0, 1] = eip * eip * np.sin(a / 2) ** 2
-    m[1, 0] = np.conj(m[0, 1])
-    m[0, 2] = -1j * eip * sa
-    m[1, 2] = np.conj(m[0, 2])
-    m[2, 0] = -0.5j * np.conj(eip) * sa
-    m[2, 1] = np.conj(m[2, 0])
-    m[2, 2] = np.cos(a)
-    return m
+@functools.lru_cache(maxsize=64)
+def _frames(seq: SequenceParams) -> tuple:
+    """Immutable (sign, turns, readout, excite), as the cache hands them to
+    every caller. Pulse i acts in the frame psi_i = phi_i mod 180 deg, its
+    sine signed by sign_i / 2 = cos(phi_i - psi_i); turns[i] = e^(i(psi_(i-1)
+    - psi_i)) (None if 1) carries F+ into it, F- by the conjugate; readout =
+    (cos, sin) psi (None if 0) turns echoes back. F+(0) = excite sin a, a
+    float if excite = -i e^(i(phi_e - psi_0)) is +/-1 and no frame turns."""
+    phi = np.asarray(seq.flip_phases_deg)
+    psi = phi % 180
+    sign = tuple(np.where((phi - psi) / 180 % 2, -2.0, 2.0))
+    turns = (None, *(np.exp(1j * np.radians(p - q)) if p != q else None
+                     for p, q in zip(psi[:-1], psi[1:])))
+    theta = seq.excitation_phase_deg - psi[0]
+    excite = -1j * np.exp(1j * np.radians(theta))
+    if (theta - 90) % 180 == 0 and np.all(psi == psi[0]):
+        excite = float(round(excite.real))
+    r = np.radians(psi)
+    readout = (tuple(np.cos(r)), tuple(np.sin(r))) if np.any(psi) else None
+    return sign, turns, readout, excite
 
 
 def _pulses(seq: SequenceParams, flips_deg, eta=1.0, echo=slice(None)):
-    """Mixing matrices (3, 3, *shape) of eta * flips_deg at the phases of
-    seq's echoes `echo` (an index, or all T on flips' first axis), or at its
-    excitation phase (echo None): `rf_matrix`'s, unless seq is CPMG-phased
-    (refocusing phases 0, excitation phase 90, mod 180 deg). Then states stay
-    real in (F+, F-, -iZ) under the real D^-1 M D, D = diag(1, 1, i), with
-    cos phi = +/-1; the excitation, at its phase less 90 deg, has rf_matrix's
-    F+(0) at [0, 2]. Only the phases decide, never the data."""
-    phases = np.asarray(seq.flip_phases_deg)
-    real = np.all(phases % 180 == 0) and seq.excitation_phase_deg % 180 == 90
-    phases = (seq.excitation_phase_deg - 90 * real if echo is None
-              else phases[echo, None])
-    if not real:
-        return rf_matrix(eta * flips_deg, phases)
-    a = np.radians(eta * flips_deg)
-    sa = np.where(phases % 360 == 0, 1.0, -1.0) * np.sin(a)
-    m = np.empty((3, 3) + sa.shape)
-    m[0, 0] = m[1, 1] = np.cos(a / 2) ** 2
-    m[0, 1] = m[1, 0] = np.sin(a / 2) ** 2
-    m[0, 2], m[1, 2] = sa, -sa
-    m[2, 0], m[2, 1] = -0.5 * sa, 0.5 * sa
-    m[2, 2] = np.cos(a)
+    """Refocusing pulses a = eta * flips_deg at seq's echoes `echo` (an
+    index, or all T on flips' first axis) as `apply_rf`'s (4, *shape) stack,
+    sin a signed by `_frames`, from two trig calls per flip; w/2 =
+    -sin^2(a/2), or cos^2(a/2) nearer 180 deg."""
+    half = np.multiply(eta, flips_deg) * (np.pi / 360)
+    s2, c2 = np.sin(half), np.cos(half)
+    m = np.empty((4, *half.shape))
+    np.multiply(s2 * c2, np.asarray(_frames(seq)[0])[echo, None], out=m[1])
+    np.multiply(m[1], 0.5, out=m[2])
+    s2, c2 = s2 * s2, c2 * c2
+    m[0], m[3] = np.where(c2 < s2, c2, -s2), c2 - s2
     return m
 
 
 def apply_rf(state: EpgState, m) -> None:
-    """Mix the state's (F+, F-, Z) triples in place with an RF mixing matrix.
-
-    m comes from `rf_matrix`; per-element matrices broadcast against the
-    state's batch axes.
-    """
-    fp = m[0, 0] * state.fplus + m[0, 1] * state.fminus + m[0, 2] * state.z
-    fm = m[1, 0] * state.fplus + m[1, 1] * state.fminus + m[1, 2] * state.z
-    # the longitudinal row reads the old z last, so it is mixed in place; all
-    # rows are written in place, so the state may be a view of a larger one
-    state.z *= m[2, 2]
-    state.z += m[2, 0] * state.fplus
-    state.z += m[2, 1] * state.fminus
-    state.fplus[...] = fp
-    state.fminus[...] = fm
+    """Refocus the state in place (it may be a view) by a pulse m = (w/2,
+    sin a, sin a/2, cos a) of `_pulses`, in its phase frame: ((F+ - F-)/2,
+    -iZ) turns by a. F+ becomes P + d and F- Q - d, d = sin a (-iZ) + w (F+
+    - F-)/2, where (P, Q) = (F+, F-), w = cos a - 1, or nearer 180 deg the
+    exact swap (F-, F+), w = cos a + 1 > 0, so small refocused parts keep
+    their last bits. 9 array passes (10 if every column swaps, 11 if some
+    do), real or complex; pulses broadcast against the batch axes."""
+    hw, s, hs, c = m
+    swap = hw > 0
+    diff = state.fplus - state.fminus
+    base, other = state.fplus, state.fminus
+    if swap.all():   # one copy, not two selects (most flip-design trials)
+        base, other = state.fminus.copy(), state.fplus
+    elif swap.any():
+        base, other = (np.where(swap, state.fminus, state.fplus),
+                       np.where(swap, state.fplus, state.fminus))
+    d = s * state.z + hw * diff
+    state.z *= c
+    state.z -= hs * diff
+    np.subtract(other, d, out=state.fminus)
+    np.add(base, d, out=state.fplus)
 
 
 def apply_relaxation(state: EpgState, e1, e2) -> None:
@@ -234,11 +232,15 @@ def apply_gradient_shift(state: EpgState, after_rf: bool) -> None:
         state.fminus[-1] = 0.0
 
 
-def advance_echo(state: EpgState, m, e1, e2) -> None:
-    """One echo period in place: relax Ts/2, dephase, refocus with the mixing
-    matrix m, dephase, relax Ts/2; e1 and e2 are the half-period decay
-    factors. The echo is then state.fplus[0]. The top row only hands F- down
-    to the pulse and takes F+ up from it, so the pulse skips it."""
+def advance_echo(state: EpgState, m, e1, e2, turn=None) -> None:
+    """One echo period in place: turn into the pulse's frame (`_frames`),
+    relax Ts/2, dephase, refocus with the pulse m of `_pulses`, dephase,
+    relax Ts/2; e1 and e2 are the half-period decay factors. The echo is
+    then state.fplus[0], in the pulse's frame. The top row only hands F-
+    down to the pulse and takes F+ up from it, so the pulse skips it."""
+    if turn is not None:
+        state.fplus *= turn
+        state.fminus *= turn.conjugate()
     apply_relaxation(state, e1, e2)
     apply_gradient_shift(state, after_rf=False)
     apply_rf(EpgState(state.fplus[:-1], state.fminus[:-1], state.z[:-1]), m)
@@ -246,7 +248,7 @@ def advance_echo(state: EpgState, m, e1, e2) -> None:
     apply_relaxation(state, e1, e2)
 
 
-_BLOCK = 512  # columns per block; at T = 32: 0.4 MB state, 2.4 MB matrices
+_BLOCK = 512  # columns per block; at T = 32: 0.4 MB state, 0.5 MB pulses
 
 
 def required_max_order(n_echoes: int) -> int:
@@ -301,38 +303,39 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
             raise ValueError("flips_deg must be finite")
 
     half = seq.echo_spacing_ms / 2
-
-    def pulses(cols):  # refocusing (3, 3, T, cols) and excitation matrices
-        return (_pulses(seq, flips[:, cols], eta[cols]),
-                _pulses(seq, seq.excitation_deg, eta[cols], None))
-
     shared_rf = np.all(eta == eta[0]) and np.all(flips == flips[:, :1])
     shared_e1 = np.all(t1 == t1[0])
-    if shared_rf:
-        m, excite = pulses(slice(0, 1))
+    if shared_rf:   # pulses and the excitation's eta on one column
+        m, rf_eta = _pulses(seq, flips[:, :1], eta[:1]), eta[:1]
     if shared_e1:
         e1 = np.exp(-half / t1[:1])
     out = np.empty((t, b), complex)
     for lo in range(0, b, _BLOCK):
         cols = slice(lo, lo + _BLOCK)
         if not shared_rf:
-            m, excite = pulses(cols)
+            m, rf_eta = _pulses(seq, flips[:, cols], eta[cols]), eta[cols]
         if not shared_e1:
             e1 = np.exp(-half / t1[cols])
-        _echo_loop(out[:, cols], m, excite, e1, np.exp(-half / t2[cols]))
+        out[:, cols] = _echo_loop(m, rf_eta, e1, np.exp(-half / t2[cols]), seq)
     return out
 
 
-def _echo_loop(out, m, excite, e1, e2) -> None:
-    """Write the (T, cols) echoes of one column block into out: the
-    excitation, then one `advance_echo` per refocusing matrix m[:, :, i]."""
-    t = out.shape[0]
-    block = EpgState.excited(required_max_order(t), excite, e2.shape)
+def _echo_loop(m, eta, e1, e2, seq) -> np.ndarray:
+    """The (T, cols) echoes of one column block: seq's excitation at eta,
+    then one `advance_echo` per pulse m[:, i] with the turns of seq's
+    `_frames`, each echo read back in the lab frame."""
+    t, (_, turns, readout, _) = m.shape[1], _frames(seq)
+    block = EpgState.excited(required_max_order(t), seq, eta, e2.shape)
+    out = np.empty((t, *e2.shape), block.z.dtype)
     for i in range(t):
         n = max(min(i + 1, t - i), 2) + 1  # see required_max_order
         live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n])
-        advance_echo(live, m[:, :, i], e1, e2)
+        advance_echo(live, m[:, i], e1, e2, turns[i])
         out[i] = live.fplus[0]
+    if readout is not None:   # real arithmetic: numpy's complex products
+        (c, s), re, im = np.array(readout)[..., None], out.real, out.imag
+        out = (re * c - im * s) + 1j * (re * s + im * c)   # round by loop
+    return out
 
 
 # r = e2/e1 is evaluated on [0, R], R >= _R_MAX; the fits at their default
@@ -344,17 +347,15 @@ _POLY_BLOCK = 4096   # 2 MB per block of Chebyshev values or echoes at T = 32
 @functools.lru_cache(maxsize=32)
 def _chebyshev_bank(seq: SequenceParams, r_max: float) -> np.ndarray:
     """Read-only (3, T, P) Chebyshev coefficients, real for a CPMG-phased
-    seq (see `_pulses`), on r in [0, r_max] of the relaxation polynomials p_i
+    seq (see `_frames`), on r in [0, r_max] of the relaxation polynomials p_i
     and their first two derivatives in s = 2r/r_max - 1. No path relaxes toward
     equilibrium, so echo i is e1^(2i+2) p_i(e2/e1), p_i of degree <= 2i + 2:
     the echo loop at e1 = 1 on P = 2T + 1 nodes and the closed-form DCT give
     the coefficients, the differentiation matrix those of p_i' and p_i''."""
     t, p = seq.n_echoes, 2 * seq.n_echoes + 1
     theta = np.pi * (np.arange(p) + 0.5) / p
-    excite = _pulses(seq, seq.excitation_deg, echo=None)
-    nodes = np.empty((t, p), excite.dtype)
-    _echo_loop(nodes, _pulses(seq, np.asarray(seq.flips_deg)[:, None]),
-               excite, 1.0, r_max / 2 * (1 + np.cos(theta)))
+    nodes = _echo_loop(_pulses(seq, np.asarray(seq.flips_deg)[:, None]), 1.0,
+                       1.0, r_max / 2 * (1 + np.cos(theta)), seq)
     coef = nodes @ np.cos(np.outer(theta, np.arange(p))) * (2 / p)
     coef[:, 0] /= 2
     j = np.arange(p)
@@ -451,14 +452,10 @@ def _shared_pulse_ensemble(t1, t2, seq: SequenceParams) -> np.ndarray:
 
 def _axis_rotation(alpha_deg: float, phi_deg: float) -> np.ndarray:
     # Right-handed rotation by alpha about the in-plane axis at azimuth phi.
-    a = math.radians(alpha_deg)
-    p = math.radians(phi_deg)
-    rx = np.array([[1, 0, 0],
-                   [0, math.cos(a), -math.sin(a)],
-                   [0, math.sin(a), math.cos(a)]])
-    rz = np.array([[math.cos(p), -math.sin(p), 0],
-                   [math.sin(p), math.cos(p), 0],
-                   [0, 0, 1]])
+    a, p = math.radians(alpha_deg), math.radians(phi_deg)
+    ca, sa, cp, sp = math.cos(a), math.sin(a), math.cos(p), math.sin(p)
+    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
+    rz = np.array([[cp, -sp, 0], [sp, cp, 0], [0, 0, 1]])
     return rz @ rx @ rz.T
 
 

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,11 @@ class TestRunPipeline:
         ("accel", float("inf"), "masks", "accel"),
         ("t1_max_ms", float("inf"), "basis", "t1_range_ms"),
         ("t2_max_ms", float("inf"), "basis", "t2_range_ms"),
-        ("t1_min_ms", float("nan"), "basis", "t1_range_ms")])
+        ("t1_min_ms", float("nan"), "basis", "t1_range_ms"),
+        ("excitation_phase_deg", float("nan"), "basis",
+         "excitation_phase_deg"),
+        ("flips_deg", (180.0,) * 7 + (float("nan"),), "basis", "flips_deg"),
+        ("nx", 0, "phantom", "dims")])
     def test_invalid_value_fails_at_its_stage(self, tmp_path, field, value,
                                               stage, named):
         # t1 -1 finished with region means near 8.5 ms; a NaN sigma and
@@ -133,7 +138,8 @@ class TestRunPipeline:
         # an infinite echo spacing at 'fit' with a ZeroDivisionError. An
         # infinite lam failed at 'metrics' and an infinite accel finished; an
         # infinite T1 or T2 maximum failed at 'basis' with an OverflowError
-        # and a NaN T1 minimum there without naming the range
+        # and a NaN T1 minimum there without naming the range. A zero nx
+        # failed at 'phantom' naming neither dimension
         cfg = small_config(tmp_path, **{field: value})
         with pytest.raises(PipelineError, match=named) as info:
             run_pipeline(cfg)
@@ -183,25 +189,34 @@ class TestBasisStage:
     @pytest.mark.parametrize("size", [65536, 40])
     def test_real_path_matches_complex_path(self, monkeypatch, size):
         # Tolerances fixed before any timing: the CPMG-phased default
-        # sequence's real path against the same stage with every pulse built
-        # by rf_matrix, basis within 1e-12 and singular values within
-        # 1e-13 sigma_1; its ensemble has no imaginary part
+        # sequence's float64 path against the same stage with every pulse
+        # phase turned by 45 deg and complex states forced. That turns each
+        # echo by e^(i pi/4) (within 1e-6 in complex64) and leaves the
+        # phase-fixed basis (within 1e-12) and the singular values (within
+        # 1e-13 sigma_1) as they are
         cfg = PipelineConfig(ensemble_size=size)
         real = pipeline._basis(cfg, {})
+        seq = sequence_from_config(cfg)
+        turned = replace(seq, excitation_phase_deg=seq.excitation_phase_deg
+                         + 45.0, flip_phases_deg=tuple(
+                             p + 45.0 for p in seq.flip_phases_deg))
+        frames = spinsim._frames
 
-        def complex_pulses(seq, flips_deg, eta=1.0, echo=slice(None)):
-            phases = (seq.excitation_phase_deg if echo is None
-                      else np.asarray(seq.flip_phases_deg)[echo, None])
-            return spinsim.rf_matrix(eta * flips_deg, phases)
+        def complex_frames(seq):
+            *rest, excite = frames(seq)
+            return (*rest, complex(excite))
 
-        monkeypatch.setattr(spinsim, "_pulses", complex_pulses)
+        monkeypatch.setattr(pipeline, "sequence_from_config",
+                            lambda cfg: turned)
+        monkeypatch.setattr(spinsim, "_frames", complex_frames)
         spinsim._chebyshev_bank.cache_clear()
         try:
             reference = pipeline._basis(cfg, {})
         finally:
             spinsim._chebyshev_bank.cache_clear()
         assert not np.any(real["ensemble"].imag)
-        assert np.any(reference["ensemble"].imag)
+        assert np.max(np.abs(reference["ensemble"] - np.exp(0.25j * np.pi)
+                             * real["ensemble"])) <= 1e-6
         assert np.max(np.abs(real["basis"] - reference["basis"])) <= 1e-12
         s = reference["singular_values"]
         assert np.max(np.abs(real["singular_values"] - s)) <= 1e-13 * s[0]

@@ -11,8 +11,39 @@ from spinshuffle import spinsim
 from spinshuffle.spinsim import (EpgState, SequenceParams, TissueParams,
                                  advance_echo, apply_rf,
                                  bloch_isochromat_train, constant_train,
-                                 rf_matrix, simulate_fse,
-                                 simulate_fse_ensemble)
+                                 simulate_fse, simulate_fse_ensemble)
+
+
+def rf_matrix(alpha_deg, phi_deg) -> np.ndarray:
+    """The oracle's pulse: the 3x3 mixing matrix of an RF pulse acting on
+    the lab-frame (F+, F-, Z) of every order, alpha the flip angle and phi
+    the pulse phase (rotation axis azimuth), both in degrees. Array
+    arguments give one matrix per batch element, with their broadcast shape
+    as trailing axes: (3, 3, *batch)."""
+    a = np.radians(alpha_deg)
+    eip = np.exp(1j * np.radians(phi_deg))
+    sa = np.sin(a)
+    m = np.empty((3, 3) + np.broadcast(a, eip).shape, complex)
+    m[0, 0] = m[1, 1] = np.cos(a / 2) ** 2
+    m[0, 1] = eip * eip * np.sin(a / 2) ** 2
+    m[1, 0] = np.conj(m[0, 1])
+    m[0, 2] = -1j * eip * sa
+    m[1, 2] = np.conj(m[0, 2])
+    m[2, 0] = -0.5j * np.conj(eip) * sa
+    m[2, 1] = np.conj(m[2, 0])
+    m[2, 2] = np.cos(a)
+    return m
+
+
+def _mix(state, m):
+    # the oracle's pulse step: the lab-frame triples times the 3x3 matrix m
+    fp = m[0, 0] * state.fplus + m[0, 1] * state.fminus + m[0, 2] * state.z
+    fm = m[1, 0] * state.fplus + m[1, 1] * state.fminus + m[1, 2] * state.z
+    state.z *= m[2, 2]
+    state.z += m[2, 0] * state.fplus
+    state.z += m[2, 1] * state.fminus
+    state.fplus[...] = fp
+    state.fminus[...] = fm
 
 
 class TestRfMatrix:
@@ -56,47 +87,97 @@ _D = np.array([1.0, 1.0, 1j])
 class TestRealPulses:
     # Tolerances fixed before any timing. rf_matrix rounds e^(i phi): its
     # D^-1 M D has imaginary parts up to 2|sin(fl(phi))| (two factors of
-    # e^(i phi)) and its F+(0) one of |cos(fl(phi_e))|, so the real matrices
-    # must match within 1e-16 beyond those.
+    # e^(i phi)) and its F+(0) one of |cos(fl(phi_e))|. Beyond those the
+    # real F+(0) must match within 1e-16 and the pulses within 2e-16: the
+    # step takes cos a as cos^2(a/2) - sin^2(a/2), 1.6e-16 off at most here.
     @pytest.mark.parametrize("phase", [0.0, 180.0, -180.0])
     @pytest.mark.parametrize("exc_phase", [90.0, -90.0, 270.0])
     @pytest.mark.parametrize("eta", [1.0, 0.83])
     def test_real_matrices_are_rf_matrix_in_the_real_basis(self, phase,
                                                            exc_phase, eta):
+        # the float64 pulses, applied by the rotation step to the unit
+        # states of the real basis, give the columns of rf_matrix's D^-1 M D
         alphas = np.array([0.0, 17.5, 60.0, 90.0, 123.4, 179.9, 180.0])
         seq = SequenceParams(flips_deg=tuple(alphas),
                              flip_phases_deg=(phase,) * alphas.size,
                              excitation_phase_deg=exc_phase)
         m = spinsim._pulses(seq, alphas[:, None], eta)
+        unit = EpgState(*np.broadcast_to(np.eye(3)[:, :, None, None],
+                                         (3, 3, alphas.size, 1)).copy())
+        apply_rf(unit, m)
         ref = (rf_matrix(eta * alphas[:, None], phase)
                * (_D[None, :] / _D[:, None])[:, :, None, None])
-        assert m.dtype == np.float64 and m.shape == ref.shape
-        assert np.max(np.abs(m - ref)) <= (
-            1e-16 + 2 * abs(np.sin(np.radians(phase))))
-        excite = spinsim._pulses(seq, seq.excitation_deg, eta, None)
+        assert m.dtype == np.float64 and unit.z.dtype == np.float64
+        assert np.max(np.abs(np.stack([unit.fplus, unit.fminus, unit.z])
+                             - ref)) <= (
+            2e-16 + 2 * abs(np.sin(np.radians(phase))))
+        excite = EpgState.excited(0, seq, eta).fplus[0]
         ref = rf_matrix(eta * seq.excitation_deg, exc_phase)
-        assert excite.dtype == np.float64
-        assert abs(excite[0, 2] - ref[0, 2]) <= (
+        assert np.result_type(excite) == np.float64
+        assert abs(excite - ref[0, 2]) <= (
             1e-16 + abs(np.cos(np.radians(exc_phase))))
+
+    # Tolerance fixed before any timing: rf_matrix and the frame factors
+    # each round e^(i phi), so on states of modulus up to 1 the two steps
+    # agree within a few units of 1e-16, bounded here by 2e-15.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotation_matches_matrix_oracle(self, seed):
+        # random lab-frame states and pulses at random phases, each applied
+        # in a frame off its phase by 0 or +/-180 deg (the sine's sign)
+        rng = np.random.default_rng(seed)
+        fp, fm, z = (rng.uniform(-0.5, 0.5, (4, 50))
+                     + 1j * rng.uniform(-0.5, 0.5, (4, 50)) for _ in range(3))
+        alpha = rng.uniform(-200.0, 200.0, 50)
+        phi = rng.uniform(-540.0, 540.0, 50)
+        k = rng.integers(-1, 2, 50)
+        psi = phi - 180.0 * k
+        lab = EpgState(fp.copy(), fm.copy(), z.copy())
+        _mix(lab, rf_matrix(alpha, phi))
+        turn = np.exp(1j * np.radians(psi))
+        frame = EpgState(fp / turn, fm * turn, -1j * z)
+        m = spinsim._pulses(constant_train(1), alpha, 1.0, 0)
+        m[1:3] *= np.where(k % 2, -1.0, 1.0)    # the sine's sign
+        apply_rf(frame, m)
+        for got, want in ((frame.fplus * turn, lab.fplus),
+                          (frame.fminus / turn, lab.fminus),
+                          (1j * frame.z, lab.z)):
+            assert np.max(np.abs(got - want)) <= 2e-15
+
+    def test_real_states_use_real_arithmetic(self):
+        # a float64 state stays float64 through the step, and the matching
+        # complex state gives the same values bit for bit
+        rng = np.random.default_rng(3)
+        parts = rng.standard_normal((3, 5, 7))
+        m = spinsim._pulses(constant_train(1), rng.uniform(0, 180, 7), 0.9, 0)
+        real = EpgState(*parts.copy())
+        cplx = EpgState(*parts.astype(complex))
+        apply_rf(real, m)
+        apply_rf(cplx, m)
+        assert real.z.dtype == np.float64 and m.dtype == np.float64
+        for r, c in zip((real.fplus, real.fminus, real.z),
+                        (cplx.fplus, cplx.fminus, cplx.z)):
+            assert np.array_equal(r, c.real) and not np.any(c.imag)
 
     @pytest.mark.parametrize("field, value", [
         ("flip_phases_deg", (0.0, 1e-6, 180.0)),
         ("excitation_phase_deg", 90.0 + 1e-6)])
     def test_phases_off_cpmg_keep_the_complex_path(self, field, value):
-        # 1e-6 deg off CPMG takes rf_matrix, bit for bit the full-lattice
-        # reference, with the imaginary parts the phases put there
+        # 1e-6 deg off CPMG turns a frame or the excitation out of the real
+        # line, so the states are complex; the echoes carry the imaginary
+        # parts the phases put there, bit for bit the full-lattice run of
+        # the same step and within 1e-15 of the matrix oracle
         rng = np.random.default_rng(23)
         seq = SequenceParams(flips_deg=tuple(rng.uniform(0, 180, 3)),
                              echo_spacing_ms=7.0, **{field: value})
         t2 = rng.uniform(5.0, 400.0, 9)
         t1, eta = t2 + rng.uniform(0.0, 3000.0, 9), rng.uniform(0.5, 1.3, 9)
         flips = rng.uniform(0.0, 180.0, (3, 9))
-        assert np.array_equal(
-            spinsim._pulses(seq, flips, eta),
-            rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None]))
+        assert isinstance(spinsim._frames(seq)[3], complex)
         out = simulate_fse_ensemble(t1, t2, seq, eta=eta, flips_deg=flips)
         assert np.any(out.imag)
         assert np.array_equal(out, _all_orders_train(t1, t2, seq, eta, flips))
+        oracle = _all_orders_train(t1, t2, seq, eta, flips, oracle=True)
+        assert np.max(np.abs(out - oracle)) <= 1e-15
 
 
 class TestSimulateFse:
@@ -219,40 +300,58 @@ def _full_shift(state):
     state.fplus[0] = np.conj(state.fminus[0])
 
 
-def _full_excited(shape, excite):
-    state = EpgState(*(np.zeros(shape, complex) for _ in range(3)))
-    state.z[0] = 1.0
-    apply_rf(state, excite)
-    return state
-
-
-def _full_period(state, m, e1, e2, recovery):
+def _full_period(state, step, e1, e2, recovery, turn=None):
+    if turn is not None:
+        state.fplus *= turn
+        state.fminus *= np.conj(turn)
     _full_relax(state, e1, e2, recovery)
     _full_shift(state)
-    apply_rf(state, m)
+    step(state)
     _full_shift(state)
     _full_relax(state, e1, e2, recovery)
 
 
-def _all_orders_train(t1, t2, seq, eta, flips, z0=None, recovery=None):
+def _all_orders_train(t1, t2, seq, eta, flips, z0=None, recovery=None,
+                      oracle=False):
     # Self-contained reference over the full lattice: every order 0..T+2 of
-    # one full-batch state, with Z(0) recovering by 1 - e1 per half period
-    # and echo i refocused by slice i of one stacked rf_matrix call. z0
-    # overwrites Z(0) after the excitation and recovery replaces 1 - e1.
+    # one complex full-batch state, with Z(0) recovering by 1 - e1 per half
+    # period. By default it runs the package's step: the states in the pulse
+    # frames of `_frames`, Z kept as -iZ, echo i refocused by slice i of one
+    # stacked `_pulses` call. The oracle runs the lab-frame states through
+    # the 3x3 matrices of one stacked rf_matrix call instead. z0 overwrites
+    # Z(0) after the excitation and recovery replaces 1 - e1.
     half = seq.echo_spacing_ms / 2
     e1, e2 = np.exp(-half / t1), np.exp(-half / t2)
     if recovery is None:
         recovery = 1.0 - e1
-    m = rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None])
-    state = _full_excited((seq.n_echoes + 3, t1.size),
-                          rf_matrix(eta * seq.excitation_deg,
-                                    seq.excitation_phase_deg))
+    state = EpgState(*(np.zeros((seq.n_echoes + 3, t1.size), complex)
+                       for _ in range(3)))
+    state.z[0] = 1.0
+    if oracle:
+        turns, readout = [None] * seq.n_echoes, None
+        _mix(state, rf_matrix(eta * seq.excitation_deg,
+                              seq.excitation_phase_deg))
+        m = rf_matrix(eta * flips, np.asarray(seq.flip_phases_deg)[:, None])
+        steps = [lambda s, m=m[:, :, i]: _mix(s, m)
+                 for i in range(seq.n_echoes)]
+    else:
+        _, turns, readout, _ = spinsim._frames(seq)
+        state.fplus[0] = EpgState.excited(0, seq, eta, np.shape(eta)).fplus[0]
+        state.fminus[0] = np.conj(state.fplus[0])
+        state.z[0] = -1j * np.cos(np.radians(eta * seq.excitation_deg))
+        recovery = -1j * recovery
+        m = spinsim._pulses(seq, flips, eta)
+        steps = [lambda s, m=m[:, i]: apply_rf(s, m)
+                 for i in range(seq.n_echoes)]
     if z0 is not None:
         state.z[0] = z0
     out = np.empty((seq.n_echoes, t1.size), complex)
     for i in range(seq.n_echoes):
-        _full_period(state, m[:, :, i], e1, e2, recovery)
+        _full_period(state, steps[i], e1, e2, recovery, turns[i])
         out[i] = state.fplus[0]
+    if readout is not None:   # the engine's real arithmetic
+        (c, s), re, im = np.array(readout)[..., None], out.real, out.imag
+        out = (re * c - im * s) + 1j * (re * s + im * c)
     return out
 
 
@@ -279,46 +378,42 @@ class TestBlockedKernel:
         assert np.array_equal(fast, _all_orders_train(t1, t2, seq, eta, flips))
 
     @pytest.mark.parametrize("b", [1, 2 * spinsim._BLOCK + 1])
-    def test_rf_matrices_built_once_per_block(self, monkeypatch, b):
-        # the excitation plus one stacked call for every refocusing pulse;
-        # a matrix built inside the echo loop would add T calls per block
-        calls = []
-        original = spinsim.rf_matrix
+    def test_pulses_built_once_per_block(self, monkeypatch, b):
+        # one stacked call for every refocusing pulse, float64 (4, T, cols)
+        # coefficients; pulses built inside the echo loop would add T calls
+        # per block. The frames are built once per sequence.
+        built = []
+        builder = spinsim._pulses
 
         def counted(*args):
-            calls.append(args)
-            return original(*args)
+            out = builder(*args)
+            built.append((np.shape(out), np.result_type(out)))
+            return out
 
-        monkeypatch.setattr(spinsim, "rf_matrix", counted)
+        monkeypatch.setattr(spinsim, "_pulses", counted)
+        spinsim._frames.cache_clear()
         rng = np.random.default_rng(4)
         t1, t2, seq, eta = _random_batch(rng, 12, b)
         simulate_fse_ensemble(t1, t2, seq, eta=eta)
         n_blocks = -(-b // spinsim._BLOCK)
-        assert len(calls) <= 2 * n_blocks
-        # shared eta and flips: one excitation and one refocusing stack per
-        # call, whatever the block count
-        calls.clear()
+        assert [(shape[:2], dtype) for shape, dtype in built] == [
+            ((4, 12), np.float64)] * n_blocks
+        # random phases tip Z(0) into a complex F+(0)
+        assert EpgState.excited(2, seq, eta, eta.shape).fplus.dtype == complex
+        # shared eta and flips: one refocusing stack per call on one column,
+        # whatever the block count
+        built.clear()
         simulate_fse_ensemble(t1, t2, seq, eta=eta[0])
-        assert len(calls) == 2
-        # a CPMG-phased batch builds its real matrices as often, through the
-        # one builder, and no complex ones
-        built = []
-        builder = spinsim._pulses
-
-        def counted_builder(*args):
-            m = builder(*args)
-            built.append(m.dtype)
-            return m
-
-        monkeypatch.setattr(spinsim, "_pulses", counted_builder)
-        calls.clear()
+        assert [shape for shape, _ in built] == [(4, 12, 1)]
+        # a CPMG-phased batch builds as often, all float64, with a float64
+        # F+(0)
+        built.clear()
         cpmg = SequenceParams(flips_deg=seq.flips_deg, flip_phases_deg=(
             180.0, 0.0) * 6, excitation_phase_deg=-90.0)
         simulate_fse_ensemble(t1, t2, cpmg, eta=eta)
-        assert built == [np.float64] * (2 * n_blocks) and not calls
-        built.clear()
-        simulate_fse_ensemble(t1, t2, cpmg, eta=eta[0])
-        assert built == [np.float64] * 2 and not calls
+        assert [dtype for _, dtype in built] == [np.float64] * n_blocks
+        assert EpgState.excited(2, cpmg, eta, eta.shape).z.dtype == np.float64
+        assert spinsim._frames.cache_info().misses == 2
 
     @pytest.mark.parametrize("shared_t1", [True, False],
                              ids=["shared-t1", "per-column-t1"])
@@ -445,7 +540,7 @@ def test_cpmg_phased_ensemble_is_real_within_1e_15_of_complex_oracle(case):
         assert fast.dtype == np.complex128 and not np.any(fast.imag)
         oracle_seq, oracle_flips = _half_turns_at_phase_0(seq, oracle_flips)
         oracle = _all_orders_train(t1, t2, oracle_seq, oracle_eta,
-                                   oracle_flips)
+                                   oracle_flips, oracle=True)
         assert np.max(np.abs(fast - oracle)) <= 1e-15
 
 
@@ -558,16 +653,21 @@ class TestRelaxationPolynomials:
 class TestStateInvariants:
     def test_conjugate_symmetry_after_evolution(self):
         # after every period the public steps hold exactly the full-lattice
-        # reference's F+/-(2j) and Z(2j+1), and the reference keeps F-(0)
-        # the mirror of F+(0)
-        excite = rf_matrix(90.0, 90.0)
-        half = EpgState.excited(10, excite)
-        full = _full_excited(11, excite)
+        # run's F+/-(2j) and Z(2j+1) under the same step and frame turns,
+        # and that run keeps F-(0) the mirror of F+(0)
+        seq = SequenceParams(flips_deg=(140.0, 90.0, 60.0),
+                             flip_phases_deg=(0.0, 30.0, 75.0))
+        half = EpgState.excited(10, seq)
+        full = EpgState(*(np.zeros(11, complex) for _ in range(3)))
+        full.fplus[0], full.fminus[0] = half.fplus[0], half.fminus[0]
+        full.z[0] = -1j * np.cos(np.radians(90.0))
         e1, e2 = np.exp(-5.0 / 1000.0), np.exp(-5.0 / 100.0)
-        for flip in (140.0, 90.0, 60.0):
-            m = rf_matrix(flip, 0.0)
-            _full_period(full, m, e1, e2, 1.0 - e1)
-            advance_echo(half, m, e1, e2)
+        m = spinsim._pulses(seq, np.asarray(seq.flips_deg)[:, None])
+        turns = spinsim._frames(seq)[1]
+        for i in range(seq.n_echoes):
+            _full_period(full, lambda s: apply_rf(s, m[:, i]), e1, e2,
+                         -1j * (1.0 - e1), turns[i])
+            advance_echo(half, m[:, i], e1, e2, turns[i])
             assert abs(full.fminus[0] - np.conj(full.fplus[0])) < 1e-14
             assert np.array_equal(half.fplus, full.fplus[0::2])
             assert np.array_equal(half.fminus, full.fminus[0::2])
