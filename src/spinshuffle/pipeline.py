@@ -4,7 +4,7 @@
 the arrays made so far (by name) to the arrays it makes:
 
     phantom      -> labels, rho_true, t2_true
-    basis        -> ensemble (complex64), basis, singular_values
+    basis        -> basis, singular_values
     masks        -> masks
     simulate     masks -> truth_images, kspace
     reconstruct  masks, basis, singular_values, kspace -> coefficients,
@@ -111,18 +111,13 @@ def _phantom(cfg: PipelineConfig, arrays) -> dict:
 
 
 def _basis(cfg: PipelineConfig, arrays) -> dict:
-    """`compute_basis(build_ensemble(...))`, blocks kept only in complex64."""
+    """`compute_basis(build_ensemble(...))`, its blocks never held at once."""
     t1, t2 = sample_prior(prior_from_config(cfg), cfg.ensemble_size)
     seq = sequence_from_config(cfg)
-    ensemble = np.empty((seq.n_echoes, t1.size), np.complex64)
-
-    def blocks():
-        for cols, block in _shared_pulse_blocks(t1, t2, seq):
-            ensemble[:, cols] = block
-            yield block
-    basis = _basis_from_blocks(blocks(), ensemble.shape, cfg.subspace_k)
-    return dict(ensemble=ensemble, basis=basis.phi_k,
-                singular_values=basis.singular_values)
+    blocks = (block for _, block in _shared_pulse_blocks(t1, t2, seq))
+    basis = _basis_from_blocks(blocks, (seq.n_echoes, t1.size),
+                               cfg.subspace_k)
+    return dict(basis=basis.phi_k, singular_values=basis.singular_values)
 
 
 def _simulate(cfg: PipelineConfig, arrays) -> dict:
@@ -164,10 +159,10 @@ STAGES = {"phantom": _phantom, "basis": _basis,
           "simulate": _simulate, "reconstruct": _reconstruct, "fit": _fit}
 
 
-def _stage(name: str, func, *args):
+def _stage(name: str, func, *args, **kwargs):
     log.info("pipeline stage: %s", name)
     try:
-        return func(*args)
+        return func(*args, **kwargs)
     except Exception as exc:
         raise PipelineError(name, exc) from exc
 
@@ -212,7 +207,7 @@ def _write(cfg: PipelineConfig, arrays, nrmse: float, stats: list) -> None:
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     """Run every stage of `STAGES`, then `metrics` and `write`."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _stage("write", os.makedirs, cfg.output_dir, exist_ok=True)
     arrays = {}
     _run_stages(cfg, STAGES, arrays)
     nrmse, stats = _stage("metrics", _metrics, cfg, arrays)

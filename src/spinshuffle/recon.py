@@ -37,8 +37,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and positive")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")
 

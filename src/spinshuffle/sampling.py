@@ -68,6 +68,9 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
     density = profile.density(r)
     disc = r <= profile.fully_sampled_radius
     support = density > 0
+    if target < disc.sum():
+        raise ValueError(f"accel={profile.accel:g} targets {target:.0f} "
+                         f"samples, fewer than the centre's {int(disc.sum())}")
     if target > support.sum():
         raise ValueError(
             f"target of {target:.0f} samples exceeds the {int(support.sum())} "

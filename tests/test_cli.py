@@ -84,8 +84,8 @@ class TestStagedFlow:
                           if p.suffix in (".hdr", ".dat"))
 
         assert arrays(chain) == arrays(whole)
-        for name in ("labels", "ensemble", "basis", "singular_values",
-                     "masks", "truth_images", "kspace"):
+        for name in ("labels", "basis", "singular_values", "masks",
+                     "truth_images", "kspace"):
             assert ((chain / f"{name}.dat").read_bytes()
                     == (whole / f"{name}.dat").read_bytes()), name
         for name, rel in (("coefficients", 1e-6), ("images", 1e-6),
