@@ -93,37 +93,31 @@ def _bounds(info: np.ndarray, idx: int) -> np.ndarray:
 
 def _jacobian(t1, t2, eta, flips_deg: np.ndarray, seq: SequenceParams,
               wrt) -> np.ndarray:
-    """(B, P, T) central-difference sensitivities of unit-density trains, the
-    one derivative path under `_information`: column b is tissue
-    (t1, t2, eta)[b] under flips flips_deg[:, b] (scalars and one flip column
-    broadcast); wrt names P of 'rho' (the train itself: the signal is linear
-    in rho), 't1', 't2', 'eta' (step 1e-4 of the value) and 'rf_1'..'rf_T'
-    (per degree, step 1e-4 rad). One engine batch: the base trains if 'rho'
-    is named, then each other parameter's +h and -h blocks."""
+    """(B, P, T) exact sensitivities of unit-density trains, the one derivative
+    path under `_information`: column b is tissue (t1, t2, eta)[b] under flips
+    flips_deg[:, b] (scalars and one flip column broadcast); wrt names P of
+    'rho' (the train), 't1', 't2', 'eta' and 'rf_1'..'rf_T' (per degree). One
+    engine batch: the base trains if 'rho' is the only name, else a block per
+    other name moved by 1e-30 i, a complex step whose real part is 'rho'."""
     t, b = len(flips_deg), np.broadcast(t1, t2, eta, flips_deg[0]).size
     names = ["t1", "t2", "eta"] + [f"rf_{i}" for i in range(1, t + 1)]
     moved = [name for name in wrt if name != "rho"]
     if not set(moved) <= set(names):
         raise ValueError(f"unknown parameters {sorted(set(moved) - set(names))}"
                          f" (rho, t1, t2, eta or rf_1..rf_{t})")
-    x = np.empty((3 + t, b))     # one column per train: t1, t2, eta, flips
-    x[0], x[1], x[2], x[3:] = t1, t2, eta, flips_deg
-    rows = [names.index(name) for name in moved]
-    h = 1e-4 * np.abs(x[rows])
-    h[np.array(rows) >= 3] = math.degrees(1e-4)     # a flip: 1e-4 rad
-    blocks = [x] if "rho" in wrt else []
-    for row, step in zip(rows, h):
-        blocks += [x.copy(), x.copy()]
-        blocks[-2][row] += step
-        blocks[-1][row] -= step
-    x = np.hstack(blocks)
-    sig = simulate_fse_ensemble(x[0], x[1], seq, eta=x[2],
-                                flips_deg=x[3:]).reshape(t, -1, b)
-    k = int("rho" in wrt)
-    diff = (sig[:, k::2] - sig[:, k + 1::2]) / (2 * h)
+    _, _, readout, excite = _frames(seq)
+    if readout is not None or not isinstance(excite, float):
+        raise ValueError("sensitivities need CPMG phases: flip_phases_deg 0"
+                         " and excitation_phase_deg 90, mod 180 deg")
+    x = np.empty((3 + t, max(len(moved), 1), b), complex)
+    x[0], x[1], x[2], x[3:] = t1, t2, eta, flips_deg[:, None]
+    x[[names.index(name) for name in moved], range(len(moved))] += 1e-30j
+    f = simulate_fse_ensemble(x[0].ravel(), x[1].ravel(), seq, x[2].ravel(),
+                              x[3:].reshape(t, -1)).reshape(t, -1, b)
     # one contiguous row per column, so a column's sums do not depend on b
-    cols = dict(zip(moved, diff.transpose(1, 2, 0)), rho=sig[:, 0].T)
-    return np.ascontiguousarray(np.stack([cols[name] for name in wrt], axis=1))
+    cols = dict(zip(moved, f.imag.transpose(1, 2, 0) / 1e-30),
+                rho=f[:, 0].real.T)
+    return np.ascontiguousarray(np.stack([cols[p] for p in wrt], 1), complex)
 
 
 def _project(flips_rad: np.ndarray, limit: float, min_rad: float,
@@ -169,19 +163,19 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
                    min_flip_deg: float = 0.0) -> FlipOptimization:
     """Maximize the T2 Fisher diagonal ||df/dT2||^2 under the power cap.
 
-    Projected L-BFGS ascent over the flip angles (radians) on the feasible
-    set {min_flip <= flip <= 180 deg} intersected with {sum flip^2 <= limit},
+    Projected L-BFGS ascent over the flip angles (radians) on the feasible set
+    {min_flip <= flip <= 180 deg} intersected with {sum flip^2 <= limit},
     starting from the constant schedule at the budget's equal-power angle.
-    Each trial point costs one batch: the schedule itself plus its 2T
-    central-difference neighbours give the value and the gradient together.
-    The first step goes 1 rad along the normalized gradient. Later steps
-    follow the L-BFGS direction (memory 8) built from the gradient's
-    feasible part: zero at the bounds it pushes against and, while the
-    power cap is met with equality, orthogonal to the schedule. A trial is
-    the projection of the step onto the feasible set and is accepted only
-    if it strictly raises the objective; otherwise the step shrinks by
-    quadratic interpolation (to between a tenth and a half), and when 12
-    trials fail the memory is dropped for one normalized-gradient search.
+    Each trial point costs one batch: the schedule and its 2T flip offsets by
+    +/-1e-3 rad give the value and a central-difference gradient of exact T2
+    sensitivities. The first step goes 1 rad along the normalized gradient.
+    Later steps follow the L-BFGS direction (memory 8) built from the
+    gradient's feasible part: zero at the bounds it pushes against and, while
+    the power cap is met with equality, orthogonal to the schedule. A trial is
+    the projection of the step onto the feasible set and is accepted only if
+    it strictly raises the objective; otherwise the step shrinks by quadratic
+    interpolation (to between a tenth and a half), and when 12 trials fail the
+    memory is dropped for one normalized-gradient search.
 
     Stops with ``converged=True`` ("tolerance") once the relative increase
     is at most 1e-6 on two consecutive iterations; otherwise with
@@ -197,8 +191,7 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     if const_rad < min_rad:
         raise ValueError("no feasible constant schedule under this budget")
     h = 1e-3
-    offsets = np.concatenate([np.zeros((t, 1)), h * np.eye(t), -h * np.eye(t)],
-                             axis=1)
+    offsets = np.hstack([np.zeros((t, 1)), h * np.eye(t), -h * np.eye(t)])
 
     def evaluate(x):
         """Objective and its central-difference gradient at x, one batch."""

@@ -9,10 +9,11 @@ Z(0), its T1 recovery and all it feeds are never computed. In its phase
 frame, with Z kept as -iZ, a pulse turns ((F+ - F-)/2, -iZ) in their plane;
 other phases turn the frame between echoes. Only the phases decide, never
 the data: CPMG-phased sequences (refocusing phases 0, excitation 90, mod
-180 deg) keep float64 states and relaxation polynomials.
+180 deg) keep float64 states and relaxation polynomials, and their mirror
+F+(0) = F-(0)* is a copy: the run is analytic, so a complex step is exact.
 `simulate_fse_ensemble` advances cache-sized column blocks over each echo's
 live rows, bit-identical to a full run over every order, with the decay
-factors and pulses built outside the echo loop (once per call, on a
+factors and pulses built outside the echo loop (pulses once per call, on a
 length-1 column axis, when all columns share them). A brute-force
 isochromat integrator, kept apart from the engine, is its independent
 oracle; the two agree to near machine precision.
@@ -143,7 +144,8 @@ class EpgState:
     def excited(cls, max_order: int, seq, eta=1.0, batch_shape=()):
         """F+(0) = excite sin a of `_frames` for seq's excitation a (times
         eta), and its mirror F-(0): float64 if real, max_order kept."""
-        excite = _frames(seq)[3] * np.sin(np.radians(eta * seq.excitation_deg))
+        a = eta * seq.excitation_deg * (np.pi / 180)   # np.radians: no complex
+        excite = _frames(seq)[3] * np.sin(a)
         state = cls(*np.zeros((3, max_order // 2 + 1, *batch_shape),
                               np.result_type(excite)))
         state.fplus[0] = excite
@@ -180,11 +182,11 @@ def _pulses(seq: SequenceParams, flips_deg, eta=1.0, echo=slice(None)):
     -sin^2(a/2), or cos^2(a/2) nearer 180 deg."""
     half = np.multiply(eta, flips_deg) * (np.pi / 360)
     s2, c2 = np.sin(half), np.cos(half)
-    m = np.empty((4, *half.shape))
+    m = np.empty((4, *half.shape), half.dtype)
     np.multiply(s2 * c2, np.asarray(_frames(seq)[0])[echo, None], out=m[1])
     np.multiply(m[1], 0.5, out=m[2])
     s2, c2 = s2 * s2, c2 * c2
-    m[0], m[3] = np.where(c2 < s2, c2, -s2), c2 - s2
+    m[0], m[3] = np.where(c2.real < s2.real, c2, -s2), c2 - s2
     return m
 
 
@@ -197,7 +199,7 @@ def apply_rf(state: EpgState, m) -> None:
     their last bits. 9 array passes (10 if every column swaps, 11 if some
     do), real or complex; pulses broadcast against the batch axes."""
     hw, s, hs, c = m
-    swap = hw > 0
+    swap = c.real < 0
     diff = state.fplus - state.fminus
     base, other = state.fplus, state.fminus
     if swap.all():   # one copy, not two selects (most flip-design trials)
@@ -220,31 +222,33 @@ def apply_relaxation(state: EpgState, e1, e2) -> None:
     state.z *= e1
 
 
-def apply_gradient_shift(state: EpgState, after_rf: bool) -> None:
+def apply_gradient_shift(state: EpgState, after_rf: bool,
+                         mirror=np.conj) -> None:
     """Advance every transverse state by one dephasing order: before the
     pulse F- moves down a row (F-(0) leaves the family), after it F+ moves
-    up a row and F+(0) becomes the mirror of F-(0)."""
+    up a row and F+(0) becomes mirror(F-(0)), a copy in a real frame."""
     if after_rf:
         state.fplus[1:] = state.fplus[:-1]
-        state.fplus[0] = np.conj(state.fminus[0])
+        state.fplus[0] = mirror(state.fminus[0])
     else:
         state.fminus[:-1] = state.fminus[1:]
         state.fminus[-1] = 0.0
 
 
-def advance_echo(state: EpgState, m, e1, e2, turn=None) -> None:
+def advance_echo(state: EpgState, m, e1, e2, turn=None,
+                 mirror=np.conj) -> None:
     """One echo period in place: turn into the pulse's frame (`_frames`),
-    relax Ts/2, dephase, refocus with the pulse m of `_pulses`, dephase,
-    relax Ts/2; e1 and e2 are the half-period decay factors. The echo is
-    then state.fplus[0], in the pulse's frame. The top row only hands F-
-    down to the pulse and takes F+ up from it, so the pulse skips it."""
+    relax Ts/2, dephase, refocus with the pulse m of `_pulses`, dephase (by
+    `mirror`), relax Ts/2; e1 and e2 are the half-period decay factors. The
+    echo is then state.fplus[0], in the pulse's frame. The top row only hands
+    F- down to the pulse and takes F+ up from it, so the pulse skips it."""
     if turn is not None:
         state.fplus *= turn
         state.fminus *= turn.conjugate()
     apply_relaxation(state, e1, e2)
     apply_gradient_shift(state, after_rf=False)
     apply_rf(EpgState(state.fplus[:-1], state.fminus[:-1], state.z[:-1]), m)
-    apply_gradient_shift(state, after_rf=True)
+    apply_gradient_shift(state, after_rf=True, mirror=mirror)
     apply_relaxation(state, e1, e2)
 
 
@@ -274,63 +278,65 @@ def simulate_fse_ensemble(t1: np.ndarray, t2: np.ndarray, seq: SequenceParams,
     """Phase-graph recursion over a batch of tissues.
 
     t1, t2 (and optionally eta) are length-B arrays; flips_deg may be a
-    (T, B) array to give each batch element its own refocusing train (used by
-    flip-angle optimization and finite differences, so it is not held to
-    [0, 180] deg). Per echo: relax Ts/2, dephase, refocus with angle
-    eta * RF_i, dephase, relax Ts/2, then record F+(0). Returns a (T, B)
-    complex array of unit-density evolutions; scale by rho externally.
+    (T, B) array to give each batch element its own refocusing train (flip
+    design probes it, so it is not held to [0, 180] deg). Per echo: relax
+    Ts/2, dephase, refocus with angle eta * RF_i, dephase, relax Ts/2, then
+    record F+(0). Returns a (T, B) complex array of unit-density evolutions;
+    scale by rho externally. A complex x + ih (real part checked) gives the
+    run at x plus ih times its derivative, under CPMG phases (a complex step).
     """
-    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
-    if t1.shape != t2.shape:
-        raise ValueError("t1 and t2 must have the same length")
+    flips = seq.flips_deg if flips_deg is None else flips_deg
+    dtype = np.result_type(*map(np.asarray, (t1, t2, eta, flips)), float)
+    t1, t2 = (np.atleast_1d(np.asarray(x, dtype)) for x in (t1, t2))
     # t2 <= t1 is enforced by check_tissues; fitting may probe beyond it.
-    if not (np.all(t1 > 0) and np.all(t2 > 0)):
-        raise ValueError("relaxation times must be positive (not NaN)")
+    if t1.shape != t2.shape or not np.all((t1.real > 0) & (t2.real > 0)):
+        raise ValueError("relaxation times must be positive, of one shape")
     b = t1.size
-    eta = np.broadcast_to(np.asarray(eta, float), (b,))
-    if not np.all(np.isfinite(eta) & (eta > 0)):
+    eta = np.broadcast_to(np.asarray(eta, dtype), (b,))
+    if not np.all(np.isfinite(eta) & (eta.real > 0)):
         raise ValueError("eta must be finite and positive")
     t = seq.n_echoes
-    if flips_deg is None:
-        flips = np.broadcast_to(np.asarray(seq.flips_deg, float)[:, None], (t, b))
-    else:
-        flips = np.asarray(flips_deg, float)
-        if flips.ndim == 1:
-            flips = np.broadcast_to(flips[:, None], (t, b))
-        if flips.shape != (t, b):
-            raise ValueError(f"flips_deg must have shape ({t}, {b})")
-        if not np.all(np.isfinite(flips)):
-            raise ValueError("flips_deg must be finite")
+    flips = np.asarray(flips, dtype)
+    if flips.ndim == 1:
+        flips = np.broadcast_to(flips[:, None], (t, b))
+    if flips.shape != (t, b) or not np.all(np.isfinite(flips)):
+        raise ValueError(f"flips_deg must be finite, of shape ({t}, {b})")
 
     half = seq.echo_spacing_ms / 2
     shared_rf = np.all(eta == eta[0]) and np.all(flips == flips[:, :1])
-    shared_e1 = np.all(t1 == t1[0])
     if shared_rf:   # pulses and the excitation's eta on one column
         m, rf_eta = _pulses(seq, flips[:, :1], eta[:1]), eta[:1]
-    if shared_e1:
-        e1 = np.exp(-half / t1[:1])
     out = np.empty((t, b), complex)
     for lo in range(0, b, _BLOCK):
         cols = slice(lo, lo + _BLOCK)
         if not shared_rf:
             m, rf_eta = _pulses(seq, flips[:, cols], eta[cols]), eta[cols]
-        if not shared_e1:
-            e1 = np.exp(-half / t1[cols])
-        out[:, cols] = _echo_loop(m, rf_eta, e1, np.exp(-half / t2[cols]), seq)
+        out[:, cols] = _echo_loop(m, rf_eta, _decay(half, t1[cols]),
+                                  _decay(half, t2[cols]), seq)
     return out
+
+
+def _decay(half, t) -> np.ndarray:
+    """e^(-half/t), a complex t by Smith's x (1 - iq) = -half/t: a complex
+    step's real part then rounds as a real t's, unlike numpy's / and exp."""
+    if not np.iscomplexobj(t):
+        return np.exp(-half / t)
+    x = -half / (t.real + t.imag * (q := t.imag / t.real))
+    return np.exp(x) * np.exp(-1j * x * q)
 
 
 def _echo_loop(m, eta, e1, e2, seq) -> np.ndarray:
     """The (T, cols) echoes of one column block: seq's excitation at eta,
-    then one `advance_echo` per pulse m[:, i] with the turns of seq's
-    `_frames`, each echo read back in the lab frame."""
-    t, (_, turns, readout, _) = m.shape[1], _frames(seq)
+    then one `advance_echo` per pulse m[:, i] with the turns and mirror of
+    seq's `_frames`, each echo read back in the lab frame."""
+    t, (_, turns, readout, excite) = m.shape[1], _frames(seq)
+    mirror = np.copy if isinstance(excite, float) else np.conj
     block = EpgState.excited(required_max_order(t), seq, eta, e2.shape)
     out = np.empty((t, *e2.shape), block.z.dtype)
     for i in range(t):
         n = max(min(i + 1, t - i), 2) + 1  # see required_max_order
         live = EpgState(block.fplus[:n], block.fminus[:n], block.z[:n])
-        advance_echo(live, m[:, i], e1, e2, turns[i])
+        advance_echo(live, m[:, i], e1, e2, turns[i], mirror)
         out[i] = live.fplus[0]
     if readout is not None:   # real arithmetic: numpy's complex products
         (c, s), re, im = np.array(readout)[..., None], out.real, out.imag

@@ -51,6 +51,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'basis'" in err and field in err
 
+    def test_crlb_names_a_complex_frame(self, tmp_path, capsys):
+        # the flip design's sensitivities are complex steps, which need
+        # CPMG phases, so a 0 deg excitation phase fails by name
+        path = str(tmp_path / "cfg.ini")
+        save_config(replace(SMALL, excitation_phase_deg=0.0), path)
+        assert main(["crlb", "--config", path,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "'crlb'" in err and "excitation_phase_deg" in err
+
     def test_success_is_zero(self, tmp_path, cfg_path):
         assert main(["phantom", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0

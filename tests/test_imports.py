@@ -75,7 +75,7 @@ def test_public_parameters_are_counted():
 # Lines in src/spinshuffle/*.py. Raise it only with a reason in CHANGES.md:
 # code that speeds something up or adds a check should delete what it makes
 # redundant.
-SOURCE_LINE_BUDGET = 2961
+SOURCE_LINE_BUDGET = 2960
 
 
 def test_source_line_budget():

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinshuffle import seqopt
+from spinshuffle import seqopt, spinsim
 from spinshuffle.config import PipelineConfig
 from spinshuffle.pipeline import sequence_from_config
 from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
@@ -15,6 +15,7 @@ from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 optimize_flips, train_power)
 from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
                                  simulate_fse, simulate_fse_ensemble)
+from test_spinsim import _cpmg_phased_case
 
 TISSUE = TissueParams(t1=1000.0, t2=100.0)
 
@@ -45,6 +46,13 @@ class TestFisherInfo:
         j = np.stack([base / TISSUE.rho, (fp - fm) / (2 * h)], axis=1)
         oracle = (2.0 / 0.7 ** 2) * (j.conj().T @ j).real
         assert np.max(np.abs(info.matrix - oracle)) / np.max(np.abs(oracle)) < 1e-5
+
+    def test_complex_frames_named(self):
+        # sensitivities are complex steps, which need a real phase frame
+        seq = SequenceParams(flips_deg=(140.0, 90.0, 60.0),
+                             flip_phases_deg=(0.0, 30.0, 75.0))
+        with pytest.raises(ValueError, match="flip_phases_deg"):
+            fisher_info(TISSUE, seq, 1.0)
 
     def test_empty_params_named(self):
         # failed inside np.concatenate
@@ -150,13 +158,79 @@ class TestJacobian:
             assert np.all(np.abs(batch[b] - one) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("params", [("rho", "t2", "t1", "rf_2"),
-                                        ("t2", "eta")])
+                                        ("t2", "eta"), ("rho",)])
     def test_fisher_info_is_one_engine_batch(self, monkeypatch, params):
-        # the base train only with rho, then a +/-h block per parameter
+        # one complex-step block per moved parameter, whose real part is the
+        # train; the base train alone only when rho is the only name
         sizes = count_batches(monkeypatch)
         fisher_info(TISSUE, constant_train(8, 140.0, 10.0), 1.0, params)
-        p = len(params)
-        assert sizes == [1 + 2 * (p - 1) if "rho" in params else 2 * p]
+        assert sizes == [max(len(params) - ("rho" in params), 1)]
+
+    def test_relaxation_columns_match_chebyshev_bank(self):
+        # Tolerance fixed before any timing: 1e-12 relative to each train's
+        # largest entry (the complex step read 2.5e-14, the central
+        # differences it replaced about 4e-9). Echo i is e1^k p_i(r), k =
+        # 2i + 2, r = e2/e1, and the bank holds p_i and p_i' in s = 2r/R - 1
+        rng = np.random.default_rng(11)
+        seq = SequenceParams(flips_deg=tuple(rng.uniform(60.0, 180.0, 32)))
+        t2 = rng.uniform(20.0, 300.0, 6)
+        t1 = t2 + rng.uniform(300.0, 2500.0, 6)
+        j = seqopt._jacobian(t1, t2, 1.0, np.asarray(seq.flips_deg)[:, None],
+                             seq, ("t1", "t2"))
+        e1, k = np.exp(-5.0 / t1), np.arange(2, 65, 2)[:, None]
+        r, big_r = np.exp(-5.0 / t2) / e1, spinsim._R_MAX
+        bank = spinsim._chebyshev_bank(seq, big_r)
+        p, dp = (spinsim._chebyshev_sum(c, r, big_r) for c in bank[:2])
+        dp *= 2 / big_r
+        exact = {"t1": e1 ** k * 5.0 / t1 ** 2 * (k * p - r * dp),
+                 "t2": e1 ** k * dp * r * 5.0 / t2 ** 2}
+        for col, name in enumerate(("t1", "t2")):
+            err = np.abs(j[:, col] - exact[name].T).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(exact[name]).max(axis=0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cpmg_phased_case())
+@example((SequenceParams(flips_deg=(90.0, 0.0, 180.0, 90.0, 89.9999, 60.0),
+                         flip_phases_deg=(0.0, 180.0, -180.0, 0.0, 180.0, 0.0),
+                         excitation_deg=70.0), 3))
+def test_complex_step_matches_richardson_oracle(case):
+    # Tolerance fixed before any timing: 1e-10 absolute on unit-density
+    # trains, per unit of eta, per degree of flip and per relative change
+    # of t1 and t2. Over 300 draws the complex step read at most 1.3e-11
+    # and the central differences it replaced 2.9e-6 (eta). The oracle
+    # combines central differences at h and h/2: h = 1e-3 of t1 and t2,
+    # 1e-4 of eta, 1e-2 deg of a flip. Flips over 0-180 deg reach apply_rf's
+    # swap and `_pulses`' c2 < s2 choice on complex values; the example
+    # holds flips at 0, 90 and 180 deg
+    seq, seed = case
+    t = seq.n_echoes
+    rng = np.random.default_rng(seed)
+    t2 = rng.uniform(5.0, 400.0)
+    t1, eta = t2 + rng.uniform(0.0, 3000.0), rng.uniform(0.5, 1.3)
+    names = ("rho", "t1", "t2", "eta") + tuple(f"rf_{i}" for i in
+                                              range(1, t + 1))
+    j = seqopt._jacobian(t1, t2, eta, np.asarray(seq.flips_deg)[:, None],
+                         seq, names)[0]
+    base = simulate_fse_ensemble(t1, t2, seq, eta=eta)[:, 0]
+    assert np.array_equal(j[0], base)
+    x0 = np.array([t1, t2, eta, *seq.flips_deg])
+    # every block's real part is the run at x to O(h^2), not only the one
+    # rho reads; at a 0 deg flip that needs the swap read off cos a, as w/2
+    # = -sin^2(a/2) is +h^2/4 there
+    steps = x0[:, None] + 1e-30j * np.eye(3 + t)
+    sig = simulate_fse_ensemble(steps[0], steps[1], seq, eta=steps[2],
+                                flips_deg=steps[3:])
+    assert np.max(np.abs(sig.real - base.real[:, None])) <= 1e-50
+    h = np.concatenate([1e-3 * x0[:2], [1e-4], np.full(t, 1e-2)])
+    x = (x0[:, None, None] + np.eye(3 + t)[:, :, None] * h[:, None, None]
+         * np.array([1.0, 0.5, -0.5, -1.0])).reshape(3 + t, -1)
+    f = simulate_fse_ensemble(x[0], x[1], seq, eta=x[2],
+                              flips_deg=x[3:]).reshape(t, 3 + t, 4)
+    oracle = (4 * (f[..., 1] - f[..., 2]) / h
+              - (f[..., 0] - f[..., 3]) / (2 * h)) / 3
+    scale = np.concatenate([x0[:2], np.ones(1 + t)])[:, None]
+    assert np.max(np.abs(j[1:] - oracle.T) * scale) <= 1e-10
 
 
 class TestCrlb:
@@ -341,7 +415,7 @@ class TestBatchedDesign:
     def test_sweep_is_one_batch(self, monkeypatch):
         sizes = count_batches(monkeypatch)
         crlb_t2_sweep(np.full(32, 120.0), self.seq, np.geomspace(20, 400, 64))
-        assert sizes == [128]
+        assert sizes == [64]
 
     def test_one_fused_batch_per_trial(self, monkeypatch):
         sizes = count_batches(monkeypatch)
@@ -356,9 +430,9 @@ class TestBatchedDesign:
         monkeypatch.setattr(seqopt, "_information", recorded)
         opt = optimize_flips(TISSUE, self.seq, self.budget, max_iters=60)
         iters = len(opt.objective_trace) - 1
-        # every call is one trial schedule plus its 2T +/-h neighbours, each
-        # a +/-dT2 column pair: the start, then one per trial step
-        assert set(sizes) == {2 * (2 * 32 + 1)}
+        # every call is one trial schedule plus its 2T +/-h flip neighbours,
+        # each one complex-step T2 column: the start, then one per trial step
+        assert set(sizes) == {2 * 32 + 1}
         # replaying the trial values: a trial is kept iff it beats the best
         kept, rejected = [values[0]], 0
         for v in values[1:]:
@@ -418,8 +492,9 @@ class TestMinmaxGridSearch:
         tissues = [TissueParams(t1=1000, t2=v) for v in (50.0, 100.0, 200.0)]
         cands = [np.full(16, f) for f in (90.0, 120.0, 150.0, 180.0)]
         minmax_grid_search(tissues, cands, self.seq, params=("rho", "t2"))
-        # the base trains, then the +/-dT2 block, of the three tissues
-        assert sizes == [3 * 3] * 4
+        # the complex-step T2 block of the three tissues, whose real part
+        # is the base trains
+        assert sizes == [3] * 4
 
     def test_empty_inputs(self):
         with pytest.raises(ValueError):

@@ -235,6 +235,18 @@ class TestSimulateFse:
         out = simulate_fse_ensemble([np.inf], [np.inf], cpmg32)
         assert np.allclose(out, 1.0, atol=1e-12)
 
+    def test_complex_t2_is_a_complex_step(self, ramp16):
+        # one complex input makes the whole batch complex, the state too
+        # though eta, and so the excitation, is real. The real part is the
+        # real run, Im / h the exact dm/dT2 of the relaxation polynomials
+        # to 1e-12 relative
+        t1, t2 = np.full(3, 1000.0), np.array([40.0, 80.0, 160.0])
+        out = simulate_fse_ensemble(t1, t2 + 1e-30j, ramp16)
+        assert np.array_equal(out.real, simulate_fse_ensemble(t1, t2, ramp16))
+        exact = spinsim._relaxation_model(ramp16, 1000.0, 1000.0)(t2)[1] / t2
+        err = np.abs(out.imag / 1e-30 - exact).max(axis=0)
+        assert np.all(err <= 1e-12 * np.abs(exact).max(axis=0))
+
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_eta(self, ramp16, eta):
         with pytest.raises(ValueError, match="eta"):
