@@ -103,10 +103,9 @@ def _cmd_crlb(cfg: PipelineConfig) -> None:
     grid = np.arange(40.0, 301.0, 10.0)
     sweep_const = crlb_t2_sweep(const, seq, grid, sigma=cfg.noise_sigma)
     sweep_opt = crlb_t2_sweep(opt.flips_deg, seq, grid, sigma=cfg.noise_sigma)
-    write_csv(os.path.join(out, "flips_constant.csv"),
-              ("echo", "flip_deg"), list(enumerate(const, 1)))
-    write_csv(os.path.join(out, "flips_optimized.csv"),
-              ("echo", "flip_deg"), list(enumerate(opt.flips_deg, 1)))
+    for name, flips in (("constant", const), ("optimized", opt.flips_deg)):
+        write_csv(os.path.join(out, f"flips_{name}.csv"),
+                  ("echo", "flip_deg"), list(enumerate(flips, 1)))
     write_csv(os.path.join(out, "crlb_sweep.csv"),
               ("t2_ms", "bound_constant", "bound_optimized"),
               list(zip(grid, sweep_const, sweep_opt)))

@@ -39,8 +39,6 @@ class SamplingMasks:
 
     def __post_init__(self):
         m = np.asarray(self.masks, bool)
-        if m.ndim == 2:
-            m = m[None]
         if m.ndim != 3:
             raise ValueError("masks must be a (T, nx, ny) array")
         object.__setattr__(self, "masks", m)
@@ -66,8 +64,6 @@ class SensitivityMaps:
 
     def __post_init__(self):
         m = np.asarray(self.maps, complex)
-        if m.ndim == 2:
-            m = m[None]
         if m.ndim != 3:
             raise ValueError("maps must be a (C, nx, ny) array")
         object.__setattr__(self, "maps", m)
@@ -210,13 +206,8 @@ def apply_normal_kernel(enc: Encoder, kernel: NormalKernel,
 
 
 def materialize_forward(enc: Encoder) -> np.ndarray:
-    """Dense matrix of the forward operator (small grids only)."""
-    shape = enc.domain_shape
-    n = int(np.prod(shape))
-    cols = []
-    e = np.zeros(n, complex)
-    for idx in range(n):
-        e[:] = 0
-        e[idx] = 1.0
-        cols.append(apply_forward(enc, e.reshape(shape)))
-    return np.stack(cols, axis=1)
+    """Dense matrix of the forward operator (small grids only): column j is
+    the image of the j-th unit vector of the flattened domain."""
+    units = np.eye(np.prod(enc.domain_shape, dtype=int), dtype=complex)
+    return np.stack([apply_forward(enc, e.reshape(enc.domain_shape))
+                     for e in units], axis=1)

@@ -85,18 +85,30 @@ def _match(cols, dictionary: Dictionary, basis: SubspaceBasis | None = None):
     atoms a = Phi^H atom. The best atom maximizes |a^H s| (ties go to the
     lowest index); its model ||m|| a then gives the least-squares density
     a^H s / (||m|| ||a||^2) and residual (||s||^2 - |a^H s|^2 / ||a||^2) / 2.
-    Scores are voxel-major (256 x atoms) blocks: no atoms x n matrix is held.
+    Scores are (256 voxels x atoms) blocks, no atoms x n matrix: |a^H s| of
+    a complex product, or given a basis |a^H s|^2 as a real GEMM of moments.
     """
     atoms = dictionary.atoms
     if basis is not None:
         atoms = basis.phi_k.conj().T @ atoms
     if cols.shape[0] != atoms.shape[0]:
         raise ValueError("signal length does not match the dictionary")
-    conj = atoms.conj()
-    best = np.concatenate([np.abs(cols[:, lo:lo + 256].T @ conj).argmax(1)
+    lhs, rhs, score = (cols, atoms.conj(), np.abs) if basis is None else (
+        _moments(cols), _moments(atoms, 2), np.asarray)
+    best = np.concatenate([score(lhs[:, lo:lo + 256].T @ rhs).argmax(1)
                            for lo in range(0, cols.shape[1], 256)])
     resid, rho = _varpro_cost(atoms[:, best] * dictionary.norms[best], cols)
     return rho, dictionary.t2[best], resid
+
+
+def _moments(x, cross=1):
+    """(K^2, n) real moments of (K, n) columns: |x_i|^2, then cross Re and Im
+    of x_i conj(x_j), i < j. As |a^H s|^2 = sum_i |a_i s_i|^2 + 2 sum_(i<j)
+    Re(conj(a_i) a_j s_i conj(s_j)), it is moments(s) . moments(a, 2), with
+    K^2 terms (T^2 without a basis would outweigh the complex product)."""
+    i, j = np.triu_indices(len(x), 1)
+    pairs = x[i] * x[j].conj() * cross
+    return np.concatenate([np.abs(x) ** 2, pairs.real, pairs.imag])
 
 
 def _fit_one(signal, fit) -> FitResult:

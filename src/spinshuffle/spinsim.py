@@ -61,7 +61,7 @@ class TissueParams:
 def check_tissues(t1, t2) -> tuple:
     """A batch of tissues as float arrays (t1, t2) in ms, with the checks a
     `TissueParams` makes of one: both times positive and t2 <= t1."""
-    t1, t2 = np.asarray(t1, float), np.asarray(t2, float)
+    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
     if t1.shape != t2.shape or t1.size == 0:
         raise ValueError("t1 and t2 must be nonempty and of one shape")
     if not (np.all(t1 > 0) and np.all(t2 > 0)):
@@ -421,30 +421,28 @@ def _relaxation_model(seq: SequenceParams, t1_ms: float, t2_max_ms: float,
 
 def _shared_pulse_blocks(t1, t2, seq: SequenceParams):
     """`simulate_fse_ensemble(t1, t2, seq)` as (cols, (T, b) block) pairs of
-    _POLY_BLOCK columns of relaxation polynomials with a per-column e1^(2i+2),
-    within about 1e-13 of the engine. At most P = 2T + 1 columns, or all
-    with r outside [0, _R_MAX], are one engine block; else such columns take
-    the engine in their block, so no column's path depends on another's."""
-    t1, t2 = (np.atleast_1d(np.asarray(x, float)) for x in (t1, t2))
-    t, half = seq.n_echoes, seq.echo_spacing_ms / 2
+    _POLY_BLOCK columns of relaxation polynomials times e1^(2i+2), float64
+    for a real bank (CPMG phases), within about 1e-13 of the engine. Columns
+    with r outside [0, _R_MAX], and all of a batch of at most P = 2T + 1,
+    take the engine in their block: no column's path depends on another's."""
+    half = seq.echo_spacing_ms / 2
     with np.errstate(all="ignore"):
         e1 = np.exp(-half / t1)
         r = np.exp(-half / t2) / e1
     rest = ~((t1 > 0) & (t2 > 0) & (r <= _R_MAX))   # NaN r included
-    if t1.size <= 2 * t + 1 or np.all(rest):
-        yield slice(None), simulate_fse_ensemble(t1, t2, seq)
-        return
+    rest |= t1.size <= 2 * seq.n_echoes + 1
     r, e1 = np.where(rest, 0.0, r), np.where(rest, 0.0, e1)
     coef = _chebyshev_bank(seq, _R_MAX)[0]
     for lo in range(0, t1.size, _POLY_BLOCK):
         cols = slice(lo, lo + _POLY_BLOCK)
-        vals = _chebyshev_sum(coef, r[cols], _R_MAX)
-        block = np.zeros(vals.shape, complex)   # real sums fill its real part
-        np.multiply(vals, e1[cols] ** np.arange(2, 2 * t + 1, 2)[:, None],
-                    out=block if vals.dtype.kind == "c" else block.real)
+        block = _chebyshev_sum(coef, r[cols], _R_MAX)
+        power = step = e1[cols] ** 2
+        for row in block:   # e1^(2i+2) as a running product
+            row *= power
+            power = power * step
         if np.any(far := rest[cols]):
-            block[:, far] = simulate_fse_ensemble(t1[cols][far],
-                                                  t2[cols][far], seq)
+            echoes = simulate_fse_ensemble(t1[cols][far], t2[cols][far], seq)
+            block[:, far] = echoes if block.dtype.kind == "c" else echoes.real
         yield cols, block
 
 
@@ -492,9 +490,7 @@ def bloch_isochromat_train(tissue: TissueParams, seq: SequenceParams,
         mm[2] = mm[2] * e1h + (1.0 - e1h)
 
     def dephase(mm):
-        mx = cs * mm[0] - sn * mm[1]
-        my = sn * mm[0] + cs * mm[1]
-        mm[0], mm[1] = mx, my
+        mm[0], mm[1] = cs * mm[0] - sn * mm[1], sn * mm[0] + cs * mm[1]
 
     m = _axis_rotation(tissue.eta * seq.excitation_deg,
                        seq.excitation_phase_deg) @ m

@@ -17,7 +17,6 @@ from .spinsim import (_POLY_BLOCK, SequenceParams, _shared_pulse_ensemble,
 
 DEFAULT_T1_RANGE_MS = (500.0, 3000.0)
 DEFAULT_T2_RANGE_MS = (20.0, 400.0)
-DEFAULT_ENSEMBLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,9 @@ class SubspaceBasis:
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    # Make the first significantly nonzero entry of each column real-positive
-    # so repeated SVDs of the same data are bit-identical.
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            u[:, j] = col * np.conj(pivot / abs(pivot))
-    return u
+    # Complex U, each column turned so its first significant entry is real > 0
+    pivot = u[np.argmax(np.abs(u) > 1e-12, axis=0), range(u.shape[1])] + 0j
+    return u * np.conj(pivot / abs(pivot))
 
 
 def compute_basis(x: np.ndarray, k: int) -> SubspaceBasis:
@@ -111,17 +103,27 @@ def _basis_from_blocks(blocks, shape, k: int) -> SubspaceBasis:
     """`compute_basis` of the (T, L) ensemble its column blocks make, read
     in 4096-column views: U is from the small R^H of X = R^H Q^H, R the QR
     of the views' stacked R factors (one view: its own R); other Rs differ
-    by a unitary diagonal, which U does not see."""
+    by a unitary diagonal, which U does not see. A view with no imaginary
+    part is factored as its real part: with whole 256-column panels, by one
+    batched QR of its panels and one of their Rs (complex panels are slow)."""
     t, l = shape
     if not 1 <= k <= min(t, l):
         raise ValueError(f"k={k} out of range for a {t}x{l} ensemble")
-    r = np.vstack([np.linalg.qr(b[:, j:j + _POLY_BLOCK].T, mode="r")
+    r = np.vstack([_view_r(b[:, j:j + _POLY_BLOCK])
                    for b in blocks for j in range(0, b.shape[1], _POLY_BLOCK)])
     if not np.all(np.isfinite(r)):
         raise ValueError("ensemble is not finite")
     r = np.linalg.qr(r, mode="r") if l > _POLY_BLOCK else r
     u, s, _ = np.linalg.svd(r.T, full_matrices=False)
     return SubspaceBasis(phi_k=_fix_column_signs(u[:, :k]), singular_values=s)
+
+
+def _view_r(v: np.ndarray) -> np.ndarray:
+    v = v.real if np.iscomplexobj(v) and not v.imag.any() else v
+    if np.iscomplexobj(v) or v.shape[1] % 256:
+        return np.linalg.qr(v.T, mode="r")
+    r = np.linalg.qr(v.reshape(len(v), -1, 256).transpose(1, 2, 0), mode="r")
+    return np.linalg.qr(r.reshape(-1, len(v)), mode="r")
 
 
 def projection_error(x: np.ndarray, basis: SubspaceBasis,

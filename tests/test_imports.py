@@ -2,7 +2,7 @@
 module, every top-level definition and method is reached from code that
 runs, the package exports exactly the pinned public API with a pinned
 total of parameters, the flip design runs without loading scipy.optimize or
-numpy.ma, and a pipeline run does not load scipy.fft.
+numpy.ma, and a pipeline run loads no scipy module.
 
 `__init__.py` is exempt from the first two checks: its imports are the
 package's public re-exports, and a re-export alone does not make a
@@ -16,6 +16,8 @@ import pathlib
 import subprocess
 import sys
 import types
+
+import pytest
 
 import spinshuffle
 
@@ -209,18 +211,25 @@ def _run_fresh(script):
     return out.stdout.strip()
 
 
-def test_pipeline_loads_no_scipy_fft(tmp_path):
-    # importing scipy.fft costs 0.3-0.4 s in a fresh interpreter, which
-    # would land in the benchmark's set-up time
+@pytest.mark.parametrize("fields", [
+    {},
+    # CG, a dictionary fit and an ensemble of 1024 > 2T + 1 columns: real
+    # polynomial blocks, 256-column QR panels and moment-form scores
+    dict(solver="cg", fit_method="dictionary", ensemble_size=1024)],
+    ids=("default", "cg-dictionary"))
+def test_pipeline_loads_no_scipy(tmp_path, fields):
+    # importing scipy.fft alone costs 0.3-0.4 s in a fresh interpreter,
+    # which would land in the benchmark's set-up time
+    cfg = dict(nx=16, ny=16, n_echoes=4, ensemble_size=16, subspace_k=2,
+               max_iters=3, accel=2.0, output_dir=str(tmp_path)) | fields
     script = (
         "import sys\n"
         "import spinshuffle\n"
         "from spinshuffle.config import PipelineConfig\n"
-        "spinshuffle.run_pipeline(PipelineConfig(\n"
-        "    nx=16, ny=16, n_echoes=4, ensemble_size=16, subspace_k=2,\n"
-        f"    max_iters=3, accel=2.0, output_dir={str(tmp_path)!r}))\n"
-        "print('scipy.fft' in sys.modules)\n")
-    assert _run_fresh(script) == "False"
+        f"spinshuffle.run_pipeline(PipelineConfig(**{cfg!r}))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy'))\n")
+    assert _run_fresh(script) == "[]"
 
 
 def test_flip_design_loads_no_heavy_modules():

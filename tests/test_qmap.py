@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshuffle import qmap
 from spinshuffle.qmap import (Dictionary, build_dictionary, dictionary_match,
@@ -11,8 +13,8 @@ from spinshuffle import spinsim
 from spinshuffle.qmap import DEFAULT_T2_BOUNDS_MS, _fit_columns, _varpro_cost
 from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
                                  simulate_fse, simulate_fse_ensemble)
-from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
-                                  sample_prior)
+from spinshuffle.subspace import (SubspaceBasis, TissuePrior, build_ensemble,
+                                  compute_basis, sample_prior)
 
 T = 32
 SEQ = constant_train(T, 180.0, 10.0)
@@ -263,6 +265,19 @@ class TestDictionaryMatch:
         assert t2[0] == 100.0
         assert abs(rho[0] - 1.0) < 1e-3
 
+    def test_compressed_tie_goes_to_lowest_index(self, ensemble):
+        # duplicated compressed atoms score alike in the moment form too, in
+        # every 256-voxel block
+        basis = compute_basis(ensemble, 3)
+        atom = engine(80.0)[:, 0] / np.linalg.norm(engine(80.0))
+        dup = Dictionary(atoms=np.stack([atom, atom], axis=1),
+                         t2=np.array([80.0, 999.0]), norms=np.ones(2))
+        rng = np.random.default_rng(10)
+        alpha = np.outer(basis.phi_k.conj().T @ atom,
+                         rng.standard_normal(300)
+                         + 1j * rng.standard_normal(300))
+        assert np.all(qmap._match(alpha, dup, basis)[1] == 80.0)
+
     def test_noisy_monte_carlo_within_one_step(self, dictionary,
                                                clean_signal):
         rng = np.random.default_rng(77)
@@ -273,6 +288,29 @@ class TestDictionaryMatch:
             res = dictionary_match(noisy, dictionary)
             hits += abs(res.t2 - 100.0) <= 5.0
         assert hits >= 95
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_scores_pick_the_best_atom(k, seed):
+    # with a basis the scores are |a^H s|^2 from K^2 moments; the chosen
+    # atom's |a^H s| is within 1e-12 relative of the brute-force maximum
+    # (fixed beforehand), over 1-199 atoms and 1-599 voxels (some blocks of
+    # 256) with magnitudes spread over 1e-3..1e3
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(1, 200)), int(rng.integers(1, 600))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phi, _ = np.linalg.qr(gauss(8, k))
+    atoms = gauss(8, d)
+    dictionary = Dictionary(atoms=atoms / np.linalg.norm(atoms, axis=0),
+                            t2=np.arange(d, dtype=float), norms=np.ones(d))
+    coeffs = gauss(k, n) * 10.0 ** rng.uniform(-3, 3, n)
+    _, t2, _ = qmap._match(coeffs, dictionary, SubspaceBasis(phi, np.ones(k)))
+    scores = np.abs((phi.conj().T @ dictionary.atoms).conj().T @ coeffs)
+    chosen = scores[t2.astype(int), np.arange(n)]
+    assert np.all(chosen >= (1 - 1e-12) * scores.max(axis=0))
 
 
 class TestFitMap:
@@ -485,17 +523,20 @@ class TestFitMap:
 
     def test_dictionary_holds_no_atoms_by_voxels_matrix(self, ensemble):
         # 1024 atoms against 48 x 48 voxels: the scores alone would be
-        # 1024 * 2304 * 16 B = 37.7 MB, their modulus 18.9 MB
+        # 1024 * 2304 * 16 B = 37.7 MB, their modulus 18.9 MB; with a K = 3
+        # basis the real moment-form scores would be 18.9 MB
         rng = np.random.default_rng(8)
-        stack = (rng.standard_normal((T, 48, 48))
-                 + 1j * rng.standard_normal((T, 48, 48)))
-        tracemalloc.start()
-        try:
-            fit_map(stack, SEQ, method="dictionary")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024 * 48 * 48 * 8
+        for basis in (None, compute_basis(ensemble, 3)):
+            lead = T if basis is None else basis.k
+            stack = (rng.standard_normal((lead, 48, 48))
+                     + 1j * rng.standard_normal((lead, 48, 48)))
+            tracemalloc.start()
+            try:
+                fit_map(stack, SEQ, basis=basis, method="dictionary")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024 * 48 * 48 * 8
 
     def test_grid_scores_held_one_block_at_a_time(self, ensemble):
         # 400 grid T2 against 64 x 64 voxels (K = 3): the whole score matrix

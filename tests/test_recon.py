@@ -377,16 +377,17 @@ def _textbook_fista(enc, y, transform, lam, iters):
         c = np.where(mag > lam * step,
                      c * (mag - lam * step) / np.where(mag > 0, mag, 1.0), 0)
         x = transform.adjoint(c)
-        return x, (0.5 * np.vdot(x, normal(x) - 2 * aty).real + half_yy
-                   + lam * np.abs(c).sum())
+        terms = (0.5 * np.vdot(x, normal(x)).real, -np.vdot(x, aty).real,
+                 half_yy, lam * np.abs(c).sum())
+        return x, sum(terms), sum(map(abs, terms))
 
     x = z = np.zeros(enc.domain_shape, complex)
     t, trace, restarts = 1.0, [half_yy], 0
     for _ in range(iters):
-        x_new, f = prox_step(z)
-        if f > trace[-1] + 1e-14 * max(1.0, abs(trace[-1])):
+        x_new, f, scale = prox_step(z)
+        if f > trace[-1] + 1e-14 * scale:   # the rounding of f's terms
             t, restarts = 1.0, restarts + 1
-            x_new, f = prox_step(x)
+            x_new, f, _ = prox_step(x)
         t_next = 0.5 * (1 + np.sqrt(1 + 4 * t * t))
         z = x_new + (t - 1) / t_next * (x_new - x)
         x, t = x_new, t_next
@@ -435,3 +436,36 @@ def test_fista_matches_textbook_oracle(basis, monkeypatch):
                           / np.abs(trace)) < 1e-10, case
             restarts.append(oracle_restarts)
     assert sum(restarts) > 0
+
+
+@pytest.mark.parametrize("regularizer, transform",
+                         [("l1-wavelet", HaarTransform(levels=3)),
+                          ("l1-identity", IdentityTransform())],
+                         ids=("l1-wavelet", "l1-identity"))
+def test_no_restart_on_rounding_noise(basis, monkeypatch, regularizer,
+                                      transform):
+    # Near stationarity the objective's terms (0.5 Re<x, N x>, Re<x, A^H y>,
+    # 0.5||y||^2, lam ||T x||_1) reach about 300x its value, so a slack of
+    # 1e-14 |f| let their rounding restart the momentum: with a basis, 90 %
+    # Bernoulli masks and 50 iterations the loop restarted 6 times and the
+    # oracle 3, its images 3e-9 apart. Bounds as in the oracle test above.
+    masks = SamplingMasks(np.random.default_rng(2).random((T, *DIMS)) < 0.9)
+    enc = Encoder(masks, None, basis)
+    data = np.random.default_rng(1)
+    x_true = (data.standard_normal(enc.domain_shape)
+              + 1j * data.standard_normal(enc.domain_shape))
+    y = apply_forward(enc, x_true)
+    y += 0.1 * (data.standard_normal(y.shape)
+                + 1j * data.standard_normal(y.shape))
+    soft, steps = recon._soft, []
+
+    def counted(*args):
+        steps.append(1)
+        return soft(*args)
+    monkeypatch.setattr(recon, "_soft", counted)
+    res = fista_solve(enc, y, regularizer,
+                      SolverConfig(max_iters=50, tolerance=1e-300, lam=1e-3))
+    x, trace, oracle_restarts = _textbook_fista(enc, y, transform, 1e-3, 50)
+    assert len(steps) - 50 == oracle_restarts == 3
+    assert _rel(res.images, x) < 1e-12
+    assert np.max(np.abs(res.objective_trace - trace) / np.abs(trace)) < 1e-10

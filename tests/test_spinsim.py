@@ -643,6 +643,23 @@ class TestRelaxationPolynomials:
             assert sizes == [b]
             assert np.array_equal(out, expected[:, :b])
 
+    def test_blocks_are_real_for_cpmg_phases(self):
+        # a CPMG-phased bank is real and so are its blocks, columns outside
+        # the interval included (the engine's echoes, whose imaginary part
+        # is zero); other phases give complex blocks
+        rng = np.random.default_rng(23)
+        t1, t2, turned, _ = _random_batch(rng, 8, spinsim._POLY_BLOCK + 40)
+        t1[::7], t2[::7] = 60.0, 1000.0
+        cpmg = SequenceParams(flips_deg=turned.flips_deg,
+                              echo_spacing_ms=turned.echo_spacing_ms)
+        for seq, kind in ((cpmg, "f"), (turned, "c")):
+            blocks = [b for _, b in spinsim._shared_pulse_blocks(t1, t2, seq)]
+            assert [b.dtype.kind for b in blocks] == [kind, kind]
+            fast = np.hstack(blocks)
+            expected = simulate_fse_ensemble(t1, t2, seq)
+            assert np.array_equal(fast[:, ::7], expected[:, ::7])
+            assert np.max(np.abs(fast - expected)) < 1e-12
+
     def test_invalid_columns_raise(self):
         t2 = np.linspace(20.0, 200.0, 40)
         for bad in (np.nan, 0.0, -5.0):

@@ -84,6 +84,17 @@ class TestBuildEnsemble:
                 with pytest.raises(ValueError):
                     builder(bad, seq)
 
+    def test_scalar_tissue_is_one_column(self):
+        # check_tissues makes a scalar pair a batch of one; a one-atom
+        # dictionary from scalars failed with "one T2 per atom"
+        seq = constant_train(8, 150.0, 10.0)
+        assert np.array_equal(build_ensemble((1000.0, 90.0), seq),
+                              build_ensemble(([1000.0], [90.0]), seq))
+        one = build_dictionary((1000.0, 90.0), seq)
+        assert np.array_equal(one.atoms,
+                              build_dictionary(([1000.0], [90.0]), seq).atoms)
+        assert one.t2.shape == (1,)
+
 
 class TestComputeBasis:
     def test_rank_one_single_component(self):
@@ -151,6 +162,32 @@ class TestComputeBasis:
         u, s_ref, _ = np.linalg.svd(data, full_matrices=False)
         assert np.allclose(basis.singular_values, s_ref, rtol=1e-12, atol=0)
         assert np.max(np.abs(basis.phi_k - _fix_column_signs(u))) < 1e-12
+
+    @pytest.mark.parametrize("l", [65536, 4096 + 300, 1000])
+    def test_real_ensemble_matches_full_svd(self, l):
+        # Tolerances fixed before any timing: singular values within
+        # 1e-13 sigma_1 and the basis within 1e-12 of LAPACK's SVD, for real
+        # ensembles with a geometric spectrum over 2^11 read as 256-column
+        # panels (whole views) and as whole real views (short ones)
+        rng = np.random.default_rng(l)
+        q_t, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        q_l, _ = np.linalg.qr(rng.standard_normal((l, 32)))
+        data = (q_t * 2.0 ** -np.linspace(0, 11, 32)) @ q_l.T
+        basis = compute_basis(data, 32)
+        u, s, _ = np.linalg.svd(data, full_matrices=False)
+        assert np.max(np.abs(basis.singular_values - s)) <= 1e-13 * s[0]
+        assert np.max(np.abs(basis.phi_k - _fix_column_signs(u))) < 1e-12
+
+    def test_real_ensemble_is_its_complex_copy(self):
+        # a complex view with no imaginary part is factored as its real part
+        # (the basis stage's float64 blocks are a complex ensemble's parts)
+        tissues = sample_prior(TissuePrior(seed=6), 4096 + 300)
+        ensemble = build_ensemble(tissues, constant_train(32, 150.0, 10.0))
+        assert ensemble.dtype == complex and not np.any(ensemble.imag)
+        real = compute_basis(ensemble.real, 4)
+        copy = compute_basis(ensemble, 4)
+        assert np.array_equal(real.phi_k, copy.phi_k)
+        assert np.array_equal(real.singular_values, copy.singular_values)
 
     @pytest.mark.parametrize("l", [300, 4096])
     def test_one_block_is_the_one_shot_factor(self, l):
