@@ -169,9 +169,9 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
     Each trial point costs one batch: the schedule and its 2T flip offsets by
     +/-1e-3 rad give the value and a central-difference gradient of exact T2
     sensitivities. The first step goes 1 rad along the normalized gradient.
-    Later steps follow the L-BFGS direction (memory 8) built from the
-    gradient's feasible part: zero at the bounds it pushes against and, while
-    the power cap is met with equality, orthogonal to the schedule. A trial is
+    Later steps follow the L-BFGS direction (memory T, one pair per flip)
+    built from the gradient's feasible part: zero at the bounds it pushes
+    against and, on the power sphere, orthogonal to the schedule. A trial is
     the projection of the step onto the feasible set and is accepted only if
     it strictly raises the objective; otherwise the step shrinks by quadratic
     interpolation (to between a tenth and a half), and when 12 trials fail the
@@ -273,7 +273,7 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
         s = cand - flips
         y = pgrad - proj @ (cand_grad - mult * s)
         if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs = (pairs + [(s, y)])[-8:]
+            pairs = (pairs + [(s, y)])[-t:]
         small = small + 1 if value - current <= 1e-6 * abs(current) else 0
         flips, current, grad = cand, value, cand_grad
         trace.append(current)

@@ -2,7 +2,8 @@
 module, every top-level definition and method is reached from code that
 runs, the package exports exactly the pinned public API with a pinned
 total of parameters, the flip design runs without loading scipy.optimize or
-numpy.ma, and a pipeline run loads no scipy module.
+numpy.ma, a pipeline run loads no scipy module, and `import spinshuffle`
+loads nothing but numpy and the standard library.
 
 `__init__.py` is exempt from the first two checks: its imports are the
 package's public re-exports, and a re-export alone does not make a
@@ -209,6 +210,19 @@ def _run_fresh(script):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return out.stdout.strip()
+
+
+def test_import_loads_only_numpy_and_stdlib():
+    # the benchmark's set-up time is this import; a third-party module
+    # would land in it on every workload
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import spinshuffle\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names)\n"
+        "             - {'numpy', 'spinshuffle'}))\n")
+    assert _run_fresh(script) == "[]"
 
 
 @pytest.mark.parametrize("fields", [

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from spinshuffle import seqopt, spinsim
 from spinshuffle.config import PipelineConfig
+from spinshuffle.phantom import add_noise
 from spinshuffle.pipeline import sequence_from_config
+from spinshuffle.qmap import fit_map
 from spinshuffle.seqopt import (NonIdentifiableError, PowerBudget, crlb,
                                 crlb_t2_sweep, design_asymptotic_flips,
                                 fisher_info, minmax_grid_search, optimal_te,
                                 optimize_flips, train_power)
 from spinshuffle.spinsim import (SequenceParams, TissueParams, constant_train,
                                  simulate_fse, simulate_fse_ensemble)
+from spinshuffle.subspace import (TissuePrior, build_ensemble, compute_basis,
+                                  sample_prior)
 from test_spinsim import _cpmg_phased_case
 
 TISSUE = TissueParams(t1=1000.0, t2=100.0)
@@ -385,6 +389,72 @@ class TestFlipConvergence:
                  for d in (grad, along) for k in range(21)]
         best = self._information(np.stack(steps, axis=1)).max()
         assert best <= self._information(x[:, None])[0] * (1 + 1e-6)
+
+
+def test_full_memory_design_in_few_batches(monkeypatch):
+    # memory T keeps the whole curvature history at T = 32; with memory 8
+    # the design took 57 engine batches to reach 2.94171740e-4
+    sizes = count_batches(monkeypatch)
+    cfg = TestFlipConvergence
+    opt = optimize_flips(cfg.tissue, cfg.seq, cfg.budget)
+    assert len(sizes) <= 40
+    assert opt.objective_trace[-1] >= 2.9417174e-4
+
+
+@pytest.mark.parametrize("t2, flip, floor", [
+    (80.0, 120.0, 2.94171740e-4), (40.0, 100.0, 6.16344506e-4),
+    (150.0, 140.0, 1.25863174e-4),
+    # the optimum holds flips at 180 deg, so trials are often rejected
+    (21.0, 150.0, 1.18658054e-3), (22.1, 150.0, 1.12808774e-3)])
+def test_design_objective_at_least_memory_8s(t2, flip, floor):
+    # floors are the final objectives that memory 8 reached
+    opt = optimize_flips(TissueParams(t1=1000.0, t2=t2),
+                         sequence_from_config(PipelineConfig()),
+                         PowerBudget.from_constant_flip(flip, 32),
+                         max_iters=200)
+    assert opt.objective_trace[-1] >= floor
+
+
+class TestCrbAttainment:
+    """The fitted T2 of many noisy copies of one voxel has the variance the
+    Cramer-Rao bound of its model states. Fixed before any run: seed 5,
+    N = 20000 copies, sigma 0.01, T1 1000 / T2 80 ms, and |var/CRLB - 1|
+    <= 0.05; the ratio's sampling spread at this N is sqrt(2/N), 1 %."""
+
+    n, sigma, tissue = 20000, 0.01, TissueParams(t1=1000.0, t2=80.0)
+    seq = sequence_from_config(PipelineConfig())
+
+    def noisy(self, seq):
+        clean = simulate_fse(self.tissue, seq)
+        return add_noise(np.repeat(clean[:, None, None], self.n, axis=1),
+                         self.sigma, 5)
+
+    @pytest.mark.parametrize("designed", [False, True],
+                             ids=("constant-180", "designed-120"))
+    def test_nlls_attains_joint_bound(self, designed):
+        seq = self.seq
+        if designed:
+            seq = seq.with_flips(optimize_flips(
+                self.tissue, seq, PowerBudget.from_constant_flip(120.0, 32)
+            ).flips_deg)
+        maps = fit_map(self.noisy(seq), seq, method="nlls")
+        bound = crlb(fisher_info(self.tissue, seq, self.sigma, ("rho", "t2")),
+                     "t2")
+        assert not maps.failed.any()
+        assert abs(np.var(maps.t2, ddof=1) / bound - 1) <= 0.05
+
+    def test_subspace_attains_compressed_bound(self):
+        # the K = 3 fit sees Phi^H J, not J: the full-data bound is lower
+        basis = compute_basis(build_ensemble(sample_prior(TissuePrior(), 1024),
+                                             self.seq), 3)
+        phi = basis.phi_k
+        alpha = np.einsum("tk,tnm->knm", phi.conj(), self.noisy(self.seq))
+        maps = fit_map(alpha, self.seq, basis=basis, method="subspace")
+        j = phi.conj().T @ jacobian(self.tissue, self.seq, ("rho", "t2"))
+        info = (2 / self.sigma ** 2) * (j.conj().T @ j).real
+        bound = np.linalg.inv(info)[1, 1]
+        assert not maps.failed.any()
+        assert abs(np.var(maps.t2, ddof=1) / bound - 1) <= 0.05
 
 
 class TestBatchedDesign:
