@@ -83,8 +83,7 @@ def _fit_summary(out: str, t2: np.ndarray) -> None:
     """Refuse a fit in which every voxel failed, else summarize it."""
     ok = np.isfinite(t2)
     if not ok.any():
-        raise ValueError(
-            f"every voxel failed the fit ({ok.size} of {ok.size})")
+        raise ValueError(f"every voxel failed the fit ({ok.size} of {ok.size})")
     write_csv(os.path.join(out, "fit_summary.csv"), ("metric", "value"),
               [("fitted_voxels", int(ok.sum())),
                ("failed_voxels", int((~ok).sum())),

@@ -4,7 +4,10 @@ The encoder composes, per echo i and coil j, a sampling operator, a unitary
 centered 2-D FFT, coil sensitivity weighting, and (optionally) a temporal
 basis as a right factor so the unknowns are subspace coefficient images. A
 precomputed per-frequency block kernel lets the normal operator run entirely
-in coefficient space.
+in coefficient space. Beyond the arrays they return, the forward and adjoint
+operators hold one echo's (C, nx, ny) images at a time or, given a basis, the
+(K, C, nx, ny) spectra and a slab of image rows of all T echoes no larger
+than them: never a (T, C, nx, ny) stack. Phi stays one GEMM over T echoes.
 """
 
 from __future__ import annotations
@@ -14,20 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .subspace import SubspaceBasis, back_project
+from .subspace import SubspaceBasis
 
 
 def fft2c(image: np.ndarray) -> np.ndarray:
     """Unitary 2-D FFT with DC at the array center (last two axes)."""
-    shifted = np.fft.ifftshift(image, axes=(-2, -1))
-    k = np.fft.fft2(shifted, axes=(-2, -1), norm="ortho")
+    k = np.fft.fft2(np.fft.ifftshift(image, axes=(-2, -1)), norm="ortho")
     return np.fft.fftshift(k, axes=(-2, -1))
 
 
 def ifft2c(kspace: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2c`."""
-    shifted = np.fft.ifftshift(kspace, axes=(-2, -1))
-    img = np.fft.ifft2(shifted, axes=(-2, -1), norm="ortho")
+    img = np.fft.ifft2(np.fft.ifftshift(kspace, axes=(-2, -1)), norm="ortho")
     return np.fft.fftshift(img, axes=(-2, -1))
 
 
@@ -68,10 +69,6 @@ class SensitivityMaps:
             raise ValueError("maps must be a (C, nx, ny) array")
         object.__setattr__(self, "maps", m)
 
-    @classmethod
-    def uniform(cls, dims) -> "SensitivityMaps":
-        return cls(np.ones((1, *dims), complex))
-
     @property
     def n_coils(self) -> int:
         return self.maps.shape[0]
@@ -90,7 +87,7 @@ class Encoder:
                  maps: SensitivityMaps | None = None,
                  basis: SubspaceBasis | None = None):
         self.masks = masks
-        self.maps = maps if maps is not None else SensitivityMaps.uniform(masks.dims)
+        self.maps = maps or SensitivityMaps(np.ones((1, *masks.dims)))
         if self.maps.maps.shape[1:] != masks.dims:
             raise ValueError("sensitivity maps do not match mask dims")
         if basis is not None and basis.n_echoes != masks.n_echoes:
@@ -123,11 +120,21 @@ class Encoder:
         return self.n_coils == 1 and bool(np.all(self.maps.maps == 1))
 
 
-def _coil_masks(enc: Encoder) -> np.ndarray:
-    # (T, C, nx, ny) view of the echo masks broadcast over coils; boolean
-    # indexing with it reads echo-major, coil-minor, row-major.
-    masks = enc.masks.masks[:, None]
-    return np.broadcast_to(masks, (enc.n_echoes, enc.n_coils, *enc.dims))
+def _parts(enc: Encoder):
+    """(index, sample mask, measurement selector) of each part in turn."""
+    t, c, (nx, ny) = enc.n_echoes, enc.n_coils, enc.dims
+    masks = np.broadcast_to(enc.masks.masks[:, None], (t, c, nx, ny))  # view
+    if enc.basis is None:
+        ends = np.cumsum(masks.sum(axis=(1, 2, 3)))
+        for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            yield i, masks[i], slice(lo, hi)
+        return
+    starts = range(0, nx, step := max(1, enc.basis.k * nx // t))
+    counts = np.add.reduceat(masks.sum(axis=3), starts, axis=2)  # (T, C, -)
+    slab = np.repeat(np.tile(starts, t * c), counts.ravel())
+    for lo in starts:           # slab: the first row of each sample's slab
+        part = np.s_[:, :, lo:lo + step]
+        yield part, masks[part], np.flatnonzero(slab == lo)
 
 
 def apply_forward(enc: Encoder, x: np.ndarray) -> np.ndarray:
@@ -135,22 +142,30 @@ def apply_forward(enc: Encoder, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, complex)
     if x.shape != enc.domain_shape:
         raise ValueError(f"expected domain shape {enc.domain_shape}, got {x.shape}")
-    k = fft2c(enc.maps.maps * x[:, None])                # (K|T, C, nx, ny)
+    y = np.empty(enc.n_measurements, complex)
     if enc.basis is not None:   # Phi mixes echoes: K C FFTs, not T C
-        k = back_project(enc.basis, k)                   # (T, C, nx, ny)
-    return k[_coil_masks(enc)]
+        spectra = fft2c(enc.maps.maps * x[:, None])      # (K, C, nx, ny)
+    for part, mask, sel in _parts(enc):
+        k = (fft2c(enc.maps.maps * x[part]) if enc.basis is None
+             else np.tensordot(enc.basis.phi_k, spectra[part], 1))
+        y[sel] = np.compress(mask.ravel(), k)
+    return y
 
 
 def apply_adjoint(enc: Encoder, y: np.ndarray) -> np.ndarray:
     """Exact adjoint of :func:`apply_forward`."""
-    y = np.asarray(y, complex)
+    y = np.asarray(y, complex).ravel()
     if y.size != enc.n_measurements:
         raise ValueError(f"expected {enc.n_measurements} samples, got {y.size}")
-    k = np.zeros((enc.n_echoes, enc.n_coils, *enc.dims), complex)
-    k[_coil_masks(enc)] = y.ravel()
-    if enc.basis is not None:
-        k = np.tensordot(enc.basis.phi_k.conj().T, k, axes=1)
-    return np.sum(np.conj(enc.maps.maps) * ifft2c(k), axis=1)
+    maps, basis = np.conj(enc.maps.maps), enc.basis
+    out = np.empty(enc.domain_shape if basis is None    # or the spectra
+                   else (basis.k, enc.n_coils, *enc.dims), complex)
+    for part, mask, sel in _parts(enc):
+        k = np.zeros(mask.shape, complex)
+        np.put(k, np.flatnonzero(mask), y[sel])
+        out[part] = (np.sum(maps * ifft2c(k), axis=0) if basis is None
+                     else np.tensordot(basis.phi_k.conj().T, k, axes=1))
+    return out if basis is None else np.sum(maps * ifft2c(out), axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,11 +190,12 @@ def build_normal_kernel(enc: Encoder) -> NormalKernel:
     """
     if enc.basis is None:
         raise ValueError("encoder has no temporal basis")
-    phi = enc.basis.phi_k                                 # (T, K)
-    masks = enc.masks.masks.astype(float)                 # (T, nx, ny)
-    outer = phi.conj()[:, :, None] * phi[:, None, :]      # (T, K, K)
-    psi = np.tensordot(masks, outer, axes=(0, 0))         # (nx, ny, K, K)
-    return NormalKernel(psi_k=psi)
+    phi, (nx, ny) = enc.basis.phi_k, enc.dims             # (T, K)
+    masks = enc.masks.masks.reshape(len(phi), -1).T.astype(float)  # (nx ny, T)
+    outer = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+    psi = np.empty((nx * ny, outer.shape[1]), complex)    # two real GEMMs
+    psi.real, psi.imag = masks @ outer.real, masks @ outer.imag
+    return NormalKernel(psi_k=psi.reshape(nx, ny, *phi.shape[1:] * 2))
 
 
 def apply_normal_kernel(enc: Encoder, kernel: NormalKernel,

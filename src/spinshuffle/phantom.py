@@ -109,13 +109,12 @@ def default_phantom(dims=(64, 64)) -> Phantom:
 def contrast_images(phantom: Phantom, seq: SequenceParams) -> np.ndarray:
     """Noiseless echo-image stack: one simulation per region, broadcast."""
     ids = phantom.region_ids
-    if not ids:
-        return np.zeros((seq.n_echoes, *phantom.dims), complex)
-    t1 = np.array([phantom.regions[r].t1 for r in ids])
-    t2 = np.array([phantom.regions[r].t2 for r in ids])
-    eta = np.array([phantom.regions[r].eta for r in ids])
-    evolutions = simulate_fse_ensemble(t1, t2, seq, eta=eta)  # (T, R)
     images = np.zeros((seq.n_echoes, *phantom.dims), complex)
+    if not ids:
+        return images
+    t1, t2, eta = (np.array([getattr(phantom.regions[r], name) for r in ids])
+                   for name in ("t1", "t2", "eta"))
+    evolutions = simulate_fse_ensemble(t1, t2, seq, eta=eta)  # (T, R)
     for col, rid in enumerate(ids):
         sel = phantom.labels == rid
         images[:, sel] = (phantom.regions[rid].rho

@@ -62,10 +62,17 @@ def sequence_from_config(cfg: PipelineConfig) -> SequenceParams:
                           excitation_phase_deg=cfg.excitation_phase_deg)
 
 
+def _seed(cfg: PipelineConfig, key: str) -> int:
+    if (seed := getattr(cfg, key)) < 0:   # numpy's refusal names no key
+        raise ValueError(f"{key} must be non-negative, got {seed}")
+    return seed
+
+
 def prior_from_config(cfg: PipelineConfig) -> TissuePrior:
     return TissuePrior(t1_range_ms=(cfg.t1_min_ms, cfg.t1_max_ms),
                        t2_range_ms=(cfg.t2_min_ms, cfg.t2_max_ms),
-                       sampling=cfg.prior_sampling, seed=cfg.prior_seed)
+                       sampling=cfg.prior_sampling,
+                       seed=_seed(cfg, "prior_seed"))
 
 
 def profile_from_config(cfg: PipelineConfig) -> DensityProfile:
@@ -77,17 +84,17 @@ def profile_from_config(cfg: PipelineConfig) -> DensityProfile:
 
 def build_masks(cfg: PipelineConfig) -> SamplingMasks:
     """Per-echo sampling masks for the configured view ordering."""
-    profile = profile_from_config(cfg)
+    profile, seed = profile_from_config(cfg), _seed(cfg, "mask_seed")
     dims = (cfg.nx, cfg.ny)
     if cfg.ordering == "randomized":
         # shuffled acquisition: an independent variable-density pattern
         # per echo, seeded from the mask seed plus the echo index
-        seeds = range(cfg.mask_seed, cfg.mask_seed + cfg.n_echoes)
+        seeds = range(seed, seed + cfg.n_echoes)
         return SamplingMasks(_draw_masks(profile, dims, seeds))
     if cfg.ordering == "center-out":
         # single-pass view ordering: every location acquired once, low
         # frequencies at the early echoes
-        mask = draw_mask(profile, dims, cfg.mask_seed)
+        mask = draw_mask(profile, dims, seed)
         return assign_echoes(mask, cfg.n_echoes, "center-out",
                              cfg.assign_seed)
     raise ValueError(f"unknown ordering {cfg.ordering!r}")
@@ -125,7 +132,7 @@ def _simulate(cfg: PipelineConfig, arrays) -> dict:
     truth = contrast_images(default_phantom((cfg.nx, cfg.ny)),
                             sequence_from_config(cfg))
     return dict(truth_images=truth, kspace=simulate_acquisition(
-        truth, masks, cfg.noise_sigma, cfg.noise_seed))
+        truth, masks, cfg.noise_sigma, _seed(cfg, "noise_seed")))
 
 
 def _reconstruct(cfg: PipelineConfig, arrays) -> dict:
@@ -174,11 +181,11 @@ def _run_stages(cfg: PipelineConfig, names, arrays) -> None:
 
 
 def _metrics(cfg: PipelineConfig, arrays) -> tuple:
-    """Image NRMSE against the truth and per-region T2 statistics."""
+    """Image NRMSE (its residual summed echo by echo), region T2 statistics."""
     phantom = default_phantom((cfg.nx, cfg.ny))
-    truth = arrays["truth_images"]
-    nrmse = float(np.linalg.norm(arrays["images"] - truth)
-                  / np.linalg.norm(truth))
+    truth, images = arrays["truth_images"], arrays["images"]
+    err = sum(np.linalg.norm(a - b) ** 2 for a, b in zip(images, truth))
+    nrmse = float(np.sqrt(err) / np.linalg.norm(truth))
     stats = []
     for rid in phantom.region_ids:
         t2_true = phantom.regions[rid].t2

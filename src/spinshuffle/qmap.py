@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import (_POLY_BLOCK, SequenceParams, _relaxation_model,
+from .spinsim import (SequenceParams, _relaxation_model,
                       _shared_pulse_ensemble, check_tissues)
 from .subspace import SubspaceBasis, back_project
 
 DEFAULT_T2_BOUNDS_MS = (5.0, 2000.0)
 DEFAULT_T1_MS = 1000.0
+_FIT_BLOCK = 1024    # voxels per _fit_columns call: its scores grow with it
 
 
 @dataclass(frozen=True)
@@ -271,22 +272,16 @@ def fit_map(stack: np.ndarray, seq: SequenceParams,
     alive = finite & (power > 1e-24 * max(np.max(power, where=finite,
                                                  initial=0.0), 1e-300))
 
-    rho = np.zeros(nx * ny, complex)
-    t2 = np.full(nx * ny, np.nan)
-    residual = np.zeros(nx * ny)
+    rho, t2, residual = (np.full(nx * ny, v) for v in (0j, np.nan, 0.0))
     if np.any(alive):
         cols = signals[:, alive]
         if method == "dictionary":
             grid = np.exp(np.linspace(*np.log(bounds), 1024))
             dictionary = build_dictionary((np.maximum(t1_ms, grid), grid), seq)
-            rho[alive], t2[alive], residual[alive] = _match(cols, dictionary,
-                                                            basis)
+            fits = [_match(cols, dictionary, basis)]
         else:
-            fits = [_fit_columns(cols[:, i:i + _POLY_BLOCK], seq, bounds,
-                                 t1_ms, basis)
-                    for i in range(0, cols.shape[1], _POLY_BLOCK)]
-            rho[alive], t2[alive], residual[alive], _ = map(np.concatenate,
-                                                            zip(*fits))
-    return FitMaps(rho=rho.reshape(nx, ny), t2=t2.reshape(nx, ny),
-                   residual=residual.reshape(nx, ny),
-                   failed=(~alive).reshape(nx, ny))
+            fits = [_fit_columns(cols[:, i:i + _FIT_BLOCK], seq, bounds,
+                                 t1_ms, basis)[:3]
+                    for i in range(0, cols.shape[1], _FIT_BLOCK)]
+        rho[alive], t2[alive], residual[alive] = map(np.concatenate, zip(*fits))
+    return FitMaps(*(a.reshape(nx, ny) for a in (rho, t2, residual, ~alive)))

@@ -56,11 +56,8 @@ def _data_term(enc: Encoder, y: np.ndarray):
     per-frequency kernel that N runs through (None without one)."""
     y = np.asarray(y, complex)
     kernel = build_normal_kernel(enc) if enc.basis is not None else None
-    if kernel is not None:
-        normal = partial(apply_normal_kernel, enc, kernel)
-    else:
-        def normal(x):
-            return apply_adjoint(enc, apply_forward(enc, x))
+    normal = (partial(apply_normal_kernel, enc, kernel) if kernel is not None
+              else lambda x: apply_adjoint(enc, apply_forward(enc, x)))
     return normal, apply_adjoint(enc, y), 0.5 * np.vdot(y, y).real, kernel
 
 

@@ -233,10 +233,7 @@ def optimize_flips(tissue: TissueParams, seq_template: SequenceParams,
 
     flips = np.full(t, const_rad)
     current, grad = evaluate(flips)
-    trace = [current]
-    pairs = []
-    small = 0
-    stop_reason = "max_iters"
+    trace, pairs, small, stop_reason = [current], [], 0, "max_iters"
     for it in range(max_iters):
         # the opening step follows the full gradient, as a plain projected
         # gradient step would
@@ -394,15 +391,11 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
             f"target {s_target} outside the achievable range (0, {s1_max:.6g}]")
 
     # approach segment: the excess over the target halves at each echo
-    gap = s1_max - s_target
-    n_approach = 0
-    while (gap * 0.5 ** (n_approach + 1) > approach_tol * s_target
-           and n_approach < t - n_constant):
-        n_approach += 1
+    excess = (s1_max - s_target) * 0.5 ** np.arange(1, t - n_constant + 1)
+    n_approach = int(np.sum(excess > approach_tol * s_target))
     n_controlled = min(n_approach + n_constant, t)
-
     targets = np.full(n_controlled, s_target)
-    targets[:n_approach] += gap * 0.5 ** np.arange(1, n_approach + 1)
+    targets[:n_approach] += excess[:n_approach]
 
     # The next-echo amplitude is not monotone in the flip (the stored
     # longitudinal reserve contributes through sin(alpha), which vanishes at

@@ -90,20 +90,18 @@ class SequenceParams:
         flips = tuple(float(a) for a in self.flips_deg)
         object.__setattr__(self, "flips_deg", flips)
         if len(flips) < 1:
-            raise ValueError("need at least one refocusing pulse")
+            raise ValueError("need at least one refocusing pulse (n_echoes)")
         if not 0 < self.echo_spacing_ms < math.inf:
             raise ValueError("echo_spacing_ms must be finite and positive")
         if not all(0 <= a <= 180 for a in flips):
             raise ValueError("flips_deg must lie in [0, 180] degrees")
         if not 0 <= self.excitation_deg <= 180:
             raise ValueError("excitation_deg must lie in [0, 180] degrees")
-        if self.flip_phases_deg is None:
-            object.__setattr__(self, "flip_phases_deg", (0.0,) * len(flips))
-        else:
-            phases = tuple(float(p) for p in self.flip_phases_deg)
-            if len(phases) != len(flips):
-                raise ValueError("flip_phases_deg length must match flips_deg")
-            object.__setattr__(self, "flip_phases_deg", phases)
+        phases = (0.0,) * len(flips) if self.flip_phases_deg is None else tuple(
+            float(p) for p in self.flip_phases_deg)
+        if len(phases) != len(flips):
+            raise ValueError("flip_phases_deg length must match flips_deg")
+        object.__setattr__(self, "flip_phases_deg", phases)
         for name in ("excitation_phase_deg", "flip_phases_deg"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -181,8 +179,9 @@ def _pulses(seq: SequenceParams, flips_deg, eta=1.0, echo=slice(None)):
     sin a signed by `_frames`, from two trig calls per flip; w/2 =
     -sin^2(a/2), or cos^2(a/2) nearer 180 deg."""
     half = np.multiply(eta, flips_deg) * (np.pi / 360)
+    m = np.empty((4, *half.shape), half.dtype)   # complex-step flips: real trig
+    half = half.real if np.iscomplexobj(half) and not half.imag.any() else half
     s2, c2 = np.sin(half), np.cos(half)
-    m = np.empty((4, *half.shape), half.dtype)
     np.multiply(s2 * c2, np.asarray(_frames(seq)[0])[echo, None], out=m[1])
     np.multiply(m[1], 0.5, out=m[2])
     s2, c2 = s2 * s2, c2 * c2
@@ -485,8 +484,7 @@ def bloch_isochromat_train(tissue: TissueParams, seq: SequenceParams,
     e2h = math.exp(-seq.echo_spacing_ms / 2 / tissue.t2)
 
     def relax_half(mm):
-        mm[0] *= e2h
-        mm[1] *= e2h
+        mm[:2] *= e2h
         mm[2] = mm[2] * e1h + (1.0 - e1h)
 
     def dephase(mm):

@@ -45,22 +45,17 @@ def sample_prior(prior: TissuePrior, n: int) -> tuple:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    rng = np.random.default_rng(prior.seed)
+    rng, log = np.random.default_rng(prior.seed), prior.sampling != "uniform"
 
     def draw(k):
-        if prior.sampling == "log-uniform":
-            t1 = np.exp(rng.uniform(*np.log(prior.t1_range_ms), size=k))
-            t2 = np.exp(rng.uniform(*np.log(prior.t2_range_ms), size=k))
-        else:
-            t1 = rng.uniform(*prior.t1_range_ms, size=k)
-            t2 = rng.uniform(*prior.t2_range_ms, size=k)
-        return t1, t2
+        t1, t2 = (rng.uniform(*(np.log(r) if log else r), size=k)
+                  for r in (prior.t1_range_ms, prior.t2_range_ms))
+        return (np.exp(t1), np.exp(t2)) if log else (t1, t2)
 
     t1, t2 = draw(n)
     bad = t2 > t1
     while np.any(bad):
-        t1b, t2b = draw(int(bad.sum()))
-        t1[bad], t2[bad] = t1b, t2b
+        t1[bad], t2[bad] = draw(int(bad.sum()))
         bad = t2 > t1
     return t1, t2
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,43 @@ class TestAdjoint:
                 lhs = np.vdot(y, apply_forward(enc, x))
                 rhs = np.vdot(apply_adjoint(enc, y), x)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-10
+
+
+def test_operators_hold_no_echo_by_coil_stack():
+    # T = 32 echoes, C = 4 coils, K = 3 at 32 x 32: one (T, C, nx, ny)
+    # complex stack is 2 MiB. Beyond the array it returns, neither operator
+    # may peak at three quarters of one
+    rng = np.random.default_rng(11)
+    t, c, dims = 32, 4, (32, 32)
+    phi = np.linalg.qr(rng.standard_normal((t, 3)))[0].astype(complex)
+    enc = Encoder(SamplingMasks(rng.random((t, *dims)) < 0.3),
+                  SensitivityMaps(rng.standard_normal((c, *dims))
+                                  + 1j * rng.standard_normal((c, *dims))),
+                  SubspaceBasis(phi_k=phi, singular_values=np.ones(t)))
+    x, y = _random_pair(enc, 12)
+    for op, arg in ((apply_forward, x), (apply_adjoint, y)):
+        tracemalloc.start()
+        try:
+            out = op(enc, arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 0.75 * t * c * dims[0] * dims[1] * 16, op
+
+
+def test_dense_equivalence_on_uneven_row_slabs(basis):
+    # K = 2 of T = 4 echoes over 7 rows: the basis operators take slabs of
+    # 3, 3 and 1 rows, with 3 coils
+    rng = np.random.default_rng(13)
+    dims = (7, 8)
+    maps = SensitivityMaps(rng.standard_normal((3, *dims))
+                           + 1j * rng.standard_normal((3, *dims)))
+    enc = Encoder(SamplingMasks(rng.random((T, *dims)) < 0.5), maps, basis)
+    a = materialize_forward(enc)
+    x, y = _random_pair(enc, 14)
+    assert np.max(np.abs(a @ x.ravel() - apply_forward(enc, x))) < 1e-12
+    adj = (a.conj().T @ y).reshape(enc.domain_shape)
+    assert np.max(np.abs(adj - apply_adjoint(enc, y))) < 1e-12
 
 
 class TestNormalKernel:

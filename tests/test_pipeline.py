@@ -52,16 +52,16 @@ INVALID_VALUES = [
     ("tolerance", float("inf"), "reconstruct", "tolerance"),
     ("accel", 1e9, "masks", "accel"),
     ("ny", 0, "phantom", "dims"),
-    ("n_echoes", 0, "basis", "refocusing pulse"),
+    ("n_echoes", 0, "basis", "n_echoes"),
     ("t2_min_ms", 0.0, "basis", "t2_range_ms"),
     ("prior_sampling", "bogus", "basis", "sampling mode 'bogus'"),
-    ("prior_seed", -1, "basis", "non-negative integer"),
+    ("prior_seed", -1, "basis", "prior_seed"),
     ("ensemble_size", 0, "basis", "at least one draw"),
     ("subspace_k", 0, "basis", "k=0"),
     ("profile_shape", "bogus", "masks", "profile shape 'bogus'"),
     ("ordering", "bogus", "masks", "ordering 'bogus'"),
-    ("mask_seed", -1, "masks", "non-negative integer"),
-    ("noise_seed", -1, "simulate", "non-negative integer"),
+    ("mask_seed", -1, "masks", "mask_seed"),
+    ("noise_seed", -1, "simulate", "noise_seed"),
     ("solver", "bogus", "reconstruct", "solver 'bogus'"),
     ("fit_method", "bogus", "fit", "fit method 'bogus'"),
     ("fit_t2_min_ms", 0.0, "fit", "T2 bounds"),

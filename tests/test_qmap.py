@@ -553,3 +553,18 @@ class TestFitMap:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_subspace_fit_works_in_voxel_blocks(self, ensemble):
+        # the bound is 48 x 4096 complex grid scores alone (3 MiB), which
+        # scoring all 4096 voxels in one block would form
+        basis = compute_basis(ensemble, 3)
+        rng = np.random.default_rng(10)
+        stack = (rng.standard_normal((3, 64, 64))
+                 + 1j * rng.standard_normal((3, 64, 64)))
+        tracemalloc.start()
+        try:
+            fit_map(stack, SEQ, basis=basis, method="subspace")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 64 * 64 * 16
