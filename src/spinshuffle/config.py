@@ -7,7 +7,6 @@ Every seed is explicit so a written config reproduces its run bit for bit.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, fields
 
 
@@ -80,36 +79,24 @@ _SECTIONS = {
     "output": ("output_dir",),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# each field's parser, chosen by its annotated type
+_PARSERS = {f.name: {"tuple": lambda raw: tuple(map(float, raw.split())),
+                     "int": int, "float": float, "str": str}[f.type]
+            for f in fields(PipelineConfig)}
 
 
 def _encode(value) -> str:
     if isinstance(value, tuple):
         return " ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _decode(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
-    if kind == "tuple":
-        return tuple(float(tok) for tok in raw.split())
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def to_ini(cfg: PipelineConfig) -> str:
-    out = io.StringIO()
+    lines = []
     for section, names in _SECTIONS.items():
-        out.write(f"[{section}]\n")
-        for name in names:
-            out.write(f"{name} = {_encode(getattr(cfg, name))}\n")
-        out.write("\n")
-    return out.getvalue()
+        lines += [f"[{section}]", *(f"{name} = {_encode(getattr(cfg, name))}"
+                                    for name in names), ""]
+    return "\n".join(lines) + "\n"
 
 
 def from_ini(text: str) -> PipelineConfig:
@@ -123,7 +110,7 @@ def from_ini(text: str) -> PipelineConfig:
         for name, raw in parser.items(section):
             if name not in _SECTIONS[section]:
                 raise ValueError(f"unknown key {name!r} in [{section}]")
-            values[name] = _decode(name, raw)
+            values[name] = _PARSERS[name](raw)
     return PipelineConfig(**values)
 
 

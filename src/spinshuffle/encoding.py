@@ -95,34 +95,22 @@ class Encoder:
         self.basis = basis
 
     @property
-    def dims(self) -> tuple:
-        return self.masks.dims
-
-    @property
-    def n_echoes(self) -> int:
-        return self.masks.n_echoes
-
-    @property
-    def n_coils(self) -> int:
-        return self.maps.n_coils
-
-    @property
     def domain_shape(self) -> tuple:
-        lead = self.basis.k if self.basis is not None else self.n_echoes
-        return (lead, *self.dims)
+        lead = self.basis.k if self.basis is not None else self.masks.n_echoes
+        return (lead, *self.masks.dims)
 
     @property
     def n_measurements(self) -> int:
-        return self.masks.total_samples * self.n_coils
+        return self.masks.total_samples * self.maps.n_coils
 
     @cached_property
     def _uniform_coil(self) -> bool:   # one coil whose map is all ones
-        return self.n_coils == 1 and bool(np.all(self.maps.maps == 1))
+        return self.maps.n_coils == 1 and bool(np.all(self.maps.maps == 1))
 
 
 def _parts(enc: Encoder):
     """(index, sample mask, measurement selector) of each part in turn."""
-    t, c, (nx, ny) = enc.n_echoes, enc.n_coils, enc.dims
+    t, c, (nx, ny) = enc.masks.n_echoes, enc.maps.n_coils, enc.masks.dims
     masks = np.broadcast_to(enc.masks.masks[:, None], (t, c, nx, ny))  # view
     if enc.basis is None:
         ends = np.cumsum(masks.sum(axis=(1, 2, 3)))
@@ -159,7 +147,7 @@ def apply_adjoint(enc: Encoder, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {enc.n_measurements} samples, got {y.size}")
     maps, basis = np.conj(enc.maps.maps), enc.basis
     out = np.empty(enc.domain_shape if basis is None    # or the spectra
-                   else (basis.k, enc.n_coils, *enc.dims), complex)
+                   else (basis.k, enc.maps.n_coils, *enc.masks.dims), complex)
     for part, mask, sel in _parts(enc):
         k = np.zeros(mask.shape, complex)
         np.put(k, np.flatnonzero(mask), y[sel])
@@ -190,7 +178,7 @@ def build_normal_kernel(enc: Encoder) -> NormalKernel:
     """
     if enc.basis is None:
         raise ValueError("encoder has no temporal basis")
-    phi, (nx, ny) = enc.basis.phi_k, enc.dims             # (T, K)
+    phi, (nx, ny) = enc.basis.phi_k, enc.masks.dims       # (T, K)
     masks = enc.masks.masks.reshape(len(phi), -1).T.astype(float)  # (nx ny, T)
     outer = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
     psi = np.empty((nx * ny, outer.shape[1]), complex)    # two real GEMMs

@@ -1,10 +1,10 @@
 """Numerical phantoms and synthetic acquisition.
 
 A phantom is a labeled 2-D scene built from ellipse primitives, each region
-carrying its own tissue parameters. The contrast images simulate one signal
-evolution per region and broadcast it to the member voxels; acquisition
-encodes those images with the measurement operator and adds complex white
-Gaussian noise.
+carrying its own tissue parameters. Its contrast images are one simulated
+evolution per region times that region's density image, held as the two
+factors; acquisition encodes them with the measurement operator (through its
+basis path) and adds complex white Gaussian noise.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayio import FactoredStack
 from .encoding import Encoder, SamplingMasks, apply_forward
 from .spinsim import SequenceParams, TissueParams, simulate_fse_ensemble
+from .subspace import SubspaceBasis
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,9 @@ def make_phantom(dims, ellipses, regions) -> Phantom:
         th = np.radians(e.angle_deg)
         u = (xx - cx) * np.cos(th) + (yy - cy) * np.sin(th)
         v = -(xx - cx) * np.sin(th) + (yy - cy) * np.cos(th)
-        inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
-        labels[inside] = e.region_id
-    present = {rid: regions[rid] for rid in np.unique(labels) if rid != 0}
+        labels[(u / a) ** 2 + (v / b) ** 2 <= 1.0] = e.region_id
+    ids = np.flatnonzero(np.bincount(labels.ravel()))  # np.unique: numpy.ma
+    present = {rid: regions[rid] for rid in ids.tolist() if rid != 0}
     return Phantom(labels=labels, regions=present, dims=tuple(dims))
 
 
@@ -106,20 +108,21 @@ def default_phantom(dims=(64, 64)) -> Phantom:
     return make_phantom(dims, ellipses, DEFAULT_REGION_TISSUES)
 
 
-def contrast_images(phantom: Phantom, seq: SequenceParams) -> np.ndarray:
-    """Noiseless echo-image stack: one simulation per region, broadcast."""
+def contrast_factors(phantom: Phantom, seq: SequenceParams) -> FactoredStack:
+    """Noiseless echo-image stack: (T, R) region evolutions, one simulation
+    per region, times (R, nx, ny) images of each region's density."""
     ids = phantom.region_ids
-    images = np.zeros((seq.n_echoes, *phantom.dims), complex)
-    if not ids:
-        return images
-    t1, t2, eta = (np.array([getattr(phantom.regions[r], name) for r in ids])
-                   for name in ("t1", "t2", "eta"))
-    evolutions = simulate_fse_ensemble(t1, t2, seq, eta=eta)  # (T, R)
-    for col, rid in enumerate(ids):
-        sel = phantom.labels == rid
-        images[:, sel] = (phantom.regions[rid].rho
-                          * evolutions[:, col])[:, None]
-    return images
+    t1, t2, eta, rho = (np.array([getattr(phantom.regions[r], k) for r in ids])
+                        for k in ("t1", "t2", "eta", "rho"))
+    evolutions = (simulate_fse_ensemble(t1, t2, seq, eta=eta) if ids
+                  else np.zeros((seq.n_echoes, 0)))
+    region = phantom.labels == np.reshape(ids, (-1, 1, 1))
+    return FactoredStack(evolutions, np.where(region, rho[:, None, None], 0j))
+
+
+def contrast_images(phantom: Phantom, seq: SequenceParams) -> np.ndarray:
+    """`contrast_factors` expanded to its (T, nx, ny) stack."""
+    return np.asarray(contrast_factors(phantom, seq))
 
 
 def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -134,8 +137,12 @@ def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
                         + 1j * rng.standard_normal(y.shape))
 
 
-def simulate_acquisition(images: np.ndarray, masks: SamplingMasks,
-                         sigma: float, seed: int) -> np.ndarray:
-    """Encode a (T, nx, ny) echo-image stack, such as `contrast_images`
-    returns, with one uniform coil and add measurement noise."""
-    return add_noise(apply_forward(Encoder(masks), images), sigma, seed)
+def simulate_acquisition(images, masks: SamplingMasks, sigma: float,
+                         seed: int) -> np.ndarray:
+    """Encode a (T, nx, ny) echo-image stack, or a `FactoredStack` (any left
+    factor as the basis), with one uniform coil; add measurement noise."""
+    basis = None
+    if isinstance(images, FactoredStack):
+        basis, images = SubspaceBasis(images.left, None), images.right
+    enc = Encoder(masks, basis=basis)
+    return add_noise(apply_forward(enc, images), sigma, seed)

@@ -1,14 +1,15 @@
 """End-to-end phantom pipeline as one stage table.
 
 `STAGES` is the only composition of the chain. A stage maps the config and
-the arrays made so far (by name) to the arrays it makes:
+the arrays made so far (by name) to the arrays it makes, an echo-image stack
+as the two factors of a `FactoredStack`, which no stage expands whole:
 
     phantom      -> labels, rho_true, t2_true
     basis        -> basis, singular_values
     masks        -> masks
-    simulate     masks -> truth_images, kspace
+    simulate     masks -> truth_images (T, R) x (R, nx, ny), kspace
     reconstruct  masks, basis, singular_values, kspace -> coefficients,
-                 images (and writes objective_trace.csv)
+                 images (T, K) x (K, nx, ny) (and writes objective_trace.csv)
     fit          basis, singular_values, coefficients -> t2_map, rho_map
 
 `run_pipeline` runs them all on a plain dict, then `metrics` and `write`; a
@@ -24,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrayio import write_array, write_csv
+from .arrayio import FactoredStack, write_array, write_csv
 from .config import PipelineConfig, save_config
 from .encoding import Encoder, SamplingMasks
-from .phantom import contrast_images, default_phantom, simulate_acquisition
+from .phantom import contrast_factors, default_phantom, simulate_acquisition
 from .qmap import fit_map
 from .recon import SolverConfig, cg_solve, fista_solve
 from .sampling import DensityProfile, _draw_masks, assign_echoes, draw_mask
 from .spinsim import SequenceParams, _shared_pulse_blocks
 from .subspace import (SubspaceBasis, TissuePrior, _basis_from_blocks,
-                       back_project, sample_prior)
+                       sample_prior)
 
 log = logging.getLogger(__name__)
 
@@ -129,8 +130,8 @@ def _basis(cfg: PipelineConfig, arrays) -> dict:
 
 def _simulate(cfg: PipelineConfig, arrays) -> dict:
     masks = SamplingMasks(arrays["masks"])
-    truth = contrast_images(default_phantom((cfg.nx, cfg.ny)),
-                            sequence_from_config(cfg))
+    truth = contrast_factors(default_phantom((cfg.nx, cfg.ny)),
+                             sequence_from_config(cfg))
     return dict(truth_images=truth, kspace=simulate_acquisition(
         truth, masks, cfg.noise_sigma, _seed(cfg, "noise_seed")))
 
@@ -148,7 +149,7 @@ def _reconstruct(cfg: PipelineConfig, arrays) -> dict:
     write_csv(os.path.join(cfg.output_dir, "objective_trace.csv"),
               ("iteration", "objective"), enumerate(result.objective_trace))
     return dict(coefficients=result.images,
-                images=back_project(enc.basis, result.images))
+                images=FactoredStack(enc.basis.phi_k, result.images))
 
 
 def _fit(cfg: PipelineConfig, arrays) -> dict:
@@ -181,11 +182,13 @@ def _run_stages(cfg: PipelineConfig, names, arrays) -> None:
 
 
 def _metrics(cfg: PipelineConfig, arrays) -> tuple:
-    """Image NRMSE (its residual summed echo by echo), region T2 statistics."""
+    """Image NRMSE (summed over slabs of both stacks), region T2 statistics."""
     phantom = default_phantom((cfg.nx, cfg.ny))
-    truth, images = arrays["truth_images"], arrays["images"]
-    err = sum(np.linalg.norm(a - b) ** 2 for a, b in zip(images, truth))
-    nrmse = float(np.sqrt(err) / np.linalg.norm(truth))
+    err = norm = 0.0
+    for a, b in zip(arrays["images"].slabs(), arrays["truth_images"].slabs()):
+        a -= b
+        err, norm = err + np.vdot(a, a).real, norm + np.vdot(b, b).real
+    nrmse = float(np.sqrt(err / norm))
     stats = []
     for rid in phantom.region_ids:
         t2_true = phantom.regions[rid].t2
@@ -202,13 +205,11 @@ def _metrics(cfg: PipelineConfig, arrays) -> tuple:
 def _write(cfg: PipelineConfig, arrays, nrmse: float, stats: list) -> None:
     out = cfg.output_dir
     write_arrays(out, **arrays)
+    names = ("t2_true_ms", "t2_mean_ms", "t2_bias_pct", "t2_std_ms")
     write_csv(os.path.join(out, "metrics.csv"),
-              ("metric", "region_id", "value"),
-              [("image_nrmse", "", nrmse)]
-              + [("t2_true_ms", rid, t) for rid, t, *_ in stats]
-              + [("t2_mean_ms", rid, m) for rid, _, m, *_ in stats]
-              + [("t2_bias_pct", rid, b) for rid, _, _, b, _ in stats]
-              + [("t2_std_ms", rid, s) for rid, _, _, _, s in stats])
+              ("metric", "region_id", "value"), [("image_nrmse", "", nrmse)]
+              + [(name, row[0], row[i]) for i, name in enumerate(names, 1)
+                 for row in stats])
     save_config(cfg, os.path.join(out, "resolved_config.ini"))
 
 

@@ -3,10 +3,8 @@
 All fits share a variable-projection structure: the complex density enters
 the model linearly, so for any candidate T2 the optimal density has a closed
 form and the search reduces to one dimension. The 'nlls' and 'subspace'
-maps and the single-voxel fits (one column) are one vectorised fit: a
-48-point log-T2 grid start, then safeguarded Newton steps on every live
-column at once on |m^H s|^2 / ||m||^2 in log T2, with the model and its
-exact derivatives from relaxation polynomials built once per sequence.
+maps and the single-voxel fits (one column) are one vectorised Newton fit,
+`_fit_columns`, on exact derivatives of relaxation polynomials.
 Dictionary matching is the grid-search counterpart (matched filtering): it
 keeps the best atom's T2 with the same closed-form density and residual.
 `fit_map` is the one place that knows the fit method; whatever the method, a
@@ -138,9 +136,8 @@ def _varpro_cost(models, signals):
     num = np.sum(np.conj(models) * signals, axis=0)
     den = np.sum(np.abs(models) ** 2, axis=0)
     den = np.where(den > 0, den, 1.0)
-    rho = num / den
-    cost = 0.5 * (np.sum(np.abs(signals) ** 2, axis=0) - np.abs(num) ** 2 / den)
-    return cost, rho
+    norm2 = np.sum(np.abs(signals) ** 2, axis=0)
+    return 0.5 * (norm2 - np.abs(num) ** 2 / den), num / den
 
 
 def _fit_columns(cols, seq, bounds, t1_ms, basis, max_steps=20):

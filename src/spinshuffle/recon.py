@@ -140,7 +140,7 @@ def cg_solve(enc: Encoder, y: np.ndarray,
     precond = None
     if kernel is not None and enc._uniform_coil:
         w, v = np.linalg.eigh(kernel.psi_k)
-        keep = w > w.max() * w.shape[-1] * enc.n_echoes * np.finfo(float).eps
+        keep = w > w.max() * w.shape[-1] * enc.masks.n_echoes * np.finfo(float).eps
         inv = np.divide(1.0, w + cfg.lam, out=np.zeros_like(w), where=keep)
         precond = partial(apply_normal_kernel, enc, NormalKernel(
             (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)))
@@ -223,8 +223,7 @@ def fista_solve(enc: Encoder, y: np.ndarray, regularizer: str = "l1-wavelet",
         g += x
         prev = trace[-1]
         trace.append(f_new)
-        denom = max(abs(prev), 1e-300)
-        if abs(prev - f_new) <= cfg.tolerance * denom:
+        if abs(prev - f_new) <= cfg.tolerance * max(abs(prev), 1e-300):
             converged = True
             break
     return _warn_unconverged("fista", ReconResult(

@@ -62,8 +62,7 @@ def _radius_grid(dims) -> np.ndarray:
 
 def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
     """Per-location Bernoulli probability calibrated to N / accel samples."""
-    n = dims[0] * dims[1]
-    target = n / profile.accel
+    target = dims[0] * dims[1] / profile.accel
     r = _radius_grid(dims)
     density = profile.density(r)
     disc = r <= profile.fully_sampled_radius
@@ -76,13 +75,13 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
             f"target of {target:.0f} samples exceeds the {int(support.sum())} "
             "locations with nonzero density")
 
-    def expected(scale):
+    def probability(scale):
         p = np.minimum(1.0, scale * density)
         p[disc] = 1.0
-        return p.sum()
+        return p
 
     lo, hi = 0.0, 1.0
-    while expected(hi) < target:
+    while probability(hi).sum() < target:
         hi *= 2
         if hi > 1e12:
             raise ValueError("density calibration failed to bracket the target")
@@ -90,10 +89,8 @@ def sampling_probability(profile: DensityProfile, dims) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:   # no float left between: lo, hi are final
             break
-        lo, hi = (mid, hi) if expected(mid) < target else (lo, mid)
-    prob = np.minimum(1.0, hi * density)
-    prob[disc] = 1.0
-    return prob
+        lo, hi = (mid, hi) if probability(mid).sum() < target else (lo, mid)
+    return probability(hi)
 
 
 def _draw_masks(profile: DensityProfile, dims, seeds) -> np.ndarray:
@@ -209,8 +206,7 @@ def assign_echoes(mask: np.ndarray, n_echoes: int, ordering: str = "randomized",
         r = np.hypot(ix - nx // 2, iy - ny // 2)
         locs = locs[np.argsort(r, kind="stable")]
     elif ordering == "randomized":
-        rng = np.random.default_rng(seed)
-        locs = rng.permutation(locs)
+        locs = np.random.default_rng(seed).permutation(locs)
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
     out = np.zeros((n_echoes, nx, ny), bool)
@@ -238,8 +234,7 @@ def sparsity_crb(mask: np.ndarray, model: SparsityModel) -> float:
     m = int(mask.sum())
     if s > m:
         raise ValueError(f"support size {s} exceeds {m} acquired samples")
-    cols = _unit_responses(mask, model.transform, support)
-    g = cols[:, support].T
+    g = _unit_responses(mask, model.transform, support)[:, support].T
     g = 0.5 * (g + g.conj().T)
     eigvals = np.linalg.eigvalsh(g)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1e-300):

@@ -404,11 +404,10 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
     scan = np.linspace(0.0, 180.0, 361)
     flips = np.zeros(t)
     achieved = np.zeros(n_controlled)
-    for i in range(n_controlled):
+    for i, target in enumerate(targets):
         grid = scan
         cand = trial(grid, i)
         amps = np.abs(cand.fplus[0])
-        target = targets[i]
         if target > amps.max() * (1 + 1e-12) + 1e-15:
             raise ValueError(
                 f"echo {i + 1}: target {target:.6g} unreachable "
@@ -434,7 +433,7 @@ def design_asymptotic_flips(tissue: TissueParams, seq_template: SequenceParams,
         last = flips[n_controlled - 1] if n_controlled else alpha_max_deg
         if alpha_max_deg < last:
             raise ValueError("alpha_max lies below the controlled-segment flips")
-        ramp = np.linspace(last, alpha_max_deg, t - n_controlled + 1)[1:]
-        flips[n_controlled:] = ramp
+        flips[n_controlled:] = np.linspace(last, alpha_max_deg,
+                                           t - n_controlled + 1)[1:]
     return AsymptoticDesign(flips_deg=flips, targets=targets,
                             achieved=achieved, n_controlled=n_controlled)

@@ -1,11 +1,15 @@
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshuffle import arrayio
-from spinshuffle.arrayio import read_array, write_array, write_csv
+from spinshuffle.arrayio import (FactoredStack, read_array, write_array,
+                                 write_csv)
 from spinshuffle.config import (PipelineConfig, from_ini, load_config,
                                 save_config, to_ini)
 
@@ -80,6 +84,51 @@ class TestArrayFormat:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    # _SLAB 7 gives a factored stack one-column slabs and an array 7-value
+    # slabs; 56 gives the stack 7-value slabs, so the last slab of most
+    # shapes here is partial
+    @pytest.mark.parametrize("slab", [7, 56])
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(0, 5), k=st.integers(0, 3), nx=st.integers(1, 4),
+           ny=st.integers(1, 11), seed=st.integers(0, 2 ** 32 - 1))
+    def test_factored_stack_writes_its_product(self, slab, t, k, nx, ny,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k))
+        right = (rng.standard_normal((k, nx, ny))
+                 + 1j * rng.standard_normal((k, nx, ny)))
+        stack = FactoredStack(left, right)
+        product = np.asarray(stack)
+        assert product.shape == stack.shape == (t, nx, ny)
+        np.testing.assert_allclose(product, np.einsum("tk,kxy->txy", left,
+                                                      right), atol=1e-12)
+        with (pytest.MonkeyPatch.context() as mp,
+              tempfile.TemporaryDirectory() as out):
+            mp.setattr(arrayio, "_SLAB", slab)
+            write_array(out + "/stack", stack)
+            write_array(out + "/product", product)
+            for ext in (".hdr", ".dat"):
+                with open(out + "/stack" + ext, "rb") as a, \
+                        open(out + "/product" + ext, "rb") as b:
+                    assert a.read() == b.read(), ext
+        np.testing.assert_array_equal(
+            np.concatenate(list(stack.slabs()), axis=-1), product)
+
+    def test_factored_writer_expands_no_stack(self, tmp_path):
+        # a (32, 256, 256) stack of rank 3 is 32 MiB of complex128 expanded
+        # and 16 MiB as complex64; the factors are 1.5 MiB
+        rng = np.random.default_rng(5)
+        stack = FactoredStack(rng.standard_normal((32, 3)) + 0j,
+                              rng.standard_normal((3, 256, 256)) + 0j)
+        tracemalloc.start()
+        try:
+            write_array(str(tmp_path / "stack"), stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert (tmp_path / "stack.dat").stat().st_size == 8 * 32 * 256 * 256
 
     @pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 4, 2), (2, 3, 2, 2)])
     def test_round_trip_bit_exact(self, tmp_path, shape):

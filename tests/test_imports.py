@@ -78,7 +78,7 @@ def test_public_parameters_are_counted():
 # Lines in src/spinshuffle/*.py. Raise it only with a reason in CHANGES.md:
 # code that speeds something up or adds a check should delete what it makes
 # redundant.
-SOURCE_LINE_BUDGET = 2960
+SOURCE_LINE_BUDGET = 2956
 
 
 def test_source_line_budget():
@@ -233,7 +233,8 @@ def test_import_loads_only_numpy_and_stdlib():
     ids=("default", "cg-dictionary"))
 def test_pipeline_loads_no_scipy(tmp_path, fields):
     # importing scipy.fft alone costs 0.3-0.4 s in a fresh interpreter,
-    # which would land in the benchmark's set-up time
+    # which would land in the benchmark's set-up time; numpy.ma (which
+    # np.unique imports) costs 8-12 ms and 1.5 MB there
     cfg = dict(nx=16, ny=16, n_echoes=4, ensemble_size=16, subspace_k=2,
                max_iters=3, accel=2.0, output_dir=str(tmp_path)) | fields
     script = (
@@ -242,7 +243,7 @@ def test_pipeline_loads_no_scipy(tmp_path, fields):
         "from spinshuffle.config import PipelineConfig\n"
         f"spinshuffle.run_pipeline(PipelineConfig(**{cfg!r}))\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'scipy'))\n")
+        "             if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n")
     assert _run_fresh(script) == "[]"
 
 

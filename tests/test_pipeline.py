@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinshuffle.arrayio import read_array
+from spinshuffle.arrayio import FactoredStack, read_array
 from spinshuffle import pipeline, spinsim
 from spinshuffle.config import _SECTIONS, PipelineConfig, load_config
 from spinshuffle.pipeline import (PipelineError, build_masks,
@@ -206,6 +206,57 @@ class TestRunPipeline:
         run_pipeline(cfg)
         masks = read_array(str(tmp_path / "masks"))
         assert masks.shape == (cfg.n_echoes, cfg.nx, cfg.ny)
+
+
+class TestEchoStacks:
+    def test_stages_hold_no_echo_image_stack(self, tmp_path):
+        # The bounds were fixed from the stages that expanded both echo-image
+        # stacks (2 MiB each at the defaults). simulate peaked at 3.63 MiB
+        # and kept 2.50 MiB; reconstruct peaked at 3.26 MiB, its solver's
+        # buffers, and kept 2.19 MiB
+        cfg = PipelineConfig(output_dir=str(tmp_path))
+        stack = cfg.n_echoes * cfg.nx * cfg.ny
+        arrays = {}
+        pipeline._run_stages(cfg, ["phantom", "basis", "masks"], arrays)
+        for name, peak_max in (("simulate", 2.5), ("reconstruct", 3.5)):
+            tracemalloc.start()
+            try:
+                pipeline._run_stages(cfg, [name], arrays)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < peak_max * 2 ** 20, name
+            assert kept < 2 ** 20, name
+        pipeline._run_stages(cfg, ["fit"], arrays)
+        assert not [name for name, a in arrays.items()
+                    if isinstance(a, np.ndarray) and np.iscomplexobj(a)
+                    and a.size >= stack]
+        for name in ("truth_images", "images"):
+            assert isinstance(arrays[name], FactoredStack)
+            assert arrays[name].shape == (cfg.n_echoes, cfg.nx, cfg.ny)
+
+    def test_images_are_basis_times_coefficients(self, tmp_path):
+        cfg = small_config(tmp_path)
+        run_pipeline(cfg)
+        basis = read_array(str(tmp_path / "basis")).astype(complex)
+        coeffs = read_array(str(tmp_path / "coefficients")).astype(complex)
+        images = read_array(str(tmp_path / "images"))
+        assert images.shape == (cfg.n_echoes, cfg.nx, cfg.ny)
+        assert np.max(np.abs(images - np.tensordot(basis, coeffs, 1))) < 1e-6
+
+    def test_one_echo_simulates(self, tmp_path):
+        cfg = small_config(tmp_path, n_echoes=1, subspace_k=1)
+        arrays = {}
+        pipeline._run_stages(cfg, ["masks", "simulate"], arrays)
+        assert arrays["truth_images"].shape == (1, cfg.nx, cfg.ny)
+        assert arrays["kspace"].size == arrays["masks"].sum()
+
+    def test_mask_echo_mismatch_fails_at_simulate(self, tmp_path):
+        cfg = small_config(tmp_path)
+        masks = np.ones((cfg.n_echoes - 1, cfg.nx, cfg.ny), bool)
+        with pytest.raises(PipelineError, match="echo count") as info:
+            pipeline._run_stages(cfg, ["simulate"], {"masks": masks})
+        assert info.value.stage == "simulate"
 
 
 class TestBasisStage:
